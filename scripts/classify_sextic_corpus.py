@@ -2,7 +2,8 @@
 """Classify a corpus of sextic classes over small fields and print the table.
 
 Builds every product of three distinct Weil quadratics and every squared
-quadratic times a coprime one over q in {2, 3}, keeps the valid ones, and
+quadratic times a coprime one over q in {2, 3} (every trace a has
+a^2 < 4q, so each product is a Weil polynomial and must validate), and
 prints the admissible group types per prime.  A final consistency pass
 re-checks every emitted tuple against the polygon dominance bound.
 """
@@ -45,10 +46,7 @@ def build_corpus():
             if (coeffs, q) in seen:
                 continue
             seen.add((coeffs, q))
-            try:
-                corpus.append(parse_and_validate(coeffs, q))
-            except Exception:
-                continue
+            corpus.append(parse_and_validate(coeffs, q))
     return corpus
 
 

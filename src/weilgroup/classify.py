@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polygon import is_prime, transform_one_minus_t, valuation
+from .polygon import PRIME_TEST_LIMIT, is_prime, transform_one_minus_t, valuation
 from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
     DispatchPlan,
     FactoredShape,
+    SizeLimitError,
     UnsupportedShapeError,
     WeilPolynomial,
     _is_squarefree,
@@ -325,17 +326,39 @@ class Classification:
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct primes dividing n >= 1, ascending: trial division below 1000,
+    then Pollard's rho; n >= PRIME_TEST_LIMIT raises SizeLimitError."""
+    if n >= PRIME_TEST_LIMIT:
+        raise SizeLimitError(f"f(1) = {n} is not below the size limit {PRIME_TEST_LIMIT}")
+    out = set()
+    for d in range(2, min(1000, math.isqrt(n) + 1)):
+        while n % d == 0:
+            out.add(d)
+            n //= d
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            div = _rho_divisor(m)
+            rest += [div, m // div]
+    return sorted(out)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard's rho."""
+    for c in range(1, n):
+        x = y = 2
+        power = steps = div = 1
+        while div == 1:
+            if steps == power:  # Brent: compare against y at powers of two
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            div = math.gcd(x - y, n)
+        if div != n:
+            return div
 
 
 def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classification:
@@ -345,6 +368,9 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     omitted.  The residue characteristic p is classified by the same
     combinatorics but flagged with a notice: the Tate module argument
     backing the classification assumes l != p.
+
+    Without ``only_l``, |f(1)| must be below ``polygon.PRIME_TEST_LIMIT``
+    (about 3.3e24, where primality is decided), else SizeLimitError.
     """
     shape = factor_weil(weil)
     plan = shape_of(shape)

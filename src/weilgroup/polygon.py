@@ -41,15 +41,29 @@ def valuation(x: int, l: int) -> int:
     return v
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_TEST_LIMIT; larger n raise ValueError."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"n={n} is not below the primality limit {PRIME_TEST_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+        for a in _MR_BASES
+    )
 
 
 def _lower_hull(points: Sequence[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:

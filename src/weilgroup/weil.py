@@ -1,29 +1,24 @@
 """Weil polynomials of degree <= 6: validation, factoring, l-adic data.
 
 A q-Weil polynomial is monic over Z with every complex root of modulus
-sqrt(q).  Validation checks the functional symmetry coeff(t^i) =
-q^(g-i) * coeff(t^(2g-i)) exactly and the root moduli numerically; the
-exact symmetry check is the authoritative gate, the numeric check is a
-safety net against symmetric-but-wrong inputs.
-
-Factoring uses a bounded exhaustive search: integer roots can only be
-+-sqrt(q), and any irreducible quadratic factor t^2 + u t + v has
-|u| <= 2 sqrt(q) and |v| <= q, so trial division over that box is a
-complete factorization method at these degrees.
+sqrt(q).  With the functional symmetry coeff(t^i) = q^(g-i) *
+coeff(t^(2g-i)), f = t^g h(t + q/t) for a monic integer h of degree g,
+and f is a Weil polynomial exactly when h has all its roots real and in
+[-2 sqrt q, 2 sqrt q] (Kedlaya, "Search techniques for root-unitary
+polynomials", 2008).  Validation decides that, and factoring factors h
+and lifts its factors, in integer arithmetic only.  q must be below
+``polygon.PRIME_TEST_LIMIT`` (about 3.3e24), where primality is decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Sequence
 
-import numpy as np
-
-from .polygon import ValuationProfile, newton_polygon
-
-ROOT_MODULUS_RTOL = 1e-9
+from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime, newton_polygon
 
 
 class WeilError(ValueError):
@@ -58,21 +53,31 @@ class UnsupportedShapeError(WeilError):
     code = "UnsupportedShape"
 
 
+class SizeLimitError(WeilError):
+    code = "SizeLimit"  # q or f(1) not below polygon.PRIME_TEST_LIMIT
+
+
+def _iroot(n: int, r: int) -> int:
+    """floor(n^(1/r)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^r with p prime, r >= 1."""
+    """q = p^r with p prime, r >= 1; q >= PRIME_TEST_LIMIT raises SizeLimitError."""
     if q < 2:
         raise QNotPrimePowerError(f"q={q} is not a prime power")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise QNotPrimePowerError(f"q={q} is not a prime power")
+    if q >= PRIME_TEST_LIMIT:
+        raise SizeLimitError(f"q={q} is not below the size limit {PRIME_TEST_LIMIT}")
+    for r in range(1, q.bit_length()):
+        p = _iroot(q, r)
+        if p ** r == q and is_prime(p):
             return p, r
-    return q, 1
+    raise QNotPrimePowerError(f"q={q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,7 @@ class WeilPolynomial:
         return self.degree // 2
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x)
 
 
 def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
@@ -117,16 +119,10 @@ def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
                 f"coeff(t^{i}) = {low} != q^{g - i} * coeff(t^{degree - i}) = "
                 f"{q ** (g - i) * high}"
             )
-    # repeated roots wreck companion-matrix conditioning, so the numeric
-    # safety net runs factor-wise on the squarefree part
-    roots = np.roots(np.array(squarefree_part(coeffs), dtype=float))
-    target = float(q) ** 0.5
-    for root in roots:
-        if abs(abs(root) - target) > ROOT_MODULUS_RTOL * target:
-            raise RootModulusError(
-                f"root near {root:.6g} has modulus {abs(root):.6g}, "
-                f"expected sqrt({q}) = {target:.6g}"
-            )
+    h = _real_weil_polynomial(coeffs, q)
+    if not _roots_real_within(h, q):
+        raise RootModulusError(f"f = t^{g} h(t + {q}/t) with h = {h}, which has a "
+                               f"root that is not real or not in [-2 sqrt q, 2 sqrt q]")
     return WeilPolynomial(coeffs=coeffs, q=q, p=p, r=r)
 
 
@@ -142,25 +138,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Exact integer division of monic polynomials; None if not exact over Z."""
-    num = list(num)
-    if den[0] != 1:
-        raise ValueError("divisor must be monic")
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        return None
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn - dd + 1):
-        q = num[i]
-        quot[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    rem = num[dn - dd + 1 :]
-    return tuple(quot), tuple(rem)
-
-
 def poly_eval(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in coeffs:
@@ -168,68 +145,65 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _exact_divide(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...] | None:
-    res = poly_divmod(num, den)
-    if res is None:
-        return None
-    quot, rem = res
-    if any(rem):
-        return None
-    return quot
-
-
-def _rational_gcd(f: Sequence[int], g: Sequence[int]) -> list[Fraction]:
-    """Monic gcd over Q of two integer polynomials (highest-first)."""
-
-    def rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[0] == 0:
-                a.pop(0)
-                continue
-            factor = a[0] / b[0]
-            for j in range(len(b)):
-                a[j] -= factor * b[j]
-            a.pop(0)
-        while a and a[0] == 0:
-            a.pop(0)
-        return a
-
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while b:
-        a, b = b, rem(a, b)
-    return [c / a[0] for c in a]
-
-
 def _is_squarefree(coeffs: Sequence[int]) -> bool:
-    """gcd(f, f') is constant, computed over Q."""
+    """gcd(f, f') is constant, by Euclid's algorithm over Q."""
     d = len(coeffs) - 1
-    fp = [(d - i) * coeffs[i] for i in range(d)]
-    return len(_rational_gcd(coeffs, fp)) == 1
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction((d - i) * c) for i, c in enumerate(coeffs[:-1])]
+    while b:  # a, b = b, a mod b
+        while len(a) >= len(b):
+            factor = a[0] / b[0]
+            a = [x - factor * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        while a and not a[0]:
+            a.pop(0)
+        a, b = b, a
+    return len(a) == 1
 
 
-def squarefree_part(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """f / gcd(f, f'): same roots, all simple; integral by Gauss's lemma."""
-    d = len(coeffs) - 1
-    if d == 0:
-        return tuple(coeffs)
-    fp = [(d - i) * coeffs[i] for i in range(d)]
-    g = _rational_gcd(coeffs, fp)
-    num = [Fraction(c) for c in coeffs]
-    quot: list[Fraction] = []
-    for i in range(len(num) - len(g) + 1):
-        q = num[i]
-        quot.append(q)
-        if q:
-            for j, gc in enumerate(g):
-                num[i + j] -= q * gc
-    out = []
-    for q in quot:
-        if q.denominator != 1:
-            raise ValueError("squarefree part is not integral")
-        out.append(int(q))
-    return tuple(out)
+def _real_weil_polynomial(coeffs: Sequence[int], q: int) -> tuple[int, ...]:
+    """h with f = t^g h(t + q/t) = sum_k h_k (t^2 + q)^k t^(g-k), for q-symmetric f.
+
+    Matching the top g + 1 coefficients of f gives h = (1, f1, f2 - g q,
+    f3 - 2 q f1) cut to degree g.
+    """
+    g, f = len(coeffs) // 2, tuple(coeffs) + (0, 0)
+    return (1, f[1], f[2] - g * q, f[3] - 2 * q * f[1])[: g + 1]
+
+
+def _roots_real_within(h: Sequence[int], q: int) -> bool:
+    """Every root x of the monic h is real with x^2 <= 4q.
+
+    H = x^(3-g) h = x^3 + b x^2 + c x + d, with the roots of h plus zeros, is
+    real-rooted iff its discriminant is >= 0.  Then k(z) = -H(x) H(-x) has
+    the roots z = x^2, all <= 4q iff its Taylor coefficients at 4q are >= 0.
+    """
+    _, b, c, d = tuple(h) + (0,) * (4 - len(h))
+    disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+    z, k2, k1, k0 = 4 * q, 2 * c - b * b, c * c - 2 * b * d, -d * d
+    return disc >= 0 and min(3 * z + k2, (3 * z + 2 * k2) * z + k1, ((z + k2) * z + k1) * z + k0) >= 0
+
+
+def _integer_root(h: Sequence[int], bound: int) -> int | None:
+    """An integer root in [-bound, bound] of the real-rooted monic h of degree 2
+    or 3, by bisection on each piece [lo, floor(c1)], [floor(c1) + 1, ...]
+    between the critical points c1 <= c2, where h is monotone."""
+    if len(h) == 3:
+        cuts = [-h[1] // 2]
+    else:  # h' = 3x^2 + 2bx + c is real-rooted because h is
+        disc = h[1] ** 2 - 3 * h[2]
+        s = isqrt(disc)
+        cuts = [(-h[1] - s - (s * s != disc)) // 3, (-h[1] + s) // 3]
+    for lo, hi in zip([-bound] + [cut + 1 for cut in cuts], cuts + [bound]):
+        sign = 1 if poly_eval(h, hi) >= poly_eval(h, lo) else -1
+        while lo < hi:  # smallest x in the piece with sign * h(x) >= 0
+            mid = (lo + hi) // 2
+            if sign * poly_eval(h, mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if poly_eval(h, lo) == 0:
+            return lo
+    return None
 
 
 SHAPE_TAGS = (
@@ -261,48 +235,32 @@ class FactoredShape:
         return out
 
 
-def _quadratic_divisors(coeffs: Sequence[int], q: int) -> list[tuple[int, ...]]:
-    """All monic quadratic divisors within the Weil coefficient box."""
-    found = []
-    u_bound = isqrt(4 * q)
-    for u in range(-u_bound, u_bound + 1):
-        for v in range(-q, q + 1):
-            cand = (1, u, v)
-            if _exact_divide(coeffs, cand) is not None:
-                found.append(cand)
-    return found
-
-
 def factor_weil(weil: WeilPolynomial) -> FactoredShape:
     """Factor into irreducibles and classify the multiplicity pattern.
 
-    Linear factors (t -+ sqrt(q), only when q is a square) are stripped
-    first; remaining irreducible factors then have even degree, and every
-    quadratic one falls in the searched box, so the leftover after
-    quadratic peeling is itself irreducible.
+    h of degree <= 3 factors over Q by stripping its integer roots.  Each
+    factor of h lifts to an irreducible factor of f, except x -+ 2 sqrt q
+    and x^2 - 4q, which lift to (t -+ sqrt q)^2 and (t^2 - q)^2.
     """
     q = weil.q
-    rest: tuple[int, ...] = weil.coeffs
+    h = _real_weil_polynomial(weil.coeffs, q)
+    real_factors = []
+    while len(h) > 2 and (root := _integer_root(h, isqrt(4 * q))) is not None:
+        real_factors.append((1, -root))
+        h = tuple(accumulate(h[:-1], lambda acc, c: acc * root + c))  # h / (x - root)
     factors: dict[tuple[int, ...], int] = {}
-    sq = isqrt(q)
-    if sq * sq == q:
-        for root in (sq, -sq):
-            lin = (1, -root)
-            while len(rest) > 1:
-                quot = _exact_divide(rest, lin)
-                if quot is None:
-                    break
-                factors[lin] = factors.get(lin, 0) + 1
-                rest = quot
-    for quad in _quadratic_divisors(rest, q):
-        while True:
-            quot = _exact_divide(rest, quad)
-            if quot is None:
-                break
-            factors[quad] = factors.get(quad, 0) + 1
-            rest = quot
-    if len(rest) > 1:
-        factors[rest] = factors.get(rest, 0) + 1
+    for hf in real_factors + [h]:
+        if len(hf) == 2 and hf[1] ** 2 == 4 * q:
+            lifted, mult = (1, hf[1] // 2), 2
+        elif hf == (1, 0, -4 * q):
+            lifted, mult = (1, 0, -q), 2
+        elif len(hf) == 2:
+            lifted, mult = (1, hf[1], q), 1
+        elif len(hf) == 3:
+            lifted, mult = (1, hf[1], hf[2] + 2 * q, hf[1] * q, q * q), 1
+        else:  # h is an irreducible cubic
+            lifted, mult = weil.coeffs, 1
+        factors[lifted] = factors.get(lifted, 0) + mult
     shape = _classify_shape(weil, factors)
     ordered = tuple(sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return FactoredShape(weil=weil, factors=ordered, tag=shape)

@@ -228,13 +228,7 @@ def _sextic_corpus():
             for p2 in qs:
                 if p2 != p1:
                     candidates.append((poly_mul(poly_mul(p1, p1), p2), q))
-    corpus = []
-    for coeffs, q in candidates:
-        try:
-            corpus.append(parse_and_validate(coeffs, q))
-        except Exception:
-            pass
-    return corpus
+    return [parse_and_validate(coeffs, q) for coeffs, q in candidates]
 
 
 def test_criterion_8_end_to_end_class():

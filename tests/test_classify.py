@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from weilgroup.classify import (
+    _prime_factors,
     admissible_exponents,
     case1_groups_from_profiles,
     case2_groups_from_profile,
@@ -24,6 +25,7 @@ from weilgroup.classify import (
 from weilgroup.oracle import lr_coefficient, operator_group_oracle
 from weilgroup.partitions import merge_sorted, partitions_of
 from weilgroup.polygon import (
+    PRIME_TEST_LIMIT,
     hodge_polygon,
     newton_polygon,
     np_dominates_hp,
@@ -31,11 +33,28 @@ from weilgroup.polygon import (
 )
 from weilgroup.polygon import transform_one_minus_t
 from weilgroup.weil import (
+    SizeLimitError,
     UnsupportedShapeError,
     group_order,
     parse_and_validate,
     poly_mul,
 )
+
+
+def test_prime_factors():
+    def by_trial_division(n):
+        return [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+
+    for n in range(1, 400):
+        assert _prime_factors(n) == by_trial_division(n)
+    assert _prime_factors(9973 * 9967) == [9967, 9973]
+    assert _prime_factors(1023**2 * 1046530) == [2, 3, 5, 11, 31, 229, 457]
+    assert _prime_factors((2**31 - 1) * (2**29 - 3)) == [2**29 - 3, 2**31 - 1]
+    assert _prime_factors(7 * 1000003**2) == [7, 1000003]
+    assert _prime_factors(2**61 - 1) == [2**61 - 1]
+    assert _prime_factors(PRIME_TEST_LIMIT - 1) == [2, 3, 5, 127, 18778597, 858557454841]
+    with pytest.raises(SizeLimitError):
+        _prime_factors(PRIME_TEST_LIMIT)
 
 
 def scalar_power(root, s):
@@ -284,13 +303,7 @@ def _corpus():
             for p2 in qs:
                 if p2 != p1:
                     polys.append((poly_mul(poly_mul(p1, p1), p2), q))
-    out = []
-    for coeffs, q in polys:
-        try:
-            out.append(parse_and_validate(coeffs, q))
-        except Exception:
-            continue
-    return out
+    return [parse_and_validate(coeffs, q) for coeffs, q in polys]
 
 
 def test_global_consistency_on_corpus():

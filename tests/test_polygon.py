@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weilgroup.polygon import (
+    PRIME_TEST_LIMIT,
     LatticePolygon,
     PolygonError,
     ValuationProfile,
     hodge_polygon,
+    is_prime,
     newton_polygon,
     np_dominates_hp,
     transform_one_minus_t,
@@ -153,3 +155,21 @@ def test_valuation():
     assert valuation(-9, 3) == 2
     with pytest.raises(ValueError):
         valuation(0, 2)
+
+
+def test_is_prime():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for n in range(2, limit):
+        if sieve[n]:
+            for m in range(n * n, limit, n):
+                sieve[m] = False
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**29 - 3))
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)

@@ -1,14 +1,19 @@
+import itertools
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
+import numpy as np
 import pytest
 
-from weilgroup.polygon import valuation
+from weilgroup.classify import classify_all
+from weilgroup.polygon import PRIME_TEST_LIMIT, valuation
 from weilgroup.weil import (
     BadDegreeError,
     NotMonicError,
     QNotPrimePowerError,
     RootModulusError,
+    SizeLimitError,
     SymmetryViolatedError,
     factor_weil,
     group_order,
@@ -17,7 +22,6 @@ from weilgroup.weil import (
     root_valuations,
     shape_of,
     split_prime_power,
-    squarefree_part,
 )
 
 
@@ -37,6 +41,16 @@ def test_split_prime_power():
         split_prime_power(12)
     with pytest.raises(QNotPrimePowerError):
         split_prime_power(1)
+    assert split_prime_power(2**30) == (2, 30)
+    assert split_prime_power(3**13) == (3, 13)
+    assert split_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert split_prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    with pytest.raises(QNotPrimePowerError):
+        split_prime_power((2**31 - 1) * (2**29 - 3))
+    with pytest.raises(QNotPrimePowerError):
+        split_prime_power(2**20 * 3)
+    with pytest.raises(SizeLimitError):
+        split_prime_power(PRIME_TEST_LIMIT)
 
 
 def test_validate_accepts_ordinary_elliptic():
@@ -60,11 +74,6 @@ def test_validate_error_cases():
         parse_and_validate([1, -3, 2], 2)
     with pytest.raises(QNotPrimePowerError):
         parse_and_validate([1, -1, 6], 6)
-
-
-def test_squarefree_part():
-    assert squarefree_part(poly_mul((1, -1, 2), (1, -1, 2))) == (1, -1, 2)
-    assert squarefree_part((1, -1, 2)) == (1, -1, 2)
 
 
 def test_factor_p2q():
@@ -174,3 +183,205 @@ def test_shape_of_examples():
     assert (plan.kind, plan.sign, plan.r, plan.s) == ("q2_realsq", "plus", 2, 2)
     plan = shape_of(factor_weil(parse_and_validate(scalar_power(-3, 6), 9)))
     assert (plan.kind, plan.sign, plan.s) == ("scalar", "plus", 6)
+
+
+# ---------------------------------------------------------------------------
+# large q: exact validation and factoring, where a float root check fails
+
+
+def weil_quadratic(a, q):
+    return (1, -a, q)  # t^2 - a t + q
+
+
+def traces_at_the_edge(e):
+    """q = 2^e (e even) and the product of the Weil quadratics with traces
+    2 sqrt q, 2 sqrt q - 1 and 2 sqrt q - 2."""
+    q, s = 2**e, 2 ** (e // 2)
+    return q, poly_mul(
+        poly_mul(weil_quadratic(2 * s, q), weil_quadratic(2 * s - 1, q)),
+        weil_quadratic(2 * s - 2, q),
+    )
+
+
+@pytest.mark.parametrize("e", [20, 24, 30])
+def test_large_q_real_square_validates_and_factors(e):
+    q, coeffs = traces_at_the_edge(e)
+    s = 2 ** (e // 2)
+    start = time.perf_counter()
+    shape = factor_weil(parse_and_validate(coeffs, q))
+    assert time.perf_counter() - start < 1.0
+    assert shape.tag == "P_RealSq"
+    assert dict(shape.factors) == {
+        (1, -s): 2,
+        weil_quadratic(2 * s - 1, q): 1,
+        weil_quadratic(2 * s - 2, q): 1,
+    }
+
+
+@pytest.mark.parametrize("q", [9, 2**20, 3**12])
+def test_boundary_traces_at_square_q(q):
+    s = isqrt(q)
+    for a in (2 * s, -2 * s):
+        shape = factor_weil(parse_and_validate(weil_quadratic(a, q), q))
+        assert dict(shape.factors) == {(1, -a // 2): 2}
+        assert shape.tag == "ScalarPower"
+        with pytest.raises(RootModulusError):
+            parse_and_validate(weil_quadratic(a + (1 if a > 0 else -1), q), q)
+
+
+@pytest.mark.parametrize("q", [2, 8, 2**21, 3**13])
+def test_boundary_traces_at_nonsquare_q(q):
+    # h = x^2 - 4q has the roots +-2 sqrt q exactly on the boundary
+    coeffs = (1, 0, -2 * q, 0, q * q)
+    start = time.perf_counter()
+    shape = factor_weil(parse_and_validate(coeffs, q))
+    assert time.perf_counter() - start < 1.0
+    assert dict(shape.factors) == {(1, 0, -q): 2}
+    assert shape.tag == "PSquare_g2"
+    top = isqrt(4 * q)  # the largest integer trace, strictly inside
+    for a in (top, -top):
+        assert factor_weil(parse_and_validate(weil_quadratic(a, q), q)).tag == "Separable"
+        with pytest.raises(RootModulusError):
+            parse_and_validate(weil_quadratic(a + (1 if a > 0 else -1), q), q)
+    with pytest.raises(RootModulusError):
+        parse_and_validate((1, 0, -2 * q - 1, 0, q * q), q)  # h = x^2 - 4q - 1
+
+
+@pytest.mark.parametrize("q", [2**21, 3**13, 10007])
+def test_real_square_of_nonsquare_q_times_quadratic(q):
+    for a in (0, 1, -isqrt(4 * q)):
+        quad = weil_quadratic(a, q)
+        coeffs = poly_mul(poly_mul((1, 0, -q), (1, 0, -q)), quad)
+        start = time.perf_counter()
+        shape = factor_weil(parse_and_validate(coeffs, q))
+        assert time.perf_counter() - start < 1.0
+        assert dict(shape.factors) == {(1, 0, -q): 2, quad: 1}
+        assert shape.tag == "P2Q"
+
+
+def test_classify_size_limit():
+    q, coeffs = traces_at_the_edge(20)
+    result = classify_all(parse_and_validate(coeffs, q))
+    order = group_order(result.weil)
+    assert order < PRIME_TEST_LIMIT
+    for l, groups in result.groups.items():
+        assert order % l == 0
+        assert all(sum(c) == valuation(order, l) for c in groups)
+    q, coeffs = traces_at_the_edge(30)
+    weil = parse_and_validate(coeffs, q)
+    assert group_order(weil) >= PRIME_TEST_LIMIT
+    with pytest.raises(SizeLimitError):
+        classify_all(weil)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive agreement with the float root check and the divisor box search
+# that validated and factored Weil polynomials before the exact route
+
+
+def _reference_squarefree_part(coeffs):
+    """f / gcd(f, f') over Q."""
+
+    def rem(a, b):
+        while len(a) >= len(b):
+            factor = a[0] / b[0]
+            a = [x - factor * y for x, y in zip(a, b + [0] * len(a))][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+        return a
+
+    d = len(coeffs) - 1
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction((d - i) * c) for i, c in enumerate(coeffs[:-1])]
+    while b:
+        a, b = b, rem(a, b)
+    quot, rest = _divide(coeffs, [c / a[0] for c in a])
+    assert not any(rest) and all(c.denominator == 1 for c in quot)
+    return tuple(int(c) for c in quot)
+
+
+def _reference_is_weil(coeffs, q):
+    """Every root of the squarefree part has modulus sqrt(q) to 1e-9."""
+    roots = np.roots(np.array(_reference_squarefree_part(coeffs), dtype=float))
+    target = float(q) ** 0.5
+    return all(abs(abs(root) - target) <= 1e-9 * target for root in roots)
+
+
+def _far_from_circle(polys, q):
+    """Per monic f (all of one degree): some float root of f itself is more
+    than 1% off modulus sqrt(q).  Even a root of multiplicity 4 moves by
+    well under 1% in floats at these sizes, so these f are not Weil, and
+    only the others need the squarefree part."""
+    polys = np.array(polys, dtype=float)
+    n = polys.shape[1] - 1
+    companion = np.zeros((len(polys), n, n))
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -polys[:, 1:]
+    moduli = np.abs(np.linalg.eigvals(companion))
+    return np.abs(moduli - q**0.5).max(axis=1) > 0.01 * q**0.5
+
+
+def _divide(num, den):
+    """Quotient and remainder of num by monic den."""
+    num = list(num)
+    for i in range(len(num) - len(den) + 1):
+        for j in range(1, len(den)):
+            num[i + j] -= num[i] * den[j]
+    cut = len(num) - len(den) + 1
+    return tuple(num[:cut]), num[cut:]
+
+
+def _reference_factors(coeffs, q):
+    """Strip t -+ sqrt(q), then every monic quadratic t^2 + u t + v with
+    |u| <= 2 sqrt(q), |v| <= q; what is left is irreducible."""
+    rest, factors = tuple(coeffs), {}
+    s = isqrt(q)
+    linears = [(1, -s), (1, s)] if s * s == q else []
+    u_bound = isqrt(4 * q)
+    quads = [(1, u, v) for u in range(-u_bound, u_bound + 1) for v in range(-q, q + 1)]
+    for cand in linears + quads:
+        while len(rest) > len(cand) - 1:
+            quot, remainder = _divide(rest, cand)
+            if any(remainder):
+                break
+            factors[cand] = factors.get(cand, 0) + 1
+            rest = quot
+    if len(rest) > 1:
+        factors[rest] = factors.get(rest, 0) + 1
+    return factors
+
+
+def _lift_reference(h, q):
+    """t^g h(t + q/t) by Horner in u = t^2 + q: each step multiplies by u
+    and adds h_j t^j."""
+    acc = (h[0],)
+    for j, hj in enumerate(h[1:], start=1):
+        acc = poly_mul(acc, (1, 0, q))
+        term = (hj,) + (0,) * j
+        acc = tuple(
+            x + y for x, y in zip(acc, (0,) * (len(acc) - len(term)) + term)
+        )
+    return acc
+
+
+def test_exhaustive_small_q_agreement():
+    """Every monic h with |coeff of x^(g-k)| <= C(g, k) (2 sqrt q)^k, the box
+    that holds every real Weil polynomial, lifted to f = t^g h(t + q/t)."""
+    valid = 0
+    for q, g in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]:
+        bounds = [isqrt(comb(g, k) ** 2 * 4**k * q**k) for k in range(1, g + 1)]
+        polys = [
+            _lift_reference((1,) + tail, q)
+            for tail in itertools.product(*(range(-b, b + 1) for b in bounds))
+        ]
+        for coeffs, far in zip(polys, _far_from_circle(polys, q)):
+            expected = not far and _reference_is_weil(coeffs, q)
+            try:
+                weil = parse_and_validate(coeffs, q)
+            except RootModulusError:
+                assert not expected, coeffs
+                continue
+            assert expected, coeffs
+            assert dict(factor_weil(weil).factors) == _reference_factors(coeffs, q), coeffs
+            valid += 1
+    assert valid == 435
