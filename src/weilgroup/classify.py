@@ -346,17 +346,32 @@ def _prime_factors(n: int) -> list[int]:
     return sorted(out)
 
 
+_RHO_BATCH = 128
+
+
 def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n, by Brent's variant of Pollard's rho."""
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard's rho.
+
+    The differences x - y are multiplied together mod n and one gcd is taken
+    per batch of _RHO_BATCH steps; a batch whose gcd is n is replayed one
+    difference at a time, to find the first step that shares a factor with n.
+    """
     for c in range(1, n):
         x = y = 2
         power = steps = div = 1
         while div == 1:
-            if steps == power:  # Brent: compare against y at powers of two
-                x, power, steps = y, 2 * power, 0
-            y = (y * y + c) % n
-            steps += 1
-            div = math.gcd(x - y, n)
+            diffs = []
+            prod = 1
+            for _ in range(_RHO_BATCH):
+                if steps == power:  # Brent: compare against y at powers of two
+                    x, power, steps = y, 2 * power, 0
+                y = (y * y + c) % n
+                steps += 1
+                diffs.append(x - y)
+                prod = prod * (x - y) % n
+            div = math.gcd(prod, n)
+        if div == n:
+            div = next(g for g in (math.gcd(d, n) for d in diffs) if g != 1)
         if div != n:
             return div
 

@@ -2,29 +2,36 @@
 
 Everything here works over cones {x : G x >= 0} with integer coefficient
 rows (any equality is eliminated by substitution before reaching this
-module).  The question "is row phi implied by rows G?" is decided exactly:
+module).  The question "is row phi implied by rows G?" is decided exactly.
 
-* a Farkas certificate (phi = sum lambda_i g_i, lambda >= 0, found by a
-  phase-1 simplex over Fractions) proves implication;
-* a rational point x with G x >= 0 and phi . x < 0 refutes it.
+One floating point LP (scipy HiGHS), min phi . x subject to G x >= 0 and
+the box -1 <= x <= 1, proposes a certificate either way:
 
-A floating point LP (scipy HiGHS) is used only to propose candidate
-refutation points and to route cases; every verdict is backed by one of
-the two exact certificates above.
+* a negative optimum proposes its optimal point x, which is rationalised,
+  scaled to an integer vector and accepted as a refutation only if
+  phi . x < 0 and G x >= 0 hold in integer arithmetic;
+* otherwise the row duals lambda propose a Farkas certificate; the system
+  sum mu_i g_i = phi over the support of lambda is solved by fraction-free
+  elimination and accepted only if it is consistent with mu >= 0, checked
+  again as an integer identity.
+
+No float tolerance decides a verdict.  When neither proposal passes its
+check, an exact phase-1 simplex over Fractions decides instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from scipy.optimize import linprog
 
 Row = tuple[int, ...]
 
-
-def dot(row: Sequence[int], x: Sequence[Fraction]) -> Fraction:
-    return sum(Fraction(r) * xi for r, xi in zip(row, x))
+# Duals at or below this size are left out of the proposed support; the
+# exact check on the support decides whatever is chosen.
+_SUPPORT_CUTOFF = 1e-9
 
 
 def _farkas_implied(phi: Row, rows: list[Row]) -> bool:
@@ -81,51 +88,80 @@ def _farkas_implied(phi: Row, rows: list[Row]) -> bool:
     return objective == 0
 
 
-def _float_violation_point(phi: Row, rows: list[Row]) -> list[Fraction] | None:
-    """Propose x with rows.x >= 0 and phi.x < 0 via HiGHS; not yet verified."""
-    m = len(phi)
-    a_ub = [[-float(v) for v in row] for row in rows]
-    b_ub = [0.0] * len(rows)
-    # maximize slack t: rows.x >= t, phi.x <= -1, |x| <= bound
-    a_ub2 = [row + [1.0] for row in a_ub]
-    a_ub2.append([float(v) for v in phi] + [0.0])
-    b_ub2 = b_ub + [-1.0]
-    c = [0.0] * m + [-1.0]
-    bounds = [(-1e3, 1e3)] * m + [(0.0, 1e3)]
-    res = linprog(c, A_ub=a_ub2, b_ub=b_ub2, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    x = res.x[:m]
-    return [Fraction(v).limit_denominator(10**7) for v in x]
+def _idot(row: Sequence[int], x: Sequence[int]) -> int:
+    return sum(r * xi for r, xi in zip(row, x))
+
+
+def _integer_point(values: Sequence[float]) -> list[int]:
+    """The float point rationalised coordinatewise and scaled to integers."""
+    fracs = [Fraction(v).limit_denominator(10**7) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
+
+
+def _refutes(phi: Row, rows: list[Row], x: Sequence[int]) -> bool:
+    """Integer check that x satisfies every row and violates phi."""
+    return _idot(phi, x) < 0 and all(_idot(r, x) >= 0 for r in rows)
+
+
+def _nonnegative_combination(phi: Row, gens: list[Row]) -> bool:
+    """Exact check that phi = sum mu_i gens_i with every mu_i >= 0.
+
+    Solves the system by fraction-free Gauss-Jordan elimination on the
+    integer columns gens, with free variables set to 0, so a True answer
+    is one explicit certificate; False means only that this solution
+    fails, not that no certificate exists.
+    """
+    k = len(gens)
+    # one augmented equation per coordinate: sum_i mu_i gens_i[c] = phi[c]
+    eqs = [[g[c] for g in gens] + [phi[c]] for c in range(len(phi))]
+    pivots: list[int] = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(eqs)) if eqs[i][col]), None)
+        if piv is None:
+            continue
+        eqs[r], eqs[piv] = eqs[piv], eqs[r]
+        prow = eqs[r]
+        p = prow[col]
+        for i, eq in enumerate(eqs):
+            f = eq[col]
+            if i != r and f:
+                new = [p * a - f * b for a, b in zip(eq, prow)]
+                d = gcd(*new)
+                eqs[i] = [a // d for a in new] if d > 1 else new
+        pivots.append(col)
+    if any(eq[-1] for eq in eqs[len(pivots):]):
+        return False  # phi is not in the span of the support
+    # mu_col = rhs / pivot on each pivot row; free columns stay 0
+    denom = lcm(*(abs(eqs[r][col]) for r, col in enumerate(pivots)))
+    mu = [0] * k
+    for r, col in enumerate(pivots):
+        mu[col] = eqs[r][-1] * (denom // eqs[r][col])
+    if any(v < 0 for v in mu):
+        return False
+    # the certificate itself, re-checked as an integer identity
+    return all(
+        sum(v * g[c] for v, g in zip(mu, gens)) == denom * phi[c] for c in range(len(phi))
+    )
 
 
 def is_implied(phi: Row, rows: Sequence[Row]) -> bool:
     """Exact decision: does {x : rows.x >= 0} satisfy phi.x >= 0?"""
     rows = [tuple(r) for r in rows]
     phi = tuple(phi)
-    cand = _float_violation_point(phi, rows)
-    if cand is not None:
-        if dot(phi, cand) < 0 and all(dot(r, cand) >= 0 for r in rows):
-            return False  # exact refutation
+    res = linprog(
+        phi,
+        A_ub=[[-v for v in r] for r in rows] or None,
+        b_ub=[0] * len(rows) or None,
+        bounds=(-1, 1),
+        method="highs",
+    )
+    if res.success:
+        if res.fun < 0 and _refutes(phi, rows, _integer_point(res.x)):
+            return False
+        duals = -res.ineqlin.marginals
+        support = [r for r, lam in zip(rows, duals) if lam > _SUPPORT_CUTOFF]
+        if _nonnegative_combination(phi, support):
+            return True
     return _farkas_implied(phi, rows)
-
-
-def violation_point(phi: Row, rows: Sequence[Row]) -> list[Fraction] | None:
-    """An exact rational point refuting implication, or None if implied."""
-    rows = [tuple(r) for r in rows]
-    phi = tuple(phi)
-    cand = _float_violation_point(phi, rows)
-    if cand is not None and dot(phi, cand) < 0 and all(dot(r, cand) >= 0 for r in rows):
-        return cand
-    if _farkas_implied(phi, rows):
-        return None
-    # not implied, but the rationalized float point failed the exact check:
-    # retry the rationalization at other denominator scales
-    for denom_bound in (10**4, 10**10, 10**13):
-        cand = _float_violation_point(phi, rows)
-        if cand is None:
-            continue
-        cand = [c.limit_denominator(denom_bound) for c in cand]
-        if dot(phi, cand) < 0 and all(dot(r, cand) >= 0 for r in rows):
-            return cand
-    raise RuntimeError("implication refuted by Farkas but no rational point found")

@@ -13,8 +13,11 @@ Two settings share the machinery:
   equality; candidates are all T^n_p rows for p < n.
 
 An inequality is redundant iff its maximal violation subject to all other
-rows is <= 0; over these homogeneous cones that is decided exactly by a
-Farkas certificate or an exact rational refutation point (linprog module).
+rows is <= 0.  Over these homogeneous cones one HiGHS solve proposes either
+a refutation point or Farkas multipliers, and integer arithmetic decides:
+the point must violate the row and satisfy the rest, the multipliers must
+be nonnegative and reproduce the row exactly (linprog module, which falls
+back to an exact Fraction simplex when neither check passes).
 The trace equality is eliminated by substituting the last c variable, so a
 row and its complement collapse to the same functional.
 """

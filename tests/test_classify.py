@@ -52,6 +52,8 @@ def test_prime_factors():
     assert _prime_factors((2**31 - 1) * (2**29 - 3)) == [2**29 - 3, 2**31 - 1]
     assert _prime_factors(7 * 1000003**2) == [7, 1000003]
     assert _prime_factors(2**61 - 1) == [2**61 - 1]
+    # balanced 82-bit semiprime: the worst case for Pollard's rho below the limit
+    assert _prime_factors(1818831969509 * 1818831970583) == [1818831969509, 1818831970583]
     assert _prime_factors(PRIME_TEST_LIMIT - 1) == [2, 3, 5, 127, 18778597, 858557454841]
     with pytest.raises(SizeLimitError):
         _prime_factors(PRIME_TEST_LIMIT)

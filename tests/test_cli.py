@@ -134,7 +134,6 @@ def test_horn_reduce(run):
 
 
 def test_verify_paper_lists_subcommand(run):
-    # cheap when the process-level report cache is already warm
     code, out, _ = run("--json", "verify", "paper-lists")
     assert code == 0
     payload = json.loads(out)
