@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .polygon import PRIME_TEST_LIMIT, is_prime, transform_one_minus_t, valuation
@@ -47,10 +48,6 @@ def _sorted_groups(groups: Iterable[GroupTuple]) -> GroupSet:
     return tuple(sorted(set(groups), reverse=True))
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def admissible_exponents(
     profile: Sequence[Fraction | int], length: int
 ) -> GroupSet:
@@ -68,11 +65,8 @@ def admissible_exponents(
     if total_f.denominator != 1:
         raise ValueError(f"profile total {total_f} is not an integer")
     total = int(total_f)
-    prefix = []
-    acc = Fraction(0)
-    for v in vals:
-        acc += v
-        prefix.append(acc)
+    # an integer partial sum is at least a prefix sum iff it is at least its ceiling
+    ceilings = [math.ceil(acc) for acc in accumulate(vals)]
 
     out: list[GroupTuple] = []
 
@@ -84,7 +78,7 @@ def admissible_exponents(
         lo = -(-remaining // (length - k))  # ceil to keep room for the rest
         for x in range(min(bound, remaining), lo - 1, -1):
             new_sum = acc_sum + x
-            if Fraction(new_sum) < prefix[k]:
+            if new_sum < ceilings[k]:
                 break  # x decreasing: smaller x only gets worse
             chosen.append(x)
             rec(k + 1, remaining - x, x, new_sum, chosen)

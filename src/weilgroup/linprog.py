@@ -25,13 +25,19 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from scipy.optimize import linprog
-
 Row = tuple[int, ...]
 
 # Duals at or below this size are left out of the proposed support; the
 # exact check on the support decides whatever is chosen.
 _SUPPORT_CUTOFF = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: scipy is most of the
+    import time of the package, and classification never solves an LP."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _farkas_implied(phi: Row, rows: list[Row]) -> bool:

@@ -14,7 +14,7 @@ top-k partial sum of the valuations, with equal totals.  (Several published
 displays of this chain are transposed; the orientation used here is the one
 confirmed by the exhaustive matrix oracle in :mod:`weilgroup.oracle`.)
 
-Heights are :class:`fractions.Fraction` throughout; valuations of roots of
+Polygon heights are :class:`fractions.Fraction`; valuations of roots of
 l-irreducible quadratics are genuine half-integers and are never rounded.
 """
 
@@ -66,13 +66,13 @@ def is_prime(n: int) -> bool:
     )
 
 
-def _lower_hull(points: Sequence[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int, Fraction | int], ...]:
     """Lower convex hull of points with strictly increasing x.
 
     Collinear interior points are dropped, so consecutive hull slopes are
-    strictly increasing.
+    strictly increasing.  Integer heights stay integers.
     """
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, Fraction | int]] = []
     for p in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -83,6 +83,14 @@ def _lower_hull(points: Sequence[tuple[int, Fraction]]) -> tuple[tuple[int, Frac
                 break
         hull.append(p)
     return tuple(hull)
+
+
+def _slopes(hull: Sequence[tuple[int, Fraction | int]]) -> tuple[Fraction, ...]:
+    """One slope per unit of width between consecutive hull vertices."""
+    out: list[Fraction] = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        out.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -138,10 +146,7 @@ class LatticePolygon:
 
     def slopes(self) -> tuple[Fraction, ...]:
         """One slope per unit of width, weakly increasing."""
-        out: list[Fraction] = []
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            out.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))
-        return tuple(out)
+        return _slopes(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -193,12 +198,12 @@ def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(sign * out[m] for m in range(d, -1, -1))
 
 
-def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
-    """Newton polygon of a monic integer polynomial at the prime l.
+def newton_points(coeffs: Sequence[int], l: int) -> list[tuple[int, int]]:
+    """The integer points (i, v_l(f_i)) of a monic integer polynomial at the
+    prime l, where f_0 = 1 is the leading coefficient.
 
-    Lower hull of the points (i, v_l(f_i)) where f_0 = 1 is the leading
-    coefficient.  Zero coefficients contribute no point.  The constant term
-    must be nonzero, else the final slope would be infinite.
+    Zero coefficients contribute no point.  The constant term must be
+    nonzero, else the final slope would be infinite.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if not coeffs or all(c == 0 for c in coeffs):
@@ -209,12 +214,13 @@ def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
         raise PolygonError(f"l={l} is not prime")
     if coeffs[-1] == 0:
         raise PolygonError("zero constant term: root valuation would be infinite")
-    points = [
-        (i, Fraction(valuation(c, l)))
-        for i, c in enumerate(coeffs)
-        if c != 0
-    ]
-    return LatticePolygon.from_points(points)
+    return [(i, valuation(c, l)) for i, c in enumerate(coeffs) if c != 0]
+
+
+def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
+    """Newton polygon of a monic integer polynomial at the prime l: the lower
+    hull of :func:`newton_points`."""
+    return LatticePolygon.from_points(newton_points(coeffs, l))
 
 
 def hodge_polygon(c: Sequence[int], d: int) -> LatticePolygon:

@@ -27,6 +27,7 @@ from .horn import HornTable, HornTriple, enumerate_T_st
 from .partitions import as_partition, partitions_of
 
 DESK_SCALE_TOTAL = 6
+COKERNEL_MEMO_SIZE = 1024  # (a, b) pairs; a classify workload meets a few hundred
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,24 @@ def enumerate_cokernels(
 
     Search space: partitions of sum(a)+sum(b) into s+t parts, pruned by
     c_1 <= a_1 + b_1 (a valid consequence of the size-one inequalities).
+    Without ``table`` the result is memoised on (a, b): classification
+    meets the same few witness pairs across many isogeny classes.
     """
     a = as_partition(a)
     b = as_partition(b)
+    if table is None:
+        return _cokernels_cached(a, b)
+    return _cokernels(a, b, table)
+
+
+@lru_cache(maxsize=COKERNEL_MEMO_SIZE)
+def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return _cokernels(a, b, None)
+
+
+def _cokernels(
+    a: tuple[int, ...], b: tuple[int, ...], table: HornTable | None
+) -> tuple[tuple[int, ...], ...]:
     s, t = len(a), len(b)
     total = sum(a) + sum(b)
     top = (a[0] if a else 0) + (b[0] if b else 0)

@@ -13,12 +13,12 @@ and lifts its factors, in integer arithmetic only.  q must be below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
-from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime, newton_polygon
+from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime
+from .polygon import _lower_hull, _slopes, newton_points
 
 
 class WeilError(ValueError):
@@ -146,17 +146,17 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
 
 
 def _is_squarefree(coeffs: Sequence[int]) -> bool:
-    """gcd(f, f') is constant, by Euclid's algorithm over Q."""
+    """gcd(f, f') is constant, by a primitive pseudo-remainder sequence over Z."""
     d = len(coeffs) - 1
-    a = [Fraction(c) for c in coeffs]
-    b = [Fraction((d - i) * c) for i, c in enumerate(coeffs[:-1])]
-    while b:  # a, b = b, a mod b
+    a = list(coeffs)
+    b = [(d - i) * c for i, c in enumerate(coeffs[:-1])]
+    while b:  # a, b = b, prem(a, b) / content
         while len(a) >= len(b):
-            factor = a[0] / b[0]
-            a = [x - factor * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+            a = [b[0] * x - a[0] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
         while a and not a[0]:
             a.pop(0)
-        a, b = b, a
+        content = gcd(*a)
+        a, b = b, [x // content for x in a]
     return len(a) == 1
 
 
@@ -315,8 +315,9 @@ def _classify_shape(weil: WeilPolynomial, factors: dict[tuple[int, ...], int]) -
 
 
 def root_valuations(coeffs: Sequence[int], l: int) -> ValuationProfile:
-    """Descending l-adic valuations of the roots, from Newton polygon slopes."""
-    return ValuationProfile.from_polygon(newton_polygon(coeffs, l))
+    """Descending l-adic valuations of the roots: the Newton polygon slopes,
+    read off the lower hull of its integer points."""
+    return ValuationProfile(_slopes(_lower_hull(newton_points(coeffs, l)))[::-1])
 
 
 def group_order(weil: WeilPolynomial) -> int:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -326,3 +329,19 @@ def test_global_consistency_on_corpus():
                 assert np_dominates_hp(npoly, hodge_polygon(c, 6))
                 checked += 1
     assert checked > 50
+
+
+def test_classify_does_not_import_scipy():
+    """scipy is imported where an LP is first solved, and classification
+    solves none."""
+    script = (
+        "import sys, weilgroup\n"
+        "w = weilgroup.parse_and_validate([1, 0, 3, 2, 6, 0, 8], 2)\n"
+        "assert weilgroup.classify_all(w).groups\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

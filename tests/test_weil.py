@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb, isqrt
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from weilgroup.classify import classify_all
-from weilgroup.polygon import PRIME_TEST_LIMIT, valuation
+from weilgroup.polygon import (
+    PRIME_TEST_LIMIT,
+    PolygonError,
+    ValuationProfile,
+    newton_polygon,
+    valuation,
+)
 from weilgroup.weil import (
     BadDegreeError,
     NotMonicError,
@@ -15,6 +22,7 @@ from weilgroup.weil import (
     RootModulusError,
     SizeLimitError,
     SymmetryViolatedError,
+    _is_squarefree,
     factor_weil,
     group_order,
     parse_and_validate,
@@ -149,6 +157,81 @@ def test_root_valuations_merge_under_product():
         tuple(root_valuations(p, 2)) + tuple(root_valuations(q, 2)), reverse=True
     )
     assert tuple(root_valuations(poly_mul(p, q), 2)) == tuple(merged)
+
+
+def _newton_points_cases(seed, count):
+    """Seeded monic polynomials of degree 1..6 at l in {2, 3, 5}: half with
+    random zero middle coefficients, half with l dividing every
+    coefficient below the leading one."""
+    rng = random.Random(seed)
+    for k in range(count):
+        l, d = rng.choice((2, 3, 5)), rng.randint(1, 6)
+        tail = [rng.choice((1, -1)) * l ** rng.randint(0, 6) * rng.randint(1, 50) for _ in range(d)]
+        if k % 2:
+            tail = [c * l ** rng.randint(1, 3) for c in tail]
+        else:
+            tail[:-1] = [0 if rng.random() < 0.5 else c for c in tail[:-1]]
+        yield (1, *tail), l
+
+
+def test_root_valuations_match_newton_polygon():
+    for coeffs, l in _newton_points_cases(seed=20, count=3000):
+        expected = ValuationProfile.from_polygon(newton_polygon(coeffs, l))
+        assert root_valuations(coeffs, l) == expected, (coeffs, l)
+
+
+@pytest.mark.parametrize(
+    "coeffs, l",
+    [((0,), 2), ((2, 4), 2), ((1, 1, 4), 4), ((1, 2, 0), 2), ((1, 3), 1), ((-1, 2), 3)],
+)
+def test_root_valuations_rejects_like_newton_polygon(coeffs, l):
+    with pytest.raises(PolygonError) as polygon_error:
+        newton_polygon(coeffs, l)
+    with pytest.raises(PolygonError) as valuations_error:
+        root_valuations(coeffs, l)
+    assert str(valuations_error.value) == str(polygon_error.value)
+
+
+def _reference_is_squarefree(coeffs):
+    """gcd(f, f') is constant, by Euclid's algorithm over Q (the Fraction
+    test that preceded the integer pseudo-remainder sequence)."""
+    d = len(coeffs) - 1
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction((d - i) * c) for i, c in enumerate(coeffs[:-1])]
+    while b:  # a, b = b, a mod b
+        while len(a) >= len(b):
+            factor = a[0] / b[0]
+            a = [x - factor * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        while a and not a[0]:
+            a.pop(0)
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_is_squarefree_matches_fraction_euclid():
+    """Every polynomial of degree <= 4 with leading coefficient 1, 2 or -3
+    and other coefficients in [-3, 3], and every monic quintic with
+    coefficients in [-2, 2]."""
+    boxes = [
+        ((lead,), range(-3, 4), d) for lead in (1, 2, -3) for d in range(5)
+    ] + [((1,), range(-2, 3), 5)]
+    repeated = 0
+    for head, coeff_range, d in boxes:
+        for tail in itertools.product(coeff_range, repeat=d):
+            coeffs = head + tail
+            expected = _reference_is_squarefree(coeffs)
+            assert _is_squarefree(coeffs) == expected, coeffs
+            repeated += not expected
+    assert repeated == 426
+
+
+def test_is_squarefree_at_large_coefficients():
+    q = 2**61 - 1
+    p, r = (1, 3, q), (1, -5, q)
+    assert _is_squarefree(poly_mul(p, r))
+    assert not _is_squarefree(poly_mul(p, poly_mul(p, r)))
+    assert not _is_squarefree(poly_mul((1, 0, -q), (1, 0, -q)))
+    assert _is_squarefree(poly_mul((1, 0, -q), (1, 0, q)))
 
 
 def test_group_order():
