@@ -11,7 +11,10 @@ are generated from the Horn tables each time.
 
 All case routines come in two layers: a ``*_from_profile`` core taking
 exact valuation profiles (handy for grid tests), and a polynomial-facing
-wrapper doing the 1 - Frobenius transform and validation.
+``groups_*`` wrapper doing the 1 - Frobenius transform and validation.
+``classify_all`` calls the cores on the transformed factors of its
+dispatch plan, skipping the wrappers' separability and shape re-checks:
+``factor_weil`` and ``shape_of`` have settled those already.
 """
 
 from __future__ import annotations
@@ -141,11 +144,8 @@ def case1_groups_from_profiles(
     admissible pairs for m.  Witness b: admissible pair for n.  Each
     witness contributes every feasible block extension c.
     """
-    a_witnesses = {
-        merge_sorted(p1, p2)
-        for p1 in quadratic_pairs(m)
-        for p2 in quadratic_pairs(m)
-    }
+    m_pairs = quadratic_pairs(m)
+    a_witnesses = {merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs}
     b_witnesses = quadratic_pairs(n)
     out: set[GroupTuple] = set()
     for a in a_witnesses:
@@ -169,11 +169,8 @@ def case3_groups_from_profile(
     m: Sequence[Fraction | int], b: int
 ) -> GroupSet:
     """Squared quadratic times a squared real factor acting by valuation b."""
-    a_witnesses = {
-        merge_sorted(p1, p2)
-        for p1 in quadratic_pairs(m)
-        for p2 in quadratic_pairs(m)
-    }
+    m_pairs = quadratic_pairs(m)
+    a_witnesses = {merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs}
     out: set[GroupTuple] = set()
     for a in a_witnesses:
         out.update(enumerate_cokernels(a, (b, b)))
@@ -184,8 +181,9 @@ def case3_groups_from_profile(
 # polynomial-facing operations
 
 
-def _transformed_profile(coeffs: Sequence[int], l: int):
-    return root_valuations(transform_one_minus_t(coeffs), l)
+def _transformed_profile(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
+    """Descending root valuations of f(1 - t): the operator 1 - Frobenius."""
+    return root_valuations(transform_one_minus_t(coeffs), l).vals
 
 
 def groups_separable(coeffs: Sequence[int], l: int) -> GroupSet:
@@ -193,8 +191,7 @@ def groups_separable(coeffs: Sequence[int], l: int) -> GroupSet:
     coeffs = tuple(int(c) for c in coeffs)
     if not _is_squarefree(coeffs):
         raise ValueError("polynomial is not separable")
-    profile = _transformed_profile(coeffs, l)
-    return separable_groups_from_profile(tuple(profile), len(coeffs) - 1)
+    return separable_groups_from_profile(_transformed_profile(coeffs, l), len(coeffs) - 1)
 
 
 def groups_p_square(P: Sequence[int], l: int) -> GroupSet:
@@ -204,7 +201,7 @@ def groups_p_square(P: Sequence[int], l: int) -> GroupSet:
         raise ValueError("P must be quadratic")
     if not _is_squarefree(P):
         raise ValueError("P must be separable")
-    return p_square_groups_from_profile(tuple(_transformed_profile(P, l)))
+    return p_square_groups_from_profile(_transformed_profile(P, l))
 
 
 def groups_cyclic_index(
@@ -256,9 +253,7 @@ def groups_case1(P: Sequence[int], Q: Sequence[int], l: int) -> GroupSet:
         raise ValueError("P and Q must be quadratic")
     if not _is_squarefree(poly_mul(P, Q)):
         raise ValueError("PQ must be separable")
-    m = tuple(_transformed_profile(P, l))
-    n = tuple(_transformed_profile(Q, l))
-    return case1_groups_from_profiles(m, n)
+    return case1_groups_from_profiles(_transformed_profile(P, l), _transformed_profile(Q, l))
 
 
 def groups_case2(P: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
@@ -271,8 +266,7 @@ def groups_case2(P: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
     b = _real_multiplier_valuation(sign, q, l)
     if poly_eval(P, _real_root(sign, q)) == 0:
         raise ValueError("P shares the real root: shape is not P * (t +- sqrt q)^2")
-    m = tuple(_transformed_profile(P, l))
-    return case2_groups_from_profile(m, b)
+    return case2_groups_from_profile(_transformed_profile(P, l), b)
 
 
 def groups_case3(Q: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
@@ -285,8 +279,7 @@ def groups_case3(Q: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
     b = _real_multiplier_valuation(sign, q, l)
     if poly_eval(Q, _real_root(sign, q)) == 0:
         raise ValueError("Q shares the real root: shape is not Q^2 (t +- sqrt q)^2")
-    m = tuple(_transformed_profile(Q, l))
-    return case3_groups_from_profile(m, b)
+    return case3_groups_from_profile(_transformed_profile(Q, l), b)
 
 
 def _real_root(sign: str, q: int) -> int:
@@ -414,16 +407,20 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
 
 
 def _dispatch(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> GroupSet:
+    # the shape checks of the groups_* wrappers hold by construction of the plan
     if plan.kind == "separable":
-        return groups_separable(weil.coeffs, l)
+        return separable_groups_from_profile(_transformed_profile(weil.coeffs, l), weil.degree)
     if plan.kind == "p_square":
-        return groups_p_square(plan.P, l)
+        return p_square_groups_from_profile(_transformed_profile(plan.P, l))
     if plan.kind == "p2q":
-        return groups_case1(plan.P, plan.Q, l)
+        m, n = _transformed_profile(plan.P, l), _transformed_profile(plan.Q, l)
+        return case1_groups_from_profiles(m, n)
     if plan.kind == "p_realsq":
-        return groups_case2(plan.P, plan.sign, weil.q, l)
+        b = _real_multiplier_valuation(plan.sign, weil.q, l)
+        return case2_groups_from_profile(_transformed_profile(plan.P, l), b)
     if plan.kind == "q2_realsq":
-        return groups_case3(plan.Q, plan.sign, weil.q, l)
+        b = _real_multiplier_valuation(plan.sign, weil.q, l)
+        return case3_groups_from_profile(_transformed_profile(plan.Q, l), b)
     if plan.kind == "scalar":
         return (groups_scalar(plan.sign, weil.q, plan.s, l),)
     if plan.kind == "cyclic_index":

@@ -162,6 +162,8 @@ def enumerate_cokernels(
 
     Search space: partitions of sum(a)+sum(b) into s+t parts, pruned by
     c_1 <= a_1 + b_1 (a valid consequence of the size-one inequalities).
+    Each candidate is tested against integer bounds on sum_{k in K} c_k
+    that the strict system reduces to at this (a, b); see ``_cokernels``.
     Without ``table`` the result is memoised on (a, b): classification
     meets the same few witness pairs across many isogeny classes.
     """
@@ -180,12 +182,34 @@ def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int
 def _cokernels(
     a: tuple[int, ...], b: tuple[int, ...], table: HornTable | None
 ) -> tuple[tuple[int, ...], ...]:
-    s, t = len(a), len(b)
+    """Candidates c passing the strict system, checked as per-K integer bounds.
+
+    With (a, b) fixed, the left side of every row is an integer, so the row
+    reads sum_{k in K} c_k <= bound; rows sharing K keep the smallest
+    bound.  A bound >= total holds for every c >= 0 of that total, and a
+    bound >= len(K) * top holds for every candidate, whose parts are at
+    most top; both are dropped.  A candidate passes exactly when it meets
+    the remaining bounds, so the result equals checking every row.
+    """
+    system = inequality_system(len(a), len(b), "strict", table=table)
     total = sum(a) + sum(b)
-    top = (a[0] if a else 0) + (b[0] if b else 0)
-    system = inequality_system(s, t, "strict", table=table)
+    top = min(total, a[0] + b[0])
+    bounds: dict[tuple[int, ...], int] = {}
+    for iq in system.inequalities:
+        lhs = sum(a[i - 1] for i in iq.a_idx) + sum(b[j - 1] for j in iq.b_idx)
+        if lhs < bounds.get(iq.c_idx, total):  # a bound >= total never enters
+            bounds[iq.c_idx] = lhs
+    live = [
+        (tuple(k - 1 for k in K), bound)
+        for K, bound in bounds.items()
+        if bound < len(K) * top
+    ]
     out = []
-    for c in partitions_of(total, s + t, max_part=min(total, top) if total else 0):
-        if all(iq.holds(a, b, c) for iq in system.inequalities):
+    for c in partitions_of(total, len(a) + len(b), max_part=top):
+        part = c.__getitem__
+        for K, bound in live:
+            if sum(map(part, K)) > bound:
+                break
+        else:
             out.append(c)
     return tuple(out)

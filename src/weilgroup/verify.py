@@ -824,11 +824,8 @@ def _published_case1_set(
     satisfying every row (plus the trace equality)."""
     from .partitions import partitions_of
 
-    a_wit = sorted({
-        merge_sorted(p1, p2)
-        for p1 in quadratic_pairs(m)
-        for p2 in quadratic_pairs(m)
-    })
+    m_pairs = quadratic_pairs(m)
+    a_wit = sorted({merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs})
     b_wit = quadratic_pairs(n)
     total = sum(a_wit[0]) + sum(b_wit[0])
     out = set()
@@ -902,11 +899,8 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
             omission_changes = True
         if _published_case1_set(corrected_rows + [phi_row], m, n) != machine_set:
             corrected_matches = False
-        a_wit = sorted({
-            merge_sorted(p1, p2)
-            for p1 in quadratic_pairs(m)
-            for p2 in quadratic_pairs(m)
-        })
+        m_pairs = quadratic_pairs(m)
+        a_wit = sorted({merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs})
         b_wit = quadratic_pairs(n)
         total = sum(a_wit[0]) + sum(b_wit[0])
         oracle_set = {

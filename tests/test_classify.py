@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -290,6 +291,55 @@ def test_classify_all_p_realsq_dispatch():
     for l, groups in result.groups.items():
         total = valuation(group_order(w), l)
         assert all(sum(c) == total for c in groups)
+
+
+def _wrapper_groups(plan, w, l):
+    """The public polynomial-facing wrapper for a dispatch plan."""
+    if plan.kind == "separable":
+        return groups_separable(w.coeffs, l)
+    if plan.kind == "p_square":
+        return groups_p_square(plan.P, l)
+    if plan.kind == "p2q":
+        return groups_case1(plan.P, plan.Q, l)
+    if plan.kind == "p_realsq":
+        return groups_case2(plan.P, plan.sign, w.q, l)
+    assert plan.kind == "q2_realsq"
+    return groups_case3(plan.Q, plan.sign, w.q, l)
+
+
+def _route_corpus():
+    """Products of Weil quadratics t^2 + a t + q, squared or not, and of
+    (t -+ sqrt q)^2 at square q: every shape with a public wrapper."""
+    for q in (2, 3, 4, 9):
+        quads = [(1, a, q) for a in range(-4, 5) if a * a < 4 * q][::2]
+        sq = math.isqrt(q)
+        reals = [(1, -sq), (1, sq)] if sq * sq == q else []
+        for i, p1 in enumerate(quads):
+            yield q, p1
+            yield q, poly_mul(p1, p1)
+            for p2 in quads[i + 1 :]:
+                yield q, poly_mul(p1, p2)
+                yield q, poly_mul(poly_mul(p1, p1), p2)
+                yield q, poly_mul(poly_mul(p2, p2), p1)
+                for r in reals:
+                    yield q, poly_mul(poly_mul(p1, p2), poly_mul(r, r))
+            for r in reals:
+                yield q, poly_mul(poly_mul(p1, p1), poly_mul(r, r))
+
+
+def test_dispatch_matches_public_wrappers():
+    """classify_all runs the profile cores directly; the public wrappers,
+    which re-check the shape, must give the same groups per prime."""
+    seen = set()
+    for q, coeffs in _route_corpus():
+        w = parse_and_validate(coeffs, q)
+        result = classify_all(w)
+        for l, groups in result.groups.items():
+            assert groups == _wrapper_groups(result.plan, w, l), (coeffs, q, l)
+        seen.add((result.plan.kind, q if result.plan.kind.endswith("realsq") else None))
+    assert {"separable", "p_square", "p2q"} <= {kind for kind, _ in seen}
+    for kind in ("p_realsq", "q2_realsq"):
+        assert {(kind, 4), (kind, 9)} <= seen
 
 
 def _corpus():

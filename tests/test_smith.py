@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,14 @@ def test_enumerate_examples():
     assert enumerate_cokernels((1, 0), (1, 0)) == ((2, 0, 0, 0), (1, 1, 0, 0))
 
 
+def _rowwise_cokernels(a, b):
+    """Every partition of the total, each checked row by row."""
+    return tuple(
+        c for c in partitions_of(sum(a) + sum(b), len(a) + len(b))
+        if feasible_triple(a, b, c)
+    )
+
+
 def test_memoised_cokernels_match_explicit_table():
     """Every (a, b) with s + t <= 6 and sum(a) + sum(b) <= 6."""
     table = HornTable()
@@ -69,6 +79,7 @@ def test_memoised_cokernels_match_explicit_table():
                     memo_before = weilgroup.smith._cokernels_cached.cache_info()
                     explicit = enumerate_cokernels(a, b, table=table)
                     assert weilgroup.smith._cokernels_cached.cache_info() == memo_before
+                    assert explicit == _rowwise_cokernels(a, b), (a, b)
                     memoised = enumerate_cokernels(list(a), list(b))
                     assert memoised == explicit, (a, b)
                     assert enumerate_cokernels(a, b) is memoised
@@ -76,6 +87,19 @@ def test_memoised_cokernels_match_explicit_table():
                     assert all(type(c) is tuple for c in memoised)
                     pairs += 1
     assert pairs == 1145
+
+
+def test_cokernels_match_rowwise_reference_at_larger_totals():
+    """Seeded (4, 2) and (2, 2) pairs with sum(a) + sum(b) up to 14, the
+    block sizes of the sextic and surface routes."""
+    rng = random.Random(20181)
+    for s, t in ((4, 2), (2, 2)):
+        for total in range(7, 15):
+            for _ in range(3):
+                split = rng.randint(0, total)
+                a = rng.choice(list(partitions_of(split, s)))
+                b = rng.choice(list(partitions_of(total - split, t)))
+                assert enumerate_cokernels(a, b) == _rowwise_cokernels(a, b), (a, b)
 
 
 def test_enumerate_descending_lex_and_pruned():
