@@ -144,11 +144,9 @@ def case1_groups_from_profiles(
     admissible pairs for m.  Witness b: admissible pair for n.  Each
     witness contributes every feasible block extension c.
     """
-    m_pairs = quadratic_pairs(m)
-    a_witnesses = {merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs}
     b_witnesses = quadratic_pairs(n)
     out: set[GroupTuple] = set()
-    for a in a_witnesses:
+    for a in p_square_groups_from_profile(m):
         for b in b_witnesses:
             out.update(enumerate_cokernels(a, b))
     return _sorted_groups(out)
@@ -169,10 +167,8 @@ def case3_groups_from_profile(
     m: Sequence[Fraction | int], b: int
 ) -> GroupSet:
     """Squared quadratic times a squared real factor acting by valuation b."""
-    m_pairs = quadratic_pairs(m)
-    a_witnesses = {merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs}
     out: set[GroupTuple] = set()
-    for a in a_witnesses:
+    for a in p_square_groups_from_profile(m):
         out.update(enumerate_cokernels(a, (b, b)))
     return _sorted_groups(out)
 
@@ -314,11 +310,14 @@ class Classification:
 
 def _prime_factors(n: int) -> list[int]:
     """Distinct primes dividing n >= 1, ascending: trial division below 1000,
-    then Pollard's rho; n >= PRIME_TEST_LIMIT raises SizeLimitError."""
+    stopping once d * d exceeds the unfactored part, then Pollard's rho;
+    n >= PRIME_TEST_LIMIT raises SizeLimitError."""
     if n >= PRIME_TEST_LIMIT:
         raise SizeLimitError(f"f(1) = {n} is not below the size limit {PRIME_TEST_LIMIT}")
     out = set()
-    for d in range(2, min(1000, math.isqrt(n) + 1)):
+    for d in range(2, 1000):
+        if d * d > n:
+            break
         while n % d == 0:
             out.add(d)
             n //= d

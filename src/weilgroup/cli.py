@@ -14,8 +14,7 @@ Subcommands:
 
 Partitions and polynomial coefficients are comma-separated integers,
 polynomials highest degree first.  Global flags: --json for machine
-output, --cache-dir for the Horn table cache (default: WEILGROUP_CACHE
-or ~/.cache/weilgroup), --seed for sampling fallbacks.
+output, --seed for sampling fallbacks.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -27,7 +26,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cache as cache_mod
 from . import horn
 from .classify import classify_all
 from .oracle import lr_coefficient, matrix_cokernel_oracle, operator_group_oracle
@@ -60,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="groups of rational points on abelian varieties of dimension <= 3",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--cache-dir", default=None, help="Horn table cache directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampling fallbacks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -255,8 +252,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
-    horn.set_default_cache_dir(cache_dir)
     try:
         if args.command == "horn":
             return _cmd_horn(args)

@@ -24,11 +24,8 @@ triangular matrix, see :mod:`weilgroup.smith`.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 from typing import NamedTuple, Sequence
-
-from .cache import load_table, store_table
 
 DESK_SCALE_N = 7
 
@@ -54,17 +51,6 @@ class ComplementTriple(NamedTuple):
     sense: str
 
 
-def _check_index_set(s: Sequence[int], n: int) -> tuple[int, ...]:
-    t = tuple(s)
-    if not t:
-        raise ValueError("index set must be nonempty")
-    if any(x < 1 or x > n for x in t):
-        raise ValueError(f"indices out of range 1..{n}: {t}")
-    if any(a >= b for a, b in zip(t, t[1:])):
-        raise ValueError(f"index set not strictly increasing: {t}")
-    return t
-
-
 def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
     """All of U^n_p in lexicographic order on (I, J, K)."""
     if not 1 <= p <= n:
@@ -85,52 +71,19 @@ def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
 
 
 class HornTable:
-    """Memoized T^n_p tables with optional on-disk JSON persistence.
+    """In-memory memo of the T^n_p tables.
 
-    Construction is a single-writer phase guarded by a lock; lookups after
-    construction are read-only.
+    Each table is built once per instance and returned as the same tuple on
+    later lookups; a fresh instance starts cold.
     """
 
-    def __init__(self, cache_dir: str | None = None):
+    def __init__(self):
         self._tables: dict[tuple[int, int], tuple[HornTriple, ...]] = {}
-        self._lock = threading.RLock()
-        self._cache_dir = cache_dir
-        self._loaded_ns: set[int] = set()
 
     def T(self, n: int, p: int) -> tuple[HornTriple, ...]:
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-        with self._lock:
-            self._maybe_load(n)
-            fresh = (n, p) not in self._tables
-            result = self._compute(n, p)
-            if fresh:
-                self._persist(n)
-            return result
-
-    def _maybe_load(self, n: int) -> None:
-        if self._cache_dir is None or n in self._loaded_ns:
-            return
-        self._loaded_ns.add(n)
-        data = load_table(self._cache_dir, n)
-        if data is None:
-            return
-        for p_str, triples in data.items():
-            p = int(p_str)
-            self._tables[(n, p)] = tuple(
-                HornTriple(tuple(i), tuple(j), tuple(k)) for i, j, k in triples
-            )
-
-    def _persist(self, n: int) -> None:
-        if self._cache_dir is None:
-            return
-        data = {
-            str(p): [[list(t.I), list(t.J), list(t.K)] for t in self._tables[(n, p)]]
-            for p in range(1, n + 1)
-            if (n, p) in self._tables
-        }
-        if data:
-            store_table(self._cache_dir, n, data)
+        return self._compute(n, p)
 
     def _compute(self, n: int, p: int) -> tuple[HornTriple, ...]:
         key = (n, p)
@@ -162,12 +115,6 @@ class HornTable:
 
 
 _DEFAULT_TABLE = HornTable()
-
-
-def set_default_cache_dir(cache_dir: str | None) -> None:
-    """Swap the process-wide table for one persisted under ``cache_dir``."""
-    global _DEFAULT_TABLE
-    _DEFAULT_TABLE = HornTable(cache_dir=cache_dir)
 
 
 def enumerate_T(

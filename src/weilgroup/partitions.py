@@ -26,12 +26,6 @@ def as_partition(parts: Iterable[int], length: int | None = None) -> tuple[int, 
     return t
 
 
-def pad(parts: Sequence[int], length: int) -> tuple[int, ...]:
-    if len(parts) > length:
-        raise ValueError(f"{parts} has more than {length} parts")
-    return tuple(parts) + (0,) * (length - len(parts))
-
-
 def merge_sorted(*parts: Sequence[int]) -> tuple[int, ...]:
     """Concatenate and resort descending (exponents of a direct sum)."""
     out: list[int] = []

@@ -55,10 +55,6 @@ class SmithInequality:
         rhs = [f"c{k}" for k in self.c_idx]
         return f"{'+'.join(lhs) or '0'} >= {'+'.join(rhs) or '0'}"
 
-    def scalar_b_key(self) -> tuple:
-        """Key after identifying b_1 = b_2 = ... = b (scalar b block)."""
-        return (self.a_idx, len(self.b_idx), self.c_idx)
-
     def pretty_scalar_b(self) -> str:
         lhs = [f"a{i}" for i in self.a_idx]
         nb = len(self.b_idx)

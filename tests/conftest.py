@@ -1,7 +1,3 @@
-import os
-
-os.environ.setdefault("WEILGROUP_CACHE", "")  # keep library runs off any user cache
-
 from hypothesis import settings
 
 settings.register_profile("ci", max_examples=60, deadline=None)

@@ -52,6 +52,11 @@ def test_prime_factors():
     for n in range(1, 400):
         assert _prime_factors(n) == by_trial_division(n)
     assert _prime_factors(9973 * 9967) == [9967, 9973]
+    # trial division stops early, leaving a prime cofactor below 1000
+    assert _prime_factors(2 * 997) == [2, 997]
+    assert _prime_factors(4 * 991) == [2, 991]
+    assert _prime_factors(997**2) == [997]
+    assert _prime_factors(2**20 * 991 * 997) == [2, 991, 997]
     assert _prime_factors(1023**2 * 1046530) == [2, 3, 5, 11, 31, 229, 457]
     assert _prime_factors((2**31 - 1) * (2**29 - 3)) == [2**29 - 3, 2**31 - 1]
     assert _prime_factors(7 * 1000003**2) == [7, 1000003]

@@ -6,9 +6,9 @@ from weilgroup.cli import main
 
 
 @pytest.fixture()
-def run(capsys, tmp_path):
+def run(capsys):
     def _run(*argv):
-        code = main(["--cache-dir", str(tmp_path), *argv])
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -114,15 +114,12 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_cold_and_warm_cache_identical(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = ["--cache-dir", cache, "--json", "horn", "triples", "--n", "5", "--p", "2"]
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
-    assert main(argv) == 0
-    warm = capsys.readouterr().out
-    assert cold == warm
-    assert list((tmp_path / "cache").glob("horn_table_*.json"))
+def test_cli_writes_no_files(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", "horn", "triples", "--n", "5", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_horn_reduce(run):
