@@ -12,8 +12,8 @@ are generated from the Horn tables each time.
 All case routines come in two layers: a ``*_from_profile`` core taking
 exact valuation profiles (handy for grid tests), and a polynomial-facing
 ``groups_*`` wrapper doing the 1 - Frobenius transform and validation.
-``classify_all`` calls the cores on the transformed factors of its
-dispatch plan, skipping the wrappers' separability and shape re-checks:
+``classify_all`` sends every one of the seven routes of its dispatch plan
+to the cores, skipping the wrappers' separability and shape re-checks:
 ``factor_weil`` and ``shape_of`` have settled those already.
 """
 
@@ -229,16 +229,9 @@ def groups_cyclic_index(
 
 def groups_scalar(sign: str, q: int, s: int, l: int) -> GroupTuple:
     """Shape (t +- sqrt(q))^s: the unique group is (Z/l^v)^s, v = v_l(1 +- sqrt q)."""
-    sq = math.isqrt(q)
-    if sq * sq != q:
-        raise ValueError(f"q={q} is not a perfect square")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    base = 1 + sq if sign == "plus" else 1 - sq
-    v = valuation(base, l) if base != 0 else None
-    if v is None:
-        raise ValueError("1 -+ sqrt(q) = 0: degenerate class")
-    return (v,) * s
+    return (_real_multiplier_valuation(sign, q, l),) * s
 
 
 def groups_case1(P: Sequence[int], Q: Sequence[int], l: int) -> GroupSet:
@@ -421,7 +414,8 @@ def _dispatch(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> GroupSet:
         b = _real_multiplier_valuation(plan.sign, weil.q, l)
         return case3_groups_from_profile(_transformed_profile(plan.Q, l), b)
     if plan.kind == "scalar":
-        return (groups_scalar(plan.sign, weil.q, plan.s, l),)
-    if plan.kind == "cyclic_index":
-        return groups_cyclic_index(plan.P, plan.Q, plan.r, plan.s, l)
+        return ((_real_multiplier_valuation(plan.sign, weil.q, l),) * plan.s,)
+    if plan.kind == "cyclic_index":  # plan.P and plan.Q are on the operator side already
+        profile = root_valuations(plan.P, l).vals
+        return cyclic_index_groups_from_profile(profile, plan.r, valuation(plan.Q[1], l), plan.s)
     raise UnsupportedShapeError(f"no classifier for plan {plan.kind!r}")

@@ -39,10 +39,6 @@ class HornTriple(NamedTuple):
     def p(self) -> int:
         return len(self.I)
 
-    def trace_ok(self) -> bool:
-        p = self.p
-        return sum(self.I) + sum(self.J) == sum(self.K) + p * (p + 1) // 2
-
 
 class ComplementTriple(NamedTuple):
     """A complemented Horn triple; its inequality has reversed sense (<=)."""

@@ -11,7 +11,8 @@ sum(a) + sum(b) = sum(c) holds together with the inequalities
     sum_{i in I & M_s} a_i + sum_{j in J & M_t} b_j >= sum_{k in K} c_k
 
 for the block-restricted Horn triples.  The strict restriction T^{s,t}_p
-suffices; the tilde restriction is kept around for cross-checks.
+suffices, and it is the only one used here; the tilde restriction lives in
+:mod:`weilgroup.horn`, for :mod:`weilgroup.reduce` and :mod:`weilgroup.verify`.
 
 Zero parts are meaningful (they fix the ambient sizes), so lengths are
 enforced exactly and callers pad explicitly.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .horn import HornTable, HornTriple, enumerate_T_st
+from .horn import HornTriple, enumerate_T_st
 from .partitions import as_partition, partitions_of
 
 DESK_SCALE_TOTAL = 6
@@ -72,12 +73,6 @@ class SmithSystem:
     t: int
     inequalities: tuple[SmithInequality, ...]
 
-    def pretty_lines(self) -> list[str]:
-        header = (
-            f"a1+..+a{self.s} + b1+..+b{self.t} == c1+..+c{self.s + self.t}"
-        )
-        return [header] + [iq.pretty() for iq in self.inequalities]
-
 
 def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
     I, J, K = triple
@@ -89,13 +84,7 @@ def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
     )
 
 
-def inequality_system(
-    s: int,
-    t: int,
-    mode: str = "strict",
-    *,
-    table: HornTable | None = None,
-) -> SmithSystem:
+def inequality_system(s: int, t: int) -> SmithSystem:
     """Essential inequalities between a, b and c at block sizes (s, t).
 
     One inequality per block-restricted triple with 1 <= p <= s+t-1; the
@@ -107,32 +96,19 @@ def inequality_system(
         raise ValueError(
             f"s+t={s + t} exceeds desk scale {DESK_SCALE_TOTAL}"
         )
-    if table is None:
-        return _inequality_system_cached(s, t, mode)
-    return _build_system(s, t, mode, table)
+    return _inequality_system_cached(s, t)
 
 
 @lru_cache(maxsize=None)
-def _inequality_system_cached(s: int, t: int, mode: str) -> SmithSystem:
-    return _build_system(s, t, mode, None)
-
-
-def _build_system(s: int, t: int, mode: str, table: HornTable | None) -> SmithSystem:
-    n = s + t
+def _inequality_system_cached(s: int, t: int) -> SmithSystem:
     ineqs = []
-    for p in range(1, n):
-        for tri in enumerate_T_st(s, t, p, mode, table=table):
+    for p in range(1, s + t):
+        for tri in enumerate_T_st(s, t, p, "strict"):
             ineqs.append(_restricted(tri, s, t))
     return SmithSystem(s=s, t=t, inequalities=tuple(ineqs))
 
 
-def feasible_triple(
-    a: Sequence[int],
-    b: Sequence[int],
-    c: Sequence[int],
-    *,
-    table: HornTable | None = None,
-) -> bool:
+def feasible_triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
     """True iff (a, b, c) are Smith invariants of some block triangular C.
 
     Lengths fix the block sizes and must be exact; a total mismatch is an
@@ -144,40 +120,28 @@ def feasible_triple(
     c = as_partition(c, length=s + t)
     if sum(a) + sum(b) != sum(c):
         return False
-    system = inequality_system(s, t, "strict", table=table)
+    system = inequality_system(s, t)
     return all(iq.holds(a, b, c) for iq in system.inequalities)
 
 
-def enumerate_cokernels(
-    a: Sequence[int],
-    b: Sequence[int],
-    *,
-    table: HornTable | None = None,
-) -> tuple[tuple[int, ...], ...]:
+def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All c realizable from (a, b), in descending lexicographic order.
 
     Search space: partitions of sum(a)+sum(b) into s+t parts, pruned by
     c_1 <= a_1 + b_1 (a valid consequence of the size-one inequalities).
     Each candidate is tested against integer bounds on sum_{k in K} c_k
-    that the strict system reduces to at this (a, b); see ``_cokernels``.
-    Without ``table`` the result is memoised on (a, b): classification
-    meets the same few witness pairs across many isogeny classes.
+    that the strict system reduces to at this (a, b); see
+    ``_cokernels_cached``.  The result is memoised on (a, b):
+    classification meets the same few witness pairs across many isogeny
+    classes.
     """
     a = as_partition(a)
     b = as_partition(b)
-    if table is None:
-        return _cokernels_cached(a, b)
-    return _cokernels(a, b, table)
+    return _cokernels_cached(a, b)
 
 
 @lru_cache(maxsize=COKERNEL_MEMO_SIZE)
 def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _cokernels(a, b, None)
-
-
-def _cokernels(
-    a: tuple[int, ...], b: tuple[int, ...], table: HornTable | None
-) -> tuple[tuple[int, ...], ...]:
     """Candidates c passing the strict system, checked as per-K integer bounds.
 
     With (a, b) fixed, the left side of every row is an integer, so the row
@@ -187,7 +151,7 @@ def _cokernels(
     most top; both are dropped.  A candidate passes exactly when it meets
     the remaining bounds, so the result equals checking every row.
     """
-    system = inequality_system(len(a), len(b), "strict", table=table)
+    system = inequality_system(len(a), len(b))
     total = sum(a) + sum(b)
     top = min(total, a[0] + b[0])
     bounds: dict[tuple[int, ...], int] = {}

@@ -39,7 +39,7 @@ from .reduce import (
     reduce_system,
     redundant_members_full,
 )
-from .smith import SmithInequality
+from .smith import SmithInequality, _restricted
 
 M6 = tuple(range(1, 7))
 
@@ -632,12 +632,7 @@ def verify_paper_lists() -> VerifyReport:
 
     base = _smith_base_rows(4, 2)
     strict_rows = [
-        _smith_row(SmithInequality(
-            tuple(i for i in tri.I if i <= 4),
-            tuple(j for j in tri.J if j <= 2),
-            tri.K,
-            tri,
-        ), 4, 2)
+        _smith_row(_restricted(tri, 4, 2), 4, 2)
         for p in range(1, 6)
         for tri in sorted(strict[p])
     ]

@@ -206,26 +206,18 @@ def _integer_root(h: Sequence[int], bound: int) -> int | None:
     return None
 
 
-SHAPE_TAGS = (
-    "Separable",
-    "PSquare_g2",
-    "P2Q",
-    "P_RealSq",
-    "Q2_RealSq",
-    "ScalarPower",
-    "CyclicIndexPRQS",
-    "Unsupported",
-)
-
-
 @dataclass(frozen=True)
 class FactoredShape:
-    """Complete factorization into monic integer irreducibles, plus a tag
-    naming which classification route applies."""
+    """Complete factorization into monic integer irreducibles, with
+    multiplicities; ``shape_of`` reads the classification route off it."""
 
     weil: WeilPolynomial
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (coeffs, multiplicity)
-    tag: str
+
+    @property
+    def tag(self) -> str:
+        """Display name of the route, e.g. ``P2Q``."""
+        return ROUTE_TAGS[shape_of(self).kind]
 
     def reassembled(self) -> tuple[int, ...]:
         out: tuple[int, ...] = (1,)
@@ -236,7 +228,7 @@ class FactoredShape:
 
 
 def factor_weil(weil: WeilPolynomial) -> FactoredShape:
-    """Factor into irreducibles and classify the multiplicity pattern.
+    """Factor into monic integer irreducibles with multiplicities.
 
     h of degree <= 3 factors over Q by stripping its integer roots.  Each
     factor of h lifts to an irreducible factor of f, except x -+ 2 sqrt q
@@ -261,57 +253,8 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
         else:  # h is an irreducible cubic
             lifted, mult = weil.coeffs, 1
         factors[lifted] = factors.get(lifted, 0) + mult
-    shape = _classify_shape(weil, factors)
     ordered = tuple(sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return FactoredShape(weil=weil, factors=ordered, tag=shape)
-
-
-def _classify_shape(weil: WeilPolynomial, factors: dict[tuple[int, ...], int]) -> str:
-    q = weil.q
-    sq = isqrt(q)
-    q_square = sq * sq == q
-    linear_plus = (1, sq) if q_square else None  # t + sqrt(q), root -sqrt(q)
-    linear_minus = (1, -sq) if q_square else None
-    mults = sorted(factors.values(), reverse=True)
-    squarefree = all(m == 1 for m in factors.values())
-
-    if q_square and set(factors) <= {linear_plus, linear_minus}:
-        u = factors.get(linear_minus, 0)
-        w = factors.get(linear_plus, 0)
-        if u == 0 or w == 0:
-            return "ScalarPower"
-        if squarefree:
-            return "Separable"
-        return "CyclicIndexPRQS"
-    if squarefree:
-        return "Separable"
-
-    degree = weil.degree
-    quads = {f: m for f, m in factors.items() if len(f) == 3}
-    linears = {f: m for f, m in factors.items() if len(f) == 2}
-    if degree == 4 and len(quads) == 1 and not linears:
-        (pf, mult), = quads.items()
-        if mult == 2:
-            return "PSquare_g2"
-    if degree == 6 and not linears and len(quads) == 2:
-        m1, m2 = sorted(quads.values())
-        if (m1, m2) == (1, 2):
-            return "P2Q"
-    if degree == 6 and len(linears) == 1:
-        # f(0) = q^g > 0 rules out a lone odd-multiplicity real root, so a
-        # single linear factor here always carries multiplicity 2
-        (lf, lm), = linears.items()
-        if lm == 2:
-            cofactor = {f: m for f, m in factors.items() if f != lf}
-            if all(m == 1 for m in cofactor.values()) and sum(
-                (len(f) - 1) * m for f, m in cofactor.items()
-            ) == 4:
-                return "P_RealSq"
-            if len(cofactor) == 1:
-                (qf, qm), = cofactor.items()
-                if len(qf) == 3 and qm == 2:
-                    return "Q2_RealSq"
-    return "Unsupported"
+    return FactoredShape(weil=weil, factors=ordered)
 
 
 def root_valuations(coeffs: Sequence[int], l: int) -> ValuationProfile:
@@ -328,12 +271,23 @@ def group_order(weil: WeilPolynomial) -> int:
     return abs(value)
 
 
+ROUTE_TAGS = {  # plan kind -> display name of the factor pattern
+    "separable": "Separable",
+    "p_square": "PSquare_g2",
+    "p2q": "P2Q",
+    "p_realsq": "P_RealSq",
+    "q2_realsq": "Q2_RealSq",
+    "scalar": "ScalarPower",
+    "cyclic_index": "CyclicIndexPRQS",
+    "unsupported": "Unsupported",
+}
+
+
 @dataclass(frozen=True)
 class DispatchPlan:
     """Which classification routine to run, with its arguments.
 
-    ``kind`` is one of: separable, p_square, p2q, p_realsq, q2_realsq,
-    scalar, cyclic_index, unsupported.
+    ``kind`` is one of the keys of ``ROUTE_TAGS``.
     """
 
     kind: str
@@ -345,49 +299,59 @@ class DispatchPlan:
 
 
 def shape_of(shape: FactoredShape) -> DispatchPlan:
-    """Dispatch descriptor for a factored Weil polynomial."""
-    weil = shape.weil
-    q = weil.q
+    """The classification route of a factored Weil polynomial, decided from
+    its factor pattern, with the route's arguments.
+
+    Linear factors are always t -+ sqrt q at square q.  Patterns outside
+    the classified list give kind ``unsupported``.
+    """
+    q = shape.weil.q
     sq = isqrt(q)
     factors = dict(shape.factors)
-    tag = shape.tag
-    if tag == "Separable":
-        return DispatchPlan(kind="separable")
-    if tag == "PSquare_g2":
-        (pf,) = [f for f in factors if len(f) == 3]
-        return DispatchPlan(kind="p_square", P=pf, r=2)
-    if tag == "P2Q":
-        (pf,) = [f for f, m in factors.items() if m == 2]
-        (qf,) = [f for f, m in factors.items() if m == 1]
-        return DispatchPlan(kind="p2q", P=pf, Q=qf)
-    if tag == "P_RealSq":
-        (lf,) = [f for f in factors if len(f) == 2]
-        cofactor: tuple[int, ...] = (1,)
-        for f, m in factors.items():
-            if f != lf:
-                for _ in range(m):
-                    cofactor = poly_mul(cofactor, f)
-        sign = "plus" if lf[1] > 0 else "minus"
-        return DispatchPlan(kind="p_realsq", P=cofactor, sign=sign, s=2)
-    if tag == "Q2_RealSq":
-        (lf,) = [f for f in factors if len(f) == 2]
-        (qf,) = [f for f in factors if len(f) == 3]
-        sign = "plus" if lf[1] > 0 else "minus"
-        return DispatchPlan(kind="q2_realsq", Q=qf, sign=sign, r=2, s=2)
-    if tag == "ScalarPower":
-        (lf, mult), = factors.items()
-        sign = "plus" if lf[1] > 0 else "minus"
-        return DispatchPlan(kind="scalar", sign=sign, s=mult)
-    if tag == "CyclicIndexPRQS":
+    squarefree = all(m == 1 for m in factors.values())
+
+    if sq * sq == q and set(factors) <= {(1, -sq), (1, sq)}:
         u = factors.get((1, -sq), 0)  # multiplicity of (t - sqrt q)
         w = factors.get((1, sq), 0)
-        r, s = min(u, w), abs(u - w)
+        if u == 0 or w == 0:
+            return DispatchPlan(kind="scalar", sign="plus" if w else "minus", s=u + w)
+        if squarefree:
+            return DispatchPlan(kind="separable")
         # operator-side factors of f(1-t): P has roots 1 -+ sqrt(q)
-        P = (1, -2, 1 - q)
         if u >= w:
             z = 1 - sq  # more copies of root sqrt(q): Q(t) = t - (1 - sqrt q)
         else:
             z = 1 + sq
-        Q = (1, -z)
-        return DispatchPlan(kind="cyclic_index", P=P, Q=Q, r=r, s=s)
+        return DispatchPlan(kind="cyclic_index", P=(1, -2, 1 - q), Q=(1, -z),
+                            r=min(u, w), s=abs(u - w))
+    if squarefree:
+        return DispatchPlan(kind="separable")
+
+    degree = shape.weil.degree
+    quads = {f: m for f, m in factors.items() if len(f) == 3}
+    linears = {f: m for f, m in factors.items() if len(f) == 2}
+    if degree == 4 and not linears and list(quads.values()) == [2]:
+        (pf,) = quads
+        return DispatchPlan(kind="p_square", P=pf, r=2)
+    if degree == 6 and not linears and sorted(quads.values()) == [1, 2]:
+        (pf,) = [f for f, m in quads.items() if m == 2]
+        (qf,) = [f for f, m in quads.items() if m == 1]
+        return DispatchPlan(kind="p2q", P=pf, Q=qf)
+    if degree == 6 and list(linears.values()) == [2]:
+        # f(0) = q^g > 0 rules out a lone odd-multiplicity real root, so a
+        # single linear factor here always carries multiplicity 2
+        (lf,) = linears
+        sign = "plus" if lf[1] > 0 else "minus"
+        rest = {f: m for f, m in factors.items() if f != lf}
+        if all(m == 1 for m in rest.values()) and sum(
+            (len(f) - 1) * m for f, m in rest.items()
+        ) == 4:
+            cofactor: tuple[int, ...] = (1,)
+            for f in rest:
+                cofactor = poly_mul(cofactor, f)
+            return DispatchPlan(kind="p_realsq", P=cofactor, sign=sign, s=2)
+        if len(rest) == 1:
+            (qf, qm), = rest.items()
+            if len(qf) == 3 and qm == 2:
+                return DispatchPlan(kind="q2_realsq", Q=qf, sign=sign, r=2, s=2)
     return DispatchPlan(kind="unsupported")

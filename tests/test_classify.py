@@ -308,13 +308,18 @@ def _wrapper_groups(plan, w, l):
         return groups_case1(plan.P, plan.Q, l)
     if plan.kind == "p_realsq":
         return groups_case2(plan.P, plan.sign, w.q, l)
-    assert plan.kind == "q2_realsq"
-    return groups_case3(plan.Q, plan.sign, w.q, l)
+    if plan.kind == "q2_realsq":
+        return groups_case3(plan.Q, plan.sign, w.q, l)
+    if plan.kind == "scalar":
+        return (groups_scalar(plan.sign, w.q, plan.s, l),)
+    assert plan.kind == "cyclic_index"
+    return groups_cyclic_index(plan.P, plan.Q, plan.r, plan.s, l)
 
 
 def _route_corpus():
     """Products of Weil quadratics t^2 + a t + q, squared or not, and of
-    (t -+ sqrt q)^2 at square q: every shape with a public wrapper."""
+    (t -+ sqrt q)^2 at square q, then (t - sqrt q)^u (t + sqrt q)^w: every
+    shape with a public wrapper."""
     for q in (2, 3, 4, 9):
         quads = [(1, a, q) for a in range(-4, 5) if a * a < 4 * q][::2]
         sq = math.isqrt(q)
@@ -330,6 +335,12 @@ def _route_corpus():
                     yield q, poly_mul(poly_mul(p1, p2), poly_mul(r, r))
             for r in reals:
                 yield q, poly_mul(poly_mul(p1, p1), poly_mul(r, r))
+    for q in (4, 9, 16):  # symmetry needs u and w even
+        sq = math.isqrt(q)
+        for u in range(0, 7, 2):
+            for w in range(0, 7 - u, 2):
+                if u + w:
+                    yield q, poly_mul(scalar_power(sq, u), scalar_power(-sq, w))
 
 
 def test_dispatch_matches_public_wrappers():
@@ -342,7 +353,9 @@ def test_dispatch_matches_public_wrappers():
         for l, groups in result.groups.items():
             assert groups == _wrapper_groups(result.plan, w, l), (coeffs, q, l)
         seen.add((result.plan.kind, q if result.plan.kind.endswith("realsq") else None))
-    assert {"separable", "p_square", "p2q"} <= {kind for kind, _ in seen}
+    assert {"separable", "p_square", "p2q", "scalar", "cyclic_index"} <= {
+        kind for kind, _ in seen
+    }
     for kind in ("p_realsq", "q2_realsq"):
         assert {(kind, 4), (kind, 9)} <= seen
 
@@ -400,3 +413,16 @@ def test_classify_does_not_import_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_sextic_corpus_script_runs():
+    """scripts/classify_sextic_corpus.py classifies a few classes and prints
+    each one's shape tag."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "classify_sextic_corpus.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, script, "--limit", "5"], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "shape=" in out.stdout
