@@ -20,6 +20,8 @@ from typing import Sequence
 from .partitions import as_partition
 from .polygon import is_prime, valuation
 
+MAX_SWEEP_MATRICES = 1 << 20  # operator_group_oracle refuses larger sweeps
+
 
 class PrecisionExhausted(ValueError):
     """Determinant valuation reached the working modulus; invariants unsafe."""
@@ -303,21 +305,15 @@ def _operator_sweep(l: int, precision: int) -> dict[tuple[Fraction, Fraction], f
 
 
 def operator_group_oracle(
-    slopes: Sequence[Fraction | int],
-    l: int,
-    precision: int,
-    d: int = 2,
-    *,
-    max_matrices: int = 1 << 20,
+    slopes: Sequence[Fraction | int], l: int, precision: int
 ) -> frozenset[tuple[int, ...]]:
     """Cokernel invariant pairs of all 2x2 operators with the given Newton polygon.
 
     ``slopes`` are the polygon's slopes (any order); their total must be an
-    integer below the precision.  Only d = 2 is supported: the sweep over
-    d x d matrices mod l**precision explodes combinatorially beyond that.
+    integer below the precision.  The sweep runs over all l**(4 * precision)
+    matrices mod l**precision and is refused above MAX_SWEEP_MATRICES; it
+    explodes combinatorially for operators beyond 2x2, which are not swept.
     """
-    if d != 2:
-        raise ValueError("only 2x2 sweeps are supported")
     if not is_prime(l):
         raise ValueError(f"l={l} is not prime")
     key = tuple(sorted(Fraction(s) for s in slopes))
@@ -328,9 +324,9 @@ def operator_group_oracle(
         raise ValueError(
             f"slope total {total} must be an integer below precision {precision}"
         )
-    if l ** (4 * precision) > max_matrices:
+    if l ** (4 * precision) > MAX_SWEEP_MATRICES:
         raise ValueError(
-            f"sweep size l^{4 * precision} exceeds max_matrices={max_matrices}"
+            f"sweep size l^{4 * precision} exceeds MAX_SWEEP_MATRICES={MAX_SWEEP_MATRICES}"
         )
     table = _operator_sweep(l, precision)
     return table.get(key, frozenset())

@@ -19,14 +19,17 @@ the point must violate the row and satisfy the rest, the multipliers must
 be nonnegative and reproduce the row exactly (linprog module, which falls
 back to an exact Fraction simplex when neither check passes).
 The trace equality is eliminated by substituting the last c variable, so a
-row and its complement collapse to the same functional.
+row and its complement collapse to the same functional.  The coordinate
+layout (a, then b, then every c but the last) and that substitution live
+only in :func:`_functional`, :func:`_base_rows` and :func:`_scalar_base`,
+which :mod:`weilgroup.verify` uses as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st
 from .linprog import is_implied
@@ -54,9 +57,62 @@ class ReducedSystem:
         return lines
 
 
-def _zvars_smith(s: int, t: int) -> int:
-    # coordinates: a_1..a_s, b_1..b_t, c_1..c_{s+t-1}; last c eliminated
-    return s + t + (s + t) - 1
+def _eliminate_trace(raw: list[int], na: int, nb: int) -> tuple[int, ...]:
+    """Drop the last c coordinate of a functional over (a, b, c).
+
+    ``raw`` has one coefficient per part: a (na), b (nb), then c.  The
+    trace gives c_last = sum(a) + sum(b) - (the other c), which is
+    substituted, so the result lives on a, b and all c but the last.
+    """
+    x = raw[-1]
+    edge = na + nb
+    return tuple(
+        [v + x for v in raw[:edge]] + [v - x for v in raw[edge:-1]]
+    )
+
+
+def _functional(
+    a_idx: Sequence[int],
+    b_idx: Sequence[int],
+    c_idx: Sequence[int],
+    sizes: tuple[int, int, int],
+    sign: int = 1,
+) -> tuple[int, ...]:
+    """sign * (sum a[a_idx] + sum b[b_idx] - sum c[c_idx]), trace eliminated.
+
+    Indices are 1-based and ``sizes`` are the lengths of a, b and c; a
+    repeated index adds up, as in printed rows.
+    """
+    na, nb, nc = sizes
+    raw = [0] * (na + nb + nc)
+    for i in a_idx:
+        raw[i - 1] += sign
+    for j in b_idx:
+        raw[na + j - 1] += sign
+    for k in c_idx:
+        raw[na + nb + k - 1] -= sign
+    return _eliminate_trace(raw, na, nb)
+
+
+def _base_rows(sizes: tuple[int, int, int], nonnegative: bool) -> list[tuple[int, ...]]:
+    """Each block's ordering rows and, with ``nonnegative``, its last part >= 0.
+
+    Rows come block by block (a, b, then c), in the coordinates of
+    :func:`_functional`.
+    """
+    rows = []
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):  # x_i >= x_{i+1}
+            raw = [0] * sum(sizes)
+            raw[i], raw[i + 1] = 1, -1
+            rows.append(raw)
+        if nonnegative:
+            raw = [0] * sum(sizes)
+            raw[start + size - 1] = 1
+            rows.append(raw)
+        start += size
+    return [_eliminate_trace(raw, *sizes[:2]) for raw in rows]
 
 
 def _scalarize_b(row: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
@@ -65,106 +121,9 @@ def _scalarize_b(row: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
     return row[:s] + (b_total,) + row[s + t :]
 
 
-def _smith_row(iq: SmithInequality, s: int, t: int) -> tuple[int, ...]:
-    """Coefficient row of the inequality in trace-eliminated coordinates."""
-    n = s + t
-    row = [0] * _zvars_smith(s, t)
-    for i in iq.a_idx:
-        row[i - 1] += 1
-    for j in iq.b_idx:
-        row[s + j - 1] += 1
-    for k in iq.c_idx:
-        if k < n:
-            row[s + t + k - 1] -= 1
-        else:
-            # c_n = sum(a) + sum(b) - c_1 - ... - c_{n-1}
-            for i in range(s):
-                row[i] -= 1
-            for j in range(t):
-                row[s + j] -= 1
-            for k2 in range(n - 1):
-                row[s + t + k2] += 1
-    return tuple(row)
-
-
-def _smith_base_rows(s: int, t: int) -> list[tuple[int, ...]]:
-    n = s + t
-    nz = _zvars_smith(s, t)
-    rows: list[list[int]] = []
-
-    def unit(idx: int, sign: int) -> list[int]:
-        row = [0] * nz
-        row[idx] = sign
-        return row
-
-    for i in range(s - 1):  # a_i >= a_{i+1}
-        row = [0] * nz
-        row[i], row[i + 1] = 1, -1
-        rows.append(row)
-    rows.append(unit(s - 1, 1))  # a_s >= 0
-    for j in range(t - 1):
-        row = [0] * nz
-        row[s + j], row[s + j + 1] = 1, -1
-        rows.append(row)
-    rows.append(unit(s + t - 1, 1))  # b_t >= 0
-    for k in range(n - 2):  # c_k >= c_{k+1} for k < n-1
-        row = [0] * nz
-        row[s + t + k], row[s + t + k + 1] = 1, -1
-        rows.append(row)
-    # functional for the eliminated c_n = sum(a) + sum(b) - c_1 - .. - c_{n-1}
-    cn = [0] * nz
-    for i in range(s + t):
-        cn[i] = 1
-    for k in range(n - 1):
-        cn[s + t + k] = -1
-    prev = [0] * nz
-    prev[s + t + n - 2] = 1
-    rows.append([x - y for x, y in zip(prev, cn)])  # c_{n-1} - c_n >= 0
-    rows.append(cn)  # c_n >= 0
-    return [tuple(r) for r in rows]
-
-
-def _full_row(triple: HornTriple, n: int) -> tuple[int, ...]:
-    """Eigenvalue-setting row for (I, J, K), c_n eliminated by the trace."""
-    row = [0] * (3 * n - 1)
-    I, J, K = triple
-    for i in I:
-        row[i - 1] += 1
-    for j in J:
-        row[n + j - 1] += 1
-    for k in K:
-        if k < n:
-            row[2 * n + k - 1] -= 1
-        else:
-            for i in range(n):
-                row[i] -= 1
-                row[n + i] -= 1
-            for k2 in range(n - 1):
-                row[2 * n + k2] += 1
-    return tuple(row)
-
-
-def _full_base_rows(n: int) -> list[tuple[int, ...]]:
-    nz = 3 * n - 1
-    rows: list[list[int]] = []
-    for block, length in ((0, n), (n, n)):
-        for i in range(length - 1):
-            row = [0] * nz
-            row[block + i], row[block + i + 1] = 1, -1
-            rows.append(row)
-    for k in range(n - 2):
-        row = [0] * nz
-        row[2 * n + k], row[2 * n + k + 1] = 1, -1
-        rows.append(row)
-    # c_{n-1} >= c_n with c_n = sum(a) + sum(b) - c_1 - .. - c_{n-1}
-    row = [0] * nz
-    row[2 * n + n - 2] = 1
-    for i in range(2 * n):
-        row[i] -= 1
-    for k2 in range(n - 1):
-        row[2 * n + k2] += 1
-    rows.append(row)
-    return [tuple(r) for r in rows]
+def _scalar_base(base: list[tuple[int, ...]], s: int, t: int) -> list[tuple[int, ...]]:
+    """Base rows with b scalarised, first copies only, zero rows dropped."""
+    return [r for r in dict.fromkeys(_scalarize_b(r, s, t) for r in base) if any(r)]
 
 
 def reduce_system(
@@ -216,12 +175,12 @@ def _reduce_system_impl(
                     cands.append(iq)
                 else:
                     structural.append(iq)
-        rows = {iq: _smith_row(iq, s, t) for iq in cands + structural}
-        base = _smith_base_rows(s, t)
+        sizes = (s, t, n)
+        rows = {iq: _functional(*iq.key(), sizes) for iq in cands + structural}
+        base = _base_rows(sizes, True)
         if scalar_b:
             rows = {iq: _scalarize_b(r, s, t) for iq, r in rows.items()}
-            base = [_scalarize_b(r, s, t) for r in base]
-            base = [r for r in dict.fromkeys(base) if any(r)]
+            base = _scalar_base(base, s, t)
             seen: dict[tuple[int, ...], SmithInequality] = {}
             merged: list[SmithInequality] = []
             for iq in cands:
@@ -239,8 +198,8 @@ def _reduce_system_impl(
         for p in range(1, n):
             for tri in enumerate_T(n, p, table=table):
                 cands.append(SmithInequality(tri.I, tri.J, tri.K, triple=tri))
-        rows = {iq: _full_row(iq.triple, n) for iq in cands}
-        base = _full_base_rows(n)
+        rows = {iq: _functional(*iq.key(), (n, n, n)) for iq in cands}
+        base = _base_rows((n, n, n), False)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -283,8 +242,8 @@ def _redundant_members_full_impl(
     cands: list[HornTriple] = []
     for p in range(1, n):
         cands.extend(enumerate_T(n, p, table=table))
-    rows = [_full_row(tri, n) for tri in cands]
-    base = _full_base_rows(n)
+    rows = [_functional(*tri, (n, n, n)) for tri in cands]
+    base = _base_rows((n, n, n), False)
     out = []
     for idx, tri in enumerate(cands):
         others = rows[:idx] + rows[idx + 1 :] + base

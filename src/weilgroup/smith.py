@@ -52,19 +52,33 @@ class SmithInequality:
         return (self.a_idx, self.b_idx, self.c_idx)
 
     def pretty(self) -> str:
-        lhs = [f"a{i}" for i in self.a_idx] + [f"b{j}" for j in self.b_idx]
-        rhs = [f"c{k}" for k in self.c_idx]
-        return f"{'+'.join(lhs) or '0'} >= {'+'.join(rhs) or '0'}"
+        return format_inequality(self.a_idx, self.b_idx, self.c_idx)
 
     def pretty_scalar_b(self) -> str:
-        lhs = [f"a{i}" for i in self.a_idx]
-        nb = len(self.b_idx)
-        if nb == 1:
-            lhs.append("b")
-        elif nb > 1:
-            lhs.append(f"{nb}b")
-        rhs = [f"c{k}" for k in self.c_idx]
-        return f"{'+'.join(lhs) or '0'} >= {'+'.join(rhs) or '0'}"
+        return format_inequality(self.a_idx, self.b_idx, self.c_idx, scalar_b=True)
+
+
+def format_inequality(
+    a_idx: Sequence[int],
+    b_idx: Sequence[int],
+    c_idx: Sequence[int],
+    scalar_b: bool = False,
+    sense: str = ">=",
+) -> str:
+    """Print a row as ``a1+a3+b1 >= c1+c4+c6``, with ``0`` for an empty side.
+
+    With ``scalar_b`` all b parts are one value b, so the b terms print as
+    ``b`` or ``2b``.
+    """
+    lhs = [f"a{i}" for i in a_idx]
+    if not scalar_b:
+        lhs += [f"b{j}" for j in b_idx]
+    elif len(b_idx) == 1:
+        lhs.append("b")
+    elif b_idx:
+        lhs.append(f"{len(b_idx)}b")
+    rhs = [f"c{k}" for k in c_idx]
+    return f"{'+'.join(lhs) or '0'} {sense} {'+'.join(rhs) or '0'}"
 
 
 @dataclass(frozen=True)

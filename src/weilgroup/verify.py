@@ -22,7 +22,7 @@ never silently patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,15 +33,17 @@ from .oracle import lr_coefficient
 from .partitions import merge_sorted
 from .reduce import (
     ReducedSystem,
-    _smith_base_rows,
-    _smith_row,
+    _base_rows,
+    _functional,
+    _scalar_base,
     _scalarize_b,
     reduce_system,
     redundant_members_full,
 )
-from .smith import SmithInequality, _restricted
+from .smith import SmithInequality, _restricted, format_inequality
 
 M6 = tuple(range(1, 7))
+SIZES = (4, 2, 6)  # lengths of a, b and c in every sextic table
 
 
 def _without(universe: Sequence[int], *remove: int) -> tuple[int, ...]:
@@ -77,17 +79,9 @@ class PublishedRow:
     scalar_b: bool = False
 
     def pretty(self) -> str:
-        lhs = [f"a{i}" for i in self.a_idx]
-        if self.scalar_b:
-            if len(self.b_part) == 1:
-                lhs.append("b")
-            elif len(self.b_part) > 1:
-                lhs.append(f"{len(self.b_part)}b")
-        else:
-            lhs += [f"b{j}" for j in self.b_part]
-        rhs = [f"c{k}" for k in self.c_idx]
-        op = ">=" if self.sense == ">=" else "<="
-        return f"{'+'.join(lhs) or '0'} {op} {'+'.join(rhs) or '0'}"
+        return format_inequality(
+            self.a_idx, self.b_part, self.c_idx, self.scalar_b, self.sense
+        )
 
 
 def _derive_K(I: Sequence[int], J: Sequence[int]) -> tuple[int, ...] | None:
@@ -341,33 +335,21 @@ def summary_list_real_sq(include_c1c4c6: bool) -> tuple[PublishedRow, ...]:
 # functionals in trace-eliminated coordinates
 
 
+def _sextic_functional(
+    a_idx: Sequence[int],
+    b_idx: Sequence[int],
+    c_idx: Sequence[int],
+    scalar_b: bool = False,
+    sign: int = 1,
+) -> tuple[int, ...]:
+    """A row at ``SIZES`` as a >= 0 functional, b scalarised if asked."""
+    z = _functional(a_idx, b_idx, c_idx, SIZES, sign)
+    return _scalarize_b(z, *SIZES[:2]) if scalar_b else z
+
+
 def _published_functional(row: PublishedRow) -> tuple[int, ...]:
-    """Row as a >=0 functional over (a1..a4, b1, b2, c1..c6), then z-reduced."""
-    vec = [0] * 12
     sign = 1 if row.sense == ">=" else -1
-    for i in row.a_idx:
-        vec[i - 1] += sign
-    for j in row.b_part:
-        vec[4 + j - 1] += sign
-    for k in row.c_idx:
-        vec[6 + k - 1] -= sign
-    # eliminate c6 with the trace: c6 = sum(a) + sum(b) - c1 - ... - c5
-    c6 = vec[11]
-    out = list(vec[:11])
-    if c6:
-        for i in range(6):
-            out[i] += c6
-        for k in range(5):
-            out[6 + k] -= c6
-    z = tuple(out)
-    if row.scalar_b:
-        z = _scalarize_b(z, 4, 2)
-    return z
-
-
-def _machine_functional(iq: SmithInequality, scalar_b: bool) -> tuple[int, ...]:
-    z = _smith_row(iq, 4, 2)
-    return _scalarize_b(z, 4, 2) if scalar_b else z
+    return _sextic_functional(row.a_idx, row.b_part, row.c_idx, row.scalar_b, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -542,43 +524,9 @@ class VerifyReport:
             ],
             "full_redundancy_matches_print": self.full_redundancy_matches_print,
             "full_redundancy_note": self.full_redundancy_note,
-            "diffs": [
-                {
-                    "case": d.case,
-                    "matched": d.matched,
-                    "machine_only": list(d.machine_only),
-                    "published_only": list(d.published_only),
-                    "misprint_pairs": [
-                        {
-                            "published": p.published,
-                            "machine": p.machine,
-                            "distance": p.distance,
-                        }
-                        for p in d.misprint_pairs
-                    ],
-                    "residual_machine_only": list(d.residual_machine_only),
-                }
-                for d in self.diffs
-            ],
+            "diffs": [asdict(d) for d in self.diffs],
             "witness_equivalent_pairs": [list(p) for p in self.witness_equivalent_pairs],
-            "summary_list_analysis": {
-                "omitted_line": self.analysis.omitted_line,
-                "in_strict_set": self.analysis.in_strict_set,
-                "lp_irredundant": self.analysis.lp_irredundant,
-                "omission_changes_grid": self.analysis.omission_changes_grid,
-                "misprinted_row": self.analysis.misprinted_row,
-                "corrected_row": self.analysis.corrected_row,
-                "grid_m": list(self.analysis.grid_m),
-                "grid_n": list(self.analysis.grid_n),
-                "rejected_c": list(self.analysis.rejected_c),
-                "realizing_a": list(self.analysis.realizing_a),
-                "realizing_b": list(self.analysis.realizing_b),
-                "lr_count": self.analysis.lr_count,
-                "misprint_rejects": self.analysis.misprint_rejects,
-                "corrected_row_holds": self.analysis.corrected_row_holds,
-                "corrected_list_matches_grid": self.analysis.corrected_list_matches_grid,
-                "machine_matches_lr_on_grid": self.analysis.machine_matches_lr_on_grid,
-            },
+            "summary_list_analysis": asdict(self.analysis),
             "scalar_prune_confirmed": self.scalar_prune_confirmed,
             "notes": list(self.notes),
         }
@@ -630,12 +578,17 @@ def verify_paper_lists() -> VerifyReport:
         if len({r.rsplit("/i=", 1)[0] for r in rids}) > 1
     )
 
-    base = _smith_base_rows(4, 2)
+    base = _base_rows(SIZES, True)
     strict_rows = [
-        _smith_row(_restricted(tri, 4, 2), 4, 2)
+        _sextic_functional(*_restricted(tri, *SIZES[:2]).key())
         for p in range(1, 6)
         for tri in sorted(strict[p])
     ]
+    strict_system = {
+        False: strict_rows + base,
+        True: [_scalarize_b(r, *SIZES[:2]) for r in strict_rows]
+        + _scalar_base(base, *SIZES[:2]),
+    }
 
     implications = []
     by_id = {rc.row.row_id: rc.row for rc in row_checks}
@@ -651,19 +604,8 @@ def verify_paper_lists() -> VerifyReport:
         )
     for rid in tilde_only:
         row = by_id[rid]
-        z = _published_functional(row)
-        rows = strict_rows
-        if row.scalar_b:
-            z_rows = [_scalarize_b(r, 4, 2) for r in strict_rows]
-            z_base = [r for r in
-                      dict.fromkeys(_scalarize_b(r, 4, 2) for r in base) if any(r)]
-            implications.append(
-                (f"{rid} implied by the strict system", is_implied(z, z_rows + z_base))
-            )
-        else:
-            implications.append(
-                (f"{rid} implied by the strict system", is_implied(z, rows + base))
-            )
+        implied = is_implied(_published_functional(row), strict_system[row.scalar_b])
+        implications.append((f"{rid} implied by the strict system", implied))
 
     redundant = redundant_members_full(6)
     printed_triple = HornTriple((1, 3, 5), (1, 3, 5), (2, 4, 5))
@@ -688,7 +630,7 @@ def verify_paper_lists() -> VerifyReport:
     ):
         machine_map = {}
         for iq in machine.kept:
-            machine_map[_machine_functional(iq, scalar)] = (
+            machine_map[_sextic_functional(*iq.key(), scalar)] = (
                 iq.pretty_scalar_b() if scalar else iq.pretty()
             )
         published_map = {}
@@ -716,9 +658,9 @@ def verify_paper_lists() -> VerifyReport:
         ))
 
     # pairs of kept rows identical once a1 + a4 = a2 + a3 is imposed
-    relation = (1, -1, -1, 1) + (0,) * 7
-    kept_rows = [( _machine_functional(iq, False), iq.pretty())
-                 for iq in machine_plain.kept]
+    lhs, rhs = _sextic_functional((1, 4), (), ()), _sextic_functional((2, 3), (), ())
+    relation = tuple(x - y for x, y in zip(lhs, rhs))
+    kept_rows = [(_sextic_functional(*iq.key()), iq.pretty()) for iq in machine_plain.kept]
     equiv_pairs = []
     for idx, (z1, t1) in enumerate(kept_rows):
         for z2, t2 in kept_rows[idx + 1 :]:
@@ -795,15 +737,10 @@ def _row_distance(z1: tuple[int, ...], z2: tuple[int, ...]) -> int:
     up spread across many coordinates; minimizing over small multiples of
     the eliminated-trace direction recovers the natural edit distance.
     """
-    nvars = len(z1)
     # the z-image of the trace functional is zero, so re-adding it uses the
-    # pre-elimination c6 column: +1 on every a and b, -1 on every c
-    if nvars == 11:  # a4 b2 c5
-        trace_dir = (1,) * 6 + (-1,) * 5
-    elif nvars == 10:  # a4 b(scalar weight 2) c5
-        trace_dir = (1,) * 4 + (2,) + (-1,) * 5
-    else:
-        trace_dir = (0,) * nvars
+    # pre-elimination c6 column: +1 on every a and b, -1 on every other c
+    scalar_b = len(z1) < sum(SIZES) - 1
+    trace_dir = _sextic_functional((), (), (SIZES[2],), scalar_b, -1)
     best = None
     for k in range(-3, 4):
         d = sum(abs(x - y + k * t) for x, y, t in zip(z1, z2, trace_dir))

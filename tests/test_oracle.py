@@ -157,8 +157,6 @@ def test_operator_oracle_examples():
 
 def test_operator_oracle_guards():
     with pytest.raises(ValueError):
-        operator_group_oracle((1, 2), 2, 4, d=3)
-    with pytest.raises(ValueError):
         operator_group_oracle((Fraction(1, 2), 1), 2, 4)  # non-integer total
     with pytest.raises(ValueError):
         operator_group_oracle((1, 2), 2, 6)  # sweep too large

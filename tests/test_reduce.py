@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,7 +8,14 @@ import pytest
 import weilgroup.linprog
 from weilgroup.horn import HornTable
 from weilgroup.linprog import is_implied
-from weilgroup.reduce import reduce_system, redundant_members_full
+from weilgroup.reduce import (
+    _base_rows,
+    _functional,
+    _scalar_base,
+    _scalarize_b,
+    reduce_system,
+    redundant_members_full,
+)
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 
@@ -120,14 +128,65 @@ def test_reduce_1_1():
 
 def test_structurally_pruned_rows_are_lp_implied():
     # the fast filter only drops rows the LP would drop anyway
-    from weilgroup.reduce import _smith_base_rows, _smith_row
-
     for s, t in ((1, 1), (2, 1), (1, 2)):
+        sizes = (s, t, s + t)
         result = reduce_system(s, t, "smith")
-        base = _smith_base_rows(s, t)
-        kept_rows = [_smith_row(iq, s, t) for iq in result.kept]
+        base = _base_rows(sizes, True)
+        kept_rows = [_functional(*iq.key(), sizes) for iq in result.kept]
         for iq in result.removed_structural:
-            assert is_implied(_smith_row(iq, s, t), kept_rows + base)
+            assert is_implied(_functional(*iq.key(), sizes), kept_rows + base)
+
+
+def _dot(row, point):
+    assert len(row) == len(point)
+    return sum(x * v for x, v in zip(row, point))
+
+
+def test_functionals_evaluate_like_their_inequalities():
+    # evaluated at a point meeting the trace, every row built in the
+    # eliminated coordinates equals the inequality it stands for
+    rng = random.Random(8)
+    cases = [((s, t, s + t), True) for s in range(1, 6) for t in range(1, 7 - s)]
+    cases += [((n, n, n), False) for n in range(1, 7)]
+    for sizes, nonnegative in cases:
+        na, nb, nc = sizes
+        for _ in range(20):
+            a = [rng.randint(-9, 9) for _ in range(na)]
+            b = [rng.randint(-9, 9) for _ in range(nb)]
+            c = [rng.randint(-9, 9) for _ in range(nc - 1)]
+            c.append(sum(a) + sum(b) - sum(c))
+            point = a + b + c[:-1]
+            I = rng.choices(range(1, nc + 1), k=rng.randint(0, nc))
+            J = rng.choices(range(1, nc + 1), k=rng.randint(0, nc))
+            K = rng.choices(range(1, nc + 1), k=rng.randint(0, nc))
+            a_idx = [i for i in I if i <= na]
+            b_idx = [j for j in J if j <= nb]
+            value = sum(a[i - 1] for i in a_idx) + sum(b[j - 1] for j in b_idx)
+            value -= sum(c[k - 1] for k in K)
+            for sign in (1, -1):
+                assert _dot(_functional(a_idx, b_idx, K, sizes, sign), point) == sign * value
+
+            expected = []
+            for block in (a, b, c):
+                expected += [x - y for x, y in zip(block, block[1:])]
+                if nonnegative:
+                    expected.append(block[-1])
+            base = _base_rows(sizes, nonnegative)
+            assert [_dot(row, point) for row in base] == expected
+
+            if nonnegative:  # smith mode: evaluate again at b constant
+                beta = rng.randint(-9, 9)
+                c[-1] += nb * beta - sum(b)
+                b = [beta] * nb
+                value = sum(a[i - 1] for i in a_idx) + beta * len(b_idx)
+                value -= sum(c[k - 1] for k in K)
+                point = a + [beta] + c[:-1]
+                row = _scalarize_b(_functional(a_idx, b_idx, K, sizes), na, nb)
+                assert _dot(row, point) == value
+                scalar_expected = [x - y for x, y in zip(a, a[1:])] + [a[-1], beta]
+                scalar_expected += [x - y for x, y in zip(c, c[1:])] + [c[-1]]
+                values = [_dot(row, point) for row in _scalar_base(base, na, nb)]
+                assert values == scalar_expected
 
 
 def test_full_mode_no_redundancy_below_six():
