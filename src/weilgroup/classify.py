@@ -12,9 +12,17 @@ are generated from the Horn tables each time.
 All case routines come in two layers: a ``*_from_profile`` core taking
 exact valuation profiles (handy for grid tests), and a polynomial-facing
 ``groups_*`` wrapper doing the 1 - Frobenius transform and validation.
-``classify_all`` sends every one of the seven routes of its dispatch plan
-to the cores, skipping the wrappers' separability and shape re-checks:
-``factor_weil`` and ``shape_of`` have settled those already.
+
+``classify_all`` skips the wrappers' separability and shape re-checks:
+``factor_weil`` and ``shape_of`` have settled those already.  It
+transforms each factor of its dispatch plan once per request, and answers
+each prime l from a key that does not mention the polynomial: the route
+kind, the integer Newton hull (``weil.newton_hull``) at l of each
+operator-side factor, the integer b the route needs (the real-multiplier
+valuation, or v_l(Q(0)) for the cyclic-index route; a hull's width is its
+degree) and the route's r and s.  The answer per key is memoised in a
+bounded ``lru_cache`` (``_route_groups``); Fraction profiles are built, and
+the cores run, only on a miss.
 """
 
 from __future__ import annotations
@@ -22,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .polygon import PRIME_TEST_LIMIT, is_prime, transform_one_minus_t, valuation
+from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, transform_one_minus_t, valuation
 from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
@@ -37,6 +46,7 @@ from .weil import (
     _is_squarefree,
     factor_weil,
     group_order,
+    newton_hull,
     poly_eval,
     poly_mul,
     root_valuations,
@@ -45,6 +55,9 @@ from .weil import (
 
 GroupTuple = tuple[int, ...]
 GroupSet = tuple[GroupTuple, ...]
+Hull = tuple[tuple[int, int], ...]
+
+ROUTE_MEMO_SIZE = 1024  # route keys; a classify workload meets a few hundred
 
 
 def _sorted_groups(groups: Iterable[GroupTuple]) -> GroupSet:
@@ -93,10 +106,9 @@ def admissible_exponents(
 
 def quadratic_pairs(profile: Sequence[Fraction | int]) -> GroupSet:
     """Admissible two-generator exponent pairs for a quadratic profile."""
-    vals = sorted((Fraction(v) for v in profile), reverse=True)
-    if len(vals) != 2:
+    if len(profile) != 2:
         raise ValueError("quadratic profile needs exactly two valuations")
-    return admissible_exponents(vals, 2)
+    return admissible_exponents(profile, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +398,11 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
             f"l = {weil.p} equals the residue characteristic; its entry is "
             "formal (the Tate module has rank 2g only for l != p)"
         )
+    ops = _operator_factors(plan, weil)
     groups: dict[int, GroupSet] = {}
     for l in primes:
-        groups[l] = _dispatch(plan, weil, l)
+        hulls = tuple(newton_hull(op, l) for op in ops)
+        groups[l] = _route_groups(plan.kind, hulls, _route_b(plan, weil, l), plan.r, plan.s)
     return Classification(
         weil=weil,
         shape=shape,
@@ -398,24 +412,50 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     )
 
 
-def _dispatch(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> GroupSet:
-    # the shape checks of the groups_* wrappers hold by construction of the plan
+def _operator_factors(plan: DispatchPlan, weil: WeilPolynomial) -> tuple[tuple[int, ...], ...]:
+    """The operator-side polynomials f(1 - t) whose Newton hulls key the route."""
     if plan.kind == "separable":
-        return separable_groups_from_profile(_transformed_profile(weil.coeffs, l), weil.degree)
-    if plan.kind == "p_square":
-        return p_square_groups_from_profile(_transformed_profile(plan.P, l))
+        return (transform_one_minus_t(weil.coeffs),)
+    if plan.kind in ("p_square", "p_realsq"):
+        return (transform_one_minus_t(plan.P),)
     if plan.kind == "p2q":
-        m, n = _transformed_profile(plan.P, l), _transformed_profile(plan.Q, l)
-        return case1_groups_from_profiles(m, n)
-    if plan.kind == "p_realsq":
-        b = _real_multiplier_valuation(plan.sign, weil.q, l)
-        return case2_groups_from_profile(_transformed_profile(plan.P, l), b)
+        return (transform_one_minus_t(plan.P), transform_one_minus_t(plan.Q))
     if plan.kind == "q2_realsq":
-        b = _real_multiplier_valuation(plan.sign, weil.q, l)
-        return case3_groups_from_profile(_transformed_profile(plan.Q, l), b)
-    if plan.kind == "scalar":
-        return ((_real_multiplier_valuation(plan.sign, weil.q, l),) * plan.s,)
-    if plan.kind == "cyclic_index":  # plan.P and plan.Q are on the operator side already
-        profile = root_valuations(plan.P, l).vals
-        return cyclic_index_groups_from_profile(profile, plan.r, valuation(plan.Q[1], l), plan.s)
-    raise UnsupportedShapeError(f"no classifier for plan {plan.kind!r}")
+        return (transform_one_minus_t(plan.Q),)
+    if plan.kind == "cyclic_index":  # plan.P is on the operator side already
+        return (plan.P,)
+    return ()
+
+
+def _route_b(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> int:
+    """The integer besides the hulls that a route's answer at l depends on."""
+    if plan.kind in ("p_realsq", "q2_realsq", "scalar"):
+        return _real_multiplier_valuation(plan.sign, weil.q, l)
+    if plan.kind == "cyclic_index":
+        return valuation(plan.Q[1], l)
+    return 0
+
+
+@lru_cache(maxsize=ROUTE_MEMO_SIZE)
+def _route_groups(kind: str, hulls: tuple[Hull, ...], b: int, r: int, s: int) -> GroupSet:
+    """The groups of one route at one prime, from its integer key.
+
+    The shape checks of the groups_* wrappers hold by construction of the
+    plan; each hull becomes its descending Fraction profile only here.
+    """
+    profiles = [_slopes(hull)[::-1] for hull in hulls]
+    if kind == "separable":
+        return separable_groups_from_profile(profiles[0], len(profiles[0]))
+    if kind == "p_square":
+        return p_square_groups_from_profile(profiles[0])
+    if kind == "p2q":
+        return case1_groups_from_profiles(*profiles)
+    if kind == "p_realsq":
+        return case2_groups_from_profile(profiles[0], b)
+    if kind == "q2_realsq":
+        return case3_groups_from_profile(profiles[0], b)
+    if kind == "scalar":
+        return ((b,) * s,)
+    if kind == "cyclic_index":
+        return cyclic_index_groups_from_profile(profiles[0], r, b, s)
+    raise UnsupportedShapeError(f"no classifier for plan {kind!r}")

@@ -146,8 +146,9 @@ def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, 
     Each candidate is tested against integer bounds on sum_{k in K} c_k
     that the strict system reduces to at this (a, b); see
     ``_cokernels_cached``.  The result is memoised on (a, b):
-    classification meets the same few witness pairs across many isogeny
-    classes.
+    classification calls this only on a miss of its route memo
+    (``classify._route_groups``), and distinct route keys still meet the
+    same few witness pairs.
     """
     a = as_partition(a)
     b = as_partition(b)

@@ -257,10 +257,20 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
     return FactoredShape(weil=weil, factors=ordered)
 
 
+def newton_hull(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
+    """The integer vertices of the l-adic Newton polygon, left to right.
+
+    Collinear points are dropped, so two polynomials with the same root
+    valuations have the same hull: it is a canonical, hashable integer form
+    of the valuation profile.  Checks as :func:`polygon.newton_points`.
+    """
+    return _lower_hull(newton_points(coeffs, l))
+
+
 def root_valuations(coeffs: Sequence[int], l: int) -> ValuationProfile:
-    """Descending l-adic valuations of the roots: the Newton polygon slopes,
-    read off the lower hull of its integer points."""
-    return ValuationProfile(_slopes(_lower_hull(newton_points(coeffs, l)))[::-1])
+    """Descending l-adic valuations of the roots: the slopes of
+    :func:`newton_hull`."""
+    return ValuationProfile(_slopes(newton_hull(coeffs, l))[::-1])
 
 
 def group_order(weil: WeilPolynomial) -> int:

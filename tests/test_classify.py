@@ -9,6 +9,7 @@ import pytest
 
 from weilgroup.classify import (
     _prime_factors,
+    _route_groups,
     admissible_exponents,
     case1_groups_from_profiles,
     case2_groups_from_profile,
@@ -319,7 +320,8 @@ def _wrapper_groups(plan, w, l):
 def _route_corpus():
     """Products of Weil quadratics t^2 + a t + q, squared or not, and of
     (t -+ sqrt q)^2 at square q, then (t - sqrt q)^u (t + sqrt q)^w: every
-    shape with a public wrapper."""
+    shape with a public wrapper.  Last, one class whose route key collides
+    with another route's."""
     for q in (2, 3, 4, 9):
         quads = [(1, a, q) for a in range(-4, 5) if a * a < 4 * q][::2]
         sq = math.isqrt(q)
@@ -341,10 +343,14 @@ def _route_corpus():
             for w in range(0, 7 - u, 2):
                 if u + w:
                     yield q, poly_mul(scalar_power(sq, u), scalar_power(-sq, w))
+    # at l = 3 its route key equals, in all but the kind, the l = 2 key of
+    # (t - 3)^4 (t + 3)^2 at q = 9, and their groups differ
+    yield 25, poly_mul(poly_mul((1, 1, 25), (1, 1, 25)), poly_mul((1, 5), (1, 5)))
 
 
 def test_dispatch_matches_public_wrappers():
-    """classify_all runs the profile cores directly; the public wrappers,
+    """classify_all runs the profile cores directly, behind a bounded memo
+    keyed on integer Newton hulls; from cold memos, the public wrappers,
     which re-check the shape, must give the same groups per prime."""
     seen = set()
     for q, coeffs in _route_corpus():
@@ -358,6 +364,8 @@ def test_dispatch_matches_public_wrappers():
     }
     for kind in ("p_realsq", "q2_realsq"):
         assert {(kind, 4), (kind, 9)} <= seen
+    assert _route_groups.cache_info().hits > 0
+    assert _route_groups.cache_info().maxsize is not None
 
 
 def _corpus():

@@ -25,6 +25,7 @@ from weilgroup.weil import (
     _is_squarefree,
     factor_weil,
     group_order,
+    newton_hull,
     parse_and_validate,
     poly_mul,
     root_valuations,
@@ -178,6 +179,19 @@ def test_root_valuations_match_newton_polygon():
     for coeffs, l in _newton_points_cases(seed=20, count=3000):
         expected = ValuationProfile.from_polygon(newton_polygon(coeffs, l))
         assert root_valuations(coeffs, l) == expected, (coeffs, l)
+
+
+def test_newton_hull_is_the_polygon_in_integers():
+    """The hull's vertices are the Newton polygon's, as ints, with collinear
+    points dropped, so equal root valuations give equal hulls."""
+    profiles = {}
+    for coeffs, l in _newton_points_cases(seed=21, count=1000):
+        hull = newton_hull(coeffs, l)
+        assert all(type(x) is int and type(y) is int for x, y in hull)
+        assert hull == newton_polygon(coeffs, l).vertices, (coeffs, l)
+        assert profiles.setdefault(root_valuations(coeffs, l), hull) == hull
+    assert newton_hull((1, 2, 4, 8), 2) == ((0, 0), (3, 3))
+    assert newton_hull((1, -3, 6), 3) == ((0, 0), (2, 1))
 
 
 @pytest.mark.parametrize(
