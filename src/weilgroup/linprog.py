@@ -2,28 +2,39 @@
 
 Everything here works over cones {x : G x >= 0} with integer coefficient
 rows (any equality is eliminated by substitution before reaching this
-module).  The question "is row phi implied by rows G?" is decided exactly.
+module).  The question "is row i implied by the other rows?" is decided
+exactly.
 
-One floating point LP (scipy HiGHS), min phi . x subject to G x >= 0 and
-the box -1 <= x <= 1, proposes a certificate either way:
+A system is one :class:`Cone`: one HiGHS model over G x >= 0 and the box
+-1 <= x <= 1, built once.  Testing row i frees that row, sets the cost to
+it and solves min g_i . x from the basis the previous test left (a warm
+start: the tests of one system differ only in the cost and in which row is
+free), then restores the row; a row found redundant can be dropped, that
+is freed for good.  The model is scipy's private HiGHS binding, the one
+``scipy.optimize.linprog`` drives, used directly because that public
+wrapper rebuilds the model and re-checks its options on every call, which
+cost more than the solves.  Each solve proposes a certificate either way:
 
 * a negative optimum proposes its optimal point x, which is rationalised,
   scaled to an integer vector and accepted as a refutation only if
-  phi . x < 0 and G x >= 0 hold in integer arithmetic;
+  g_i . x < 0 and g_j . x >= 0 hold in integer arithmetic for every other
+  active row;
 * otherwise the row duals lambda propose a Farkas certificate; the system
-  sum mu_i g_i = phi over the support of lambda is solved by fraction-free
+  sum mu_j g_j = g_i over the support of lambda is solved by fraction-free
   elimination and accepted only if it is consistent with mu >= 0, checked
   again as an integer identity.
 
 No float tolerance decides a verdict.  When neither proposal passes its
-check, an exact phase-1 simplex over Fractions decides instead.
+check, an exact phase-1 simplex over Fractions decides instead, so a
+change in how HiGHS behaves (another basis, a failed warm start) can cost
+time but never give a wrong verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd, inf, lcm
+from typing import NamedTuple, Sequence
 
 Row = tuple[int, ...]
 
@@ -32,12 +43,72 @@ Row = tuple[int, ...]
 _SUPPORT_CUTOFF = 1e-9
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: scipy is most of the
-    import time of the package, and classification never solves an LP."""
-    from scipy.optimize import linprog as scipy_linprog
+class Cone:
+    """The cone {x : G x >= 0} in the box -1 <= x <= 1, as one HiGHS model.
 
-    return scipy_linprog(*args, **kwargs)
+    Row i of G is model row i with bounds [0, inf), so indices stay
+    stable while rows are tested and dropped.  A cone with no rows builds
+    no model.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = [tuple(r) for r in rows]
+        self.active = [True] * len(self.rows)
+        if not self.rows:
+            return
+        # the private binding that scipy's own linprog drives; importing it
+        # imports scipy.optimize, which classification never needs
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+        self._optimal = HighsModelStatus.kOptimal
+        dim = len(self.rows[0])
+        starts, index, value = [], [], []
+        for row in self.rows:
+            starts.append(len(index))
+            for j, v in enumerate(row):
+                if v:
+                    index.append(j)
+                    value.append(v)
+        self._highs = highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.addVars(dim, [-1.0] * dim, [1.0] * dim)
+        m = len(self.rows)
+        highs.addRows(m, [0.0] * m, [inf] * m, len(index), starts, index, value)
+        self._columns = range(dim)
+
+    def drop(self, i: int) -> None:
+        """Free row i for good: it no longer constrains any later test."""
+        self.active[i] = False
+        self._highs.changeRowBounds(i, -inf, inf)
+
+    def others(self, i: int) -> list[Row]:
+        """The active rows other than row i, in index order."""
+        return [r for j, r in enumerate(self.rows) if self.active[j] and j != i]
+
+
+class Solution(NamedTuple):
+    success: bool
+    fun: float
+    x: list[float]
+    duals: list[float]  # one per cone row; nonnegative on rows at their bound
+
+
+def linprog(cone: Cone, i: int) -> Solution:
+    """min row_i . x over the cone with row i freed, from the last basis."""
+    highs = cone._highs
+    highs.changeRowBounds(i, -inf, inf)
+    highs.changeColsCost(len(cone._columns), cone._columns, cone.rows[i])
+    highs.run()
+    solution = highs.getSolution()
+    result = Solution(
+        highs.getModelStatus() == cone._optimal,
+        highs.getObjectiveValue(),
+        solution.col_value,
+        solution.row_dual,
+    )
+    if cone.active[i]:
+        highs.changeRowBounds(i, 0.0, inf)
+    return result
 
 
 def _farkas_implied(phi: Row, rows: list[Row]) -> bool:
@@ -152,22 +223,19 @@ def _nonnegative_combination(phi: Row, gens: list[Row]) -> bool:
     )
 
 
-def is_implied(phi: Row, rows: Sequence[Row]) -> bool:
-    """Exact decision: does {x : rows.x >= 0} satisfy phi.x >= 0?"""
-    rows = [tuple(r) for r in rows]
-    phi = tuple(phi)
-    res = linprog(
-        phi,
-        A_ub=[[-v for v in r] for r in rows] or None,
-        b_ub=[0] * len(rows) or None,
-        bounds=(-1, 1),
-        method="highs",
-    )
+def is_implied(cone: Cone, i: int) -> bool:
+    """Exact decision: do the other active rows of the cone imply row i?"""
+    phi = cone.rows[i]
+    rows = cone.others(i)
+    res = linprog(cone, i)
     if res.success:
         if res.fun < 0 and _refutes(phi, rows, _integer_point(res.x)):
             return False
-        duals = -res.ineqlin.marginals
-        support = [r for r, lam in zip(rows, duals) if lam > _SUPPORT_CUTOFF]
+        support = [
+            r
+            for j, (r, lam) in enumerate(zip(cone.rows, res.duals))
+            if lam > _SUPPORT_CUTOFF and cone.active[j] and j != i
+        ]
         if _nonnegative_combination(phi, support):
             return True
     return _farkas_implied(phi, rows)

@@ -13,11 +13,15 @@ Two settings share the machinery:
   equality; candidates are all T^n_p rows for p < n.
 
 An inequality is redundant iff its maximal violation subject to all other
-rows is <= 0.  Over these homogeneous cones one HiGHS solve proposes either
-a refutation point or Farkas multipliers, and integer arithmetic decides:
-the point must violate the row and satisfy the rest, the multipliers must
-be nonnegative and reproduce the row exactly (linprog module, which falls
-back to an exact Fraction simplex when neither check passes).
+rows is <= 0.  Each system is one :class:`~weilgroup.linprog.Cone`, a
+HiGHS model shared by all its candidates: each candidate gets one solve,
+warm-started from the previous one with the candidate's own row freed, and
+a removed candidate's row is dropped from the model.  Each solve proposes
+either a refutation point or Farkas multipliers, and integer arithmetic
+decides: the point must violate the row and satisfy the rest, the
+multipliers must be nonnegative and reproduce the row exactly (linprog
+module, which falls back to an exact Fraction simplex when neither check
+passes).
 The trace equality is eliminated by substituting the last c variable, so a
 row and its complement collapse to the same functional.  The coordinate
 layout (a, then b, then every c but the last) and that substitution live
@@ -32,7 +36,7 @@ from functools import lru_cache
 from typing import Literal, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st
-from .linprog import is_implied
+from .linprog import Cone, is_implied
 from .smith import SmithInequality, _restricted
 
 
@@ -203,13 +207,15 @@ def _reduce_system_impl(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    kept = list(cands)
+    cone = Cone([rows[iq] for iq in cands] + base)
+    kept: list[SmithInequality] = []
     removed: list[SmithInequality] = []
-    for iq in list(cands):
-        others = [rows[o] for o in kept if o is not iq] + base
-        if is_implied(rows[iq], others):
-            kept.remove(iq)
+    for k, iq in enumerate(cands):
+        if is_implied(cone, k):
+            cone.drop(k)
             removed.append(iq)
+        else:
+            kept.append(iq)
     return ReducedSystem(
         s=s,
         t=t,
@@ -244,9 +250,5 @@ def _redundant_members_full_impl(
         cands.extend(enumerate_T(n, p, table=table))
     rows = [_functional(*tri, (n, n, n)) for tri in cands]
     base = _base_rows((n, n, n), False)
-    out = []
-    for idx, tri in enumerate(cands):
-        others = rows[:idx] + rows[idx + 1 :] + base
-        if is_implied(rows[idx], others):
-            out.append(tri)
-    return tuple(out)
+    cone = Cone(rows + base)
+    return tuple(tri for k, tri in enumerate(cands) if is_implied(cone, k))

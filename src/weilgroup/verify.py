@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .classify import case1_groups_from_profiles, quadratic_pairs
 from .horn import HornTriple, enumerate_T_st
-from .linprog import is_implied
+from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .partitions import merge_sorted
 from .reduce import (
@@ -600,11 +600,11 @@ def verify_paper_lists() -> VerifyReport:
         ]
         implications.append(
             (f"[7](single)+[8] imply [0] at i={i}",
-             is_implied(target, prem + base))
+             is_implied(Cone([target, *prem, *base]), 0))
         )
     for rid in tilde_only:
         row = by_id[rid]
-        implied = is_implied(_published_functional(row), strict_system[row.scalar_b])
+        implied = is_implied(Cone([_published_functional(row), *strict_system[row.scalar_b]]), 0)
         implications.append((f"{rid} implied by the strict system", implied))
 
     redundant = redundant_members_full(6)

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 import weilgroup.linprog
+import weilgroup.reduce
 from weilgroup.horn import HornTable
-from weilgroup.linprog import is_implied
+from weilgroup.linprog import Cone, is_implied
 from weilgroup.reduce import (
     _base_rows,
     _functional,
@@ -22,16 +23,16 @@ EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.jso
 
 def test_is_implied_basics():
     # x1 >= 0 and x2 >= 0 imply x1 + x2 >= 0
-    assert is_implied((1, 1), [(1, 0), (0, 1)])
+    assert is_implied(Cone([(1, 1), (1, 0), (0, 1)]), 0)
     # ... but not x1 - x2 >= 0
-    assert not is_implied((1, -1), [(1, 0), (0, 1)])
+    assert not is_implied(Cone([(1, -1), (1, 0), (0, 1)]), 0)
 
 
 def test_is_implied_needs_combination():
     # x1 >= x2 and x2 >= x3 imply x1 >= x3
     rows = [(1, -1, 0), (0, 1, -1)]
-    assert is_implied((1, 0, -1), rows)
-    assert not is_implied((0, 0, 1), rows)
+    assert is_implied(Cone([(1, 0, -1), *rows]), 0)
+    assert not is_implied(Cone([(0, 0, 1), *rows]), 0)
 
 
 def _no_fallback(phi, rows):
@@ -49,12 +50,12 @@ def test_refutation_point_is_integer(monkeypatch):
 
     monkeypatch.setattr(weilgroup.linprog, "_refutes", recording_refutes)
     monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", _no_fallback)
-    assert not is_implied(phi, rows)
+    assert not is_implied(Cone([phi, *rows]), 0)
     (point,) = points
     assert all(type(v) is int for v in point)
     assert sum(a * v for a, v in zip(phi, point)) < 0
     assert all(sum(a * v for a, v in zip(r, point)) >= 0 for r in rows)
-    assert is_implied((1, 1), rows)
+    assert is_implied(Cone([(1, 1), *rows]), 0)
 
 
 def test_certificate_checks_are_exact():
@@ -72,10 +73,10 @@ def test_certificate_checks_are_exact():
 
 def _verdict_cases():
     return [
-        is_implied((1, 1), [(1, 0), (0, 1)]),
-        is_implied((1, -1), [(1, 0), (0, 1)]),
-        is_implied((1, 0, -1), [(1, -1, 0), (0, 1, -1)]),
-        is_implied((0, 0, 1), [(1, -1, 0), (0, 1, -1)]),
+        is_implied(Cone([(1, 1), (1, 0), (0, 1)]), 0),
+        is_implied(Cone([(1, -1), (1, 0), (0, 1)]), 0),
+        is_implied(Cone([(1, 0, -1), (1, -1, 0), (0, 1, -1)]), 0),
+        is_implied(Cone([(0, 0, 1), (1, -1, 0), (0, 1, -1)]), 0),
     ]
 
 
@@ -118,6 +119,59 @@ def test_derivation_set_needs_no_fallback(monkeypatch):
         assert got == expected["redundant_members_full"][f"n{n}"], n
 
 
+def _replay_against_fresh(monkeypatch, run):
+    """Run with every shared-cone verdict compared to a freshly built cone."""
+    verdicts = []
+    shared = weilgroup.linprog.is_implied
+
+    def checked(cone, k):
+        verdict = shared(cone, k)
+        assert verdict == shared(Cone([cone.rows[k], *cone.others(k)]), 0)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(weilgroup.reduce, "is_implied", checked)
+    run()
+    return verdicts
+
+
+def test_shared_cone_agrees_with_fresh_cones(monkeypatch):
+    for scalar_b in (False, True):
+        verdicts = _replay_against_fresh(
+            monkeypatch, lambda: reduce_system(2, 2, scalar_b=scalar_b, table=HornTable())
+        )
+        assert True in verdicts and False in verdicts
+    verdicts = _replay_against_fresh(
+        monkeypatch, lambda: redundant_members_full(4, table=HornTable())
+    )
+    assert verdicts and not any(verdicts)
+
+
+def test_freed_row_is_restored_and_dropped_row_is_freed(monkeypatch):
+    # the fallback would hide a wrong model behind a right verdict
+    monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", _no_fallback)
+    cone = Cone([(1, -1), (1, 0), (0, 1)])  # x1 >= x2, x1 >= 0, x2 >= 0
+    assert not is_implied(cone, 0)
+    # x1 >= 0 follows from x1 >= x2 >= 0 only if row 0 constrains again
+    assert is_implied(cone, 1)
+    cone.drop(0)
+    assert not is_implied(cone, 1)
+
+
+def test_reduce_path_avoids_scipy_linprog(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    expected = json.loads(EXPECTED_REDUCE.read_text())
+    result = reduce_system(2, 2, table=HornTable())
+    counts = [len(result.kept), len(result.removed_structural), len(result.removed_implied)]
+    assert counts == expected["reduce_system"]["2x2.smith"]
+    assert redundant_members_full(4, table=HornTable()) == ()
+
+
 def test_reduce_1_1():
     result = reduce_system(1, 1, "smith")
     assert sorted(iq.pretty() for iq in result.kept) == ["a1 >= c2", "b1 >= c2"]
@@ -134,7 +188,7 @@ def test_structurally_pruned_rows_are_lp_implied():
         base = _base_rows(sizes, True)
         kept_rows = [_functional(*iq.key(), sizes) for iq in result.kept]
         for iq in result.removed_structural:
-            assert is_implied(_functional(*iq.key(), sizes), kept_rows + base)
+            assert is_implied(Cone([_functional(*iq.key(), sizes), *kept_rows, *base]), 0)
 
 
 def _dot(row, point):
