@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Re-derive the published inequality tables and print the full report.
 
-Takes about 3 s on a 2-core Xeon, mostly the exact-LP reduction of the
-block systems and the full redundancy scan at n = 6.
+Takes about 1 s on a 2-core Xeon.
 """
 
 import argparse

@@ -1,27 +1,27 @@
-"""Redundancy analysis for Horn inequality systems, decided by exact LP.
+"""Redundancy analysis for Horn inequality systems, decided exactly.
 
-Two settings share the machinery:
+Two settings:
 
 * ``smith`` mode: the block system at sizes (s, t).  Variables are the
   partitions a (length s), b (length t), c (length s+t), constrained by
   orderings, nonnegativity and the trace equality.  Candidate rows are the
   tilde-restricted inequalities; rows outside the strict restriction are
-  provably subsumed and can be pruned structurally before the LP pass.
+  provably subsumed and are pruned structurally first.  The rest go through
+  one :class:`~weilgroup.linprog.Cone` per system, a double description
+  decided in integers: each candidate in turn is tested against the other
+  active rows, and a removed candidate is dropped from the cone.
 
 * ``full`` mode: the eigenvalue system at ambient n = s+t.  Variables are
   three weakly decreasing real n-tuples (no nonnegativity) with the trace
-  equality; candidates are all T^n_p rows for p < n.
+  equality; candidates are all T^n_p rows for p < n.  No cone is built: a
+  Horn row is irredundant iff its Littlewood-Richardson coefficient
+  c^{lambda(K)}_{lambda(I) lambda(J)} is 1 (Belkale, "Local systems on
+  P^1 - S for S a finite set", Compositio 2001; Knutson, Tao and Woodward,
+  "The honeycomb model of GL_n(C) tensor products II: Puzzles determine
+  facets of the Littlewood-Richardson cone", JAMS 2004).  No two
+  candidates share a functional there, so the verdicts do not depend on
+  the order in which candidates are processed.
 
-An inequality is redundant iff its maximal violation subject to all other
-rows is <= 0.  Each system is one :class:`~weilgroup.linprog.Cone`, a
-HiGHS model shared by all its candidates: each candidate gets one solve,
-warm-started from the previous one with the candidate's own row freed, and
-a removed candidate's row is dropped from the model.  Each solve proposes
-either a refutation point or Farkas multipliers, and integer arithmetic
-decides: the point must violate the row and satisfy the rest, the
-multipliers must be nonnegative and reproduce the row exactly (linprog
-module, which falls back to an exact Fraction simplex when neither check
-passes).
 The trace equality is eliminated by substituting the last c variable, so a
 row and its complement collapse to the same functional.  The coordinate
 layout (a, then b, then every c but the last) and that substitution live
@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st
+from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
 from .linprog import Cone, is_implied
+from .oracle import lr_coefficient
 from .smith import SmithInequality, _restricted
 
 
@@ -194,28 +195,25 @@ def _reduce_system_impl(
                     seen[rows[iq]] = iq
                     merged.append(iq)
             cands = merged
+        cone = Cone([rows[iq] for iq in cands] + base)
+        kept: list[SmithInequality] = []
+        removed: list[SmithInequality] = []
+        for k, iq in enumerate(cands):
+            if is_implied(cone, k):
+                cone.drop(k)
+                removed.append(iq)
+            else:
+                kept.append(iq)
     elif mode == "full":
         if scalar_b:
             raise ValueError("scalar_b applies to smith mode only")
-        cands = []
         structural = []
-        for p in range(1, n):
-            for tri in enumerate_T(n, p, table=table):
-                cands.append(SmithInequality(tri.I, tri.J, tri.K, triple=tri))
-        rows = {iq: _functional(*iq.key(), (n, n, n)) for iq in cands}
-        base = _base_rows((n, n, n), False)
+        kept, removed = [], []
+        for tri in _full_candidates(n, table):
+            iq = SmithInequality(tri.I, tri.J, tri.K, triple=tri)
+            (kept if _is_facet(tri) else removed).append(iq)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    cone = Cone([rows[iq] for iq in cands] + base)
-    kept: list[SmithInequality] = []
-    removed: list[SmithInequality] = []
-    for k, iq in enumerate(cands):
-        if is_implied(cone, k):
-            cone.drop(k)
-            removed.append(iq)
-        else:
-            kept.append(iq)
     return ReducedSystem(
         s=s,
         t=t,
@@ -226,11 +224,20 @@ def _reduce_system_impl(
     )
 
 
+def _full_candidates(n: int, table: HornTable | None) -> list[HornTriple]:
+    return [tri for p in range(1, n) for tri in enumerate_T(n, p, table=table)]
+
+
+def _is_facet(tri: HornTriple) -> bool:
+    """Whether a Horn row is irredundant in the full system: its LR coefficient is 1."""
+    return lr_coefficient(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) == 1
+
+
 def redundant_members_full(n: int, *, table: HornTable | None = None) -> tuple[HornTriple, ...]:
     """Rows of the full eigenvalue system each implied by all the others.
 
-    Non-sequential test: every candidate is checked against the complete
-    system minus itself, so the answer does not depend on processing order.
+    These are the T^n_p rows whose LR coefficient exceeds 1 (see the module
+    docstring); the answer does not depend on processing order.
     """
     if table is None:
         return _redundant_members_full_cached(n)
@@ -245,10 +252,4 @@ def _redundant_members_full_cached(n: int) -> tuple[HornTriple, ...]:
 def _redundant_members_full_impl(
     n: int, table: HornTable | None
 ) -> tuple[HornTriple, ...]:
-    cands: list[HornTriple] = []
-    for p in range(1, n):
-        cands.extend(enumerate_T(n, p, table=table))
-    rows = [_functional(*tri, (n, n, n)) for tri in cands]
-    base = _base_rows((n, n, n), False)
-    cone = Cone(rows + base)
-    return tuple(tri for k, tri in enumerate(cands) if is_implied(cone, k))
+    return tuple(tri for tri in _full_candidates(n, table) if not _is_facet(tri))

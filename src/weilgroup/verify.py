@@ -8,7 +8,8 @@ tags, and re-derives everything from the Horn machinery:
 
 * every printed index-set row is checked for well-formedness (the trace
   condition) and membership in the tilde and strict block restrictions;
-* rows the source derives as implied are confirmed implied by exact LP;
+* rows the source derives as implied are confirmed implied, exactly, by
+  the double description of :mod:`weilgroup.linprog`;
 * each summary list is diffed against the machine-reduced system, with
   suspected single-misprint pairs matched by coefficient distance;
 * the unique redundant member of the full system at n = 6 is identified

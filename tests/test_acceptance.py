@@ -186,7 +186,7 @@ def test_criterion_7_paper_list_reproduction():
     # every printed triple that satisfies the trace condition lies in the
     # strict restriction, except the size-one families the source itself
     # derives as implied (those lie in the tilde restriction and each
-    # implication is LP-confirmed)
+    # implication is confirmed exactly)
     assert report.ok_rows() == 85
     assert len(report.tilde_only_rows) == 12
     assert all(ok for _name, ok in report.implications)

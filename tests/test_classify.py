@@ -408,8 +408,7 @@ def test_global_consistency_on_corpus():
 
 
 def test_classify_does_not_import_scipy():
-    """scipy is imported where an LP is first solved, and classification
-    solves none."""
+    """The package imports no scipy, in classification or anywhere else."""
     script = (
         "import sys, weilgroup\n"
         "w = weilgroup.parse_and_validate([1, 0, 3, 2, 6, 0, 8], 2)\n"

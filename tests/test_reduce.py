@@ -1,14 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import weilgroup.linprog
 import weilgroup.reduce
-from weilgroup.horn import HornTable
-from weilgroup.linprog import Cone, is_implied
+from weilgroup.horn import HornTable, enumerate_T
+from weilgroup.linprog import Cone, is_implied, linprog
 from weilgroup.reduce import (
     _base_rows,
     _functional,
@@ -19,56 +23,7 @@ from weilgroup.reduce import (
 )
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
-
-
-def test_is_implied_basics():
-    # x1 >= 0 and x2 >= 0 imply x1 + x2 >= 0
-    assert is_implied(Cone([(1, 1), (1, 0), (0, 1)]), 0)
-    # ... but not x1 - x2 >= 0
-    assert not is_implied(Cone([(1, -1), (1, 0), (0, 1)]), 0)
-
-
-def test_is_implied_needs_combination():
-    # x1 >= x2 and x2 >= x3 imply x1 >= x3
-    rows = [(1, -1, 0), (0, 1, -1)]
-    assert is_implied(Cone([(1, 0, -1), *rows]), 0)
-    assert not is_implied(Cone([(0, 0, 1), *rows]), 0)
-
-
-def _no_fallback(phi, rows):
-    raise AssertionError("Fraction simplex fallback used")
-
-
-def test_refutation_point_is_integer(monkeypatch):
-    phi, rows = (1, -1), [(1, 0), (0, 1)]
-    points = []
-    refutes = weilgroup.linprog._refutes
-
-    def recording_refutes(phi, rows, x):
-        points.append(x)
-        return refutes(phi, rows, x)
-
-    monkeypatch.setattr(weilgroup.linprog, "_refutes", recording_refutes)
-    monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", _no_fallback)
-    assert not is_implied(Cone([phi, *rows]), 0)
-    (point,) = points
-    assert all(type(v) is int for v in point)
-    assert sum(a * v for a, v in zip(phi, point)) < 0
-    assert all(sum(a * v for a, v in zip(r, point)) >= 0 for r in rows)
-    assert is_implied(Cone([(1, 1), *rows]), 0)
-
-
-def test_certificate_checks_are_exact():
-    refutes = weilgroup.linprog._refutes
-    combination = weilgroup.linprog._nonnegative_combination
-    rows = [(1, 0), (0, 1)]
-    assert refutes((1, -1), rows, [0, 1])
-    assert not refutes((1, -1), rows, [-1, 0])  # violates x1 >= 0
-    assert not refutes((1, -1), rows, [1, 1])  # does not violate phi
-    assert combination((2, 3), rows + [(1, 1)])  # free column set to 0
-    assert not combination((1, 0), [(1, 1), (0, 1)])  # only mu = (1, -1)
-    assert not combination((1, 0), [(0, 1)])  # phi outside the span
-    assert combination((0, 0), [])
+FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
 
 
 def _verdict_cases():
@@ -80,32 +35,107 @@ def _verdict_cases():
     ]
 
 
-def _reduction_lines(s, t):
-    return reduce_system(s, t, "smith", table=HornTable()).pretty_lines()
+def test_is_implied_basics():
+    # x1 >= 0 and x2 >= 0 imply x1 + x2 >= 0
+    assert is_implied(Cone([(1, 1), (1, 0), (0, 1)]), 0)
+    # ... but not x1 - x2 >= 0
+    assert not is_implied(Cone([(1, -1), (1, 0), (0, 1)]), 0)
+    assert _verdict_cases() == [True, False, True, False]
 
 
-def test_forced_fallback_gives_same_verdicts(monkeypatch):
-    verdicts = _verdict_cases()
-    lines = {st: _reduction_lines(*st) for st in ((2, 1), (1, 2))}
-    fallbacks = []
-    farkas = weilgroup.linprog._farkas_implied
-
-    def counted(phi, rows):
-        fallbacks.append(phi)
-        return farkas(phi, rows)
-
-    failed = SimpleNamespace(success=False, status=4, x=None, fun=None)
-    monkeypatch.setattr(weilgroup.linprog, "linprog", lambda *args, **kwargs: failed)
-    monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", counted)
-    assert _verdict_cases() == verdicts == [True, False, True, False]
-    assert len(fallbacks) == 4
-    for st, expected in lines.items():
-        assert _reduction_lines(*st) == expected
-    assert len(fallbacks) > 4
+def test_is_implied_needs_combination():
+    # x1 >= x2 and x2 >= x3 imply x1 >= x3
+    rows = [(1, -1, 0), (0, 1, -1)]
+    assert is_implied(Cone([(1, 0, -1), *rows]), 0)
+    assert not is_implied(Cone([(0, 0, 1), *rows]), 0)
 
 
-def test_derivation_set_needs_no_fallback(monkeypatch):
-    monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", _no_fallback)
+def test_identical_rows_first_dropped_second_kept():
+    cone = Cone([(1, 0), (1, 0), (0, 1)])
+    assert is_implied(cone, 0)
+    cone.drop(0)
+    assert not is_implied(cone, 1)
+    # a positive multiple defines the same facet too
+    assert is_implied(Cone([(2, 0), (1, 0), (0, 1)]), 0)
+
+
+def test_implicit_equalities():
+    # x >= 0, -x >= 0 and 2x >= 0 pin x = 0: each of them is tight on the
+    # whole cone, the half-line x = 0, y >= 0
+    cone = Cone([(1, 0), (-1, 0), (2, 0), (0, 1)])
+    assert is_implied(cone, 0)  # 2x >= 0 gives x >= 0
+    cone.drop(0)
+    assert not is_implied(cone, 1)  # 2x >= 0 alone does not give x <= 0
+    assert not is_implied(cone, 2)  # nor -x >= 0 alone 2x >= 0
+    # x >= y >= 0 and x <= 0 leave only 0: x >= y and y >= 0 give x >= 0,
+    # but x >= y and x <= 0 do not give y >= 0
+    assert is_implied(Cone([(1, 0), (1, -1), (0, 1), (-1, 0)]), 0)
+    assert not is_implied(Cone([(0, 1), (1, -1), (-1, 0)]), 0)
+
+
+def test_double_description_with_lineality():
+    # x1 >= x2 >= x3 in R^3: the line through (1, 1, 1) and two rays, each
+    # tight on one of the two rows
+    rows = [(1, -1, 0), (0, 1, -1)]
+    rays, lineality = linprog(rows, 3)
+    assert lineality in ([(1, 1, 1)], [(-1, -1, -1)])
+    assert sorted(tuple(_dot(g, r) == 0 for g in rows) for r in rays) == [
+        (False, True),
+        (True, False),
+    ]
+    assert all(_dot(g, r) >= 0 for g in rows for r in rays)
+    assert linprog([], 2) == ([], [(1, 0), (0, 1)])
+    # on that cone x1 >= 0 is not implied, x1 >= x3 is
+    assert not is_implied(Cone([(1, 0, 0), *rows]), 0)
+    assert is_implied(Cone([(1, 0, -1), *rows]), 0)
+
+
+def _solve(gens, phi):
+    """The unique mu with sum mu_j gens_j = phi, in Fractions, or None."""
+    k = len(gens)
+    eqs = [[Fraction(g[c]) for g in gens] + [Fraction(phi[c])] for c in range(len(phi))]
+    for col in range(k):
+        piv = next((r for r in range(col, len(eqs)) if eqs[r][col]), None)
+        if piv is None:
+            return None  # dependent generators: no unique solution
+        eqs[col], eqs[piv] = eqs[piv], eqs[col]
+        eqs[col] = [v / eqs[col][col] for v in eqs[col]]
+        for r in range(len(eqs)):
+            if r != col and eqs[r][col]:
+                eqs[r] = [v - eqs[r][col] * w for v, w in zip(eqs[r], eqs[col])]
+    if any(eq[-1] for eq in eqs[k:]):
+        return None
+    return [eqs[r][-1] for r in range(k)]
+
+
+def _in_cone(phi, gens):
+    """Farkas and Caratheodory: phi is implied by gens . x >= 0 iff it is a
+    nonnegative combination of at most dim linearly independent gens."""
+    return any(
+        mu is not None and min(mu, default=0) >= 0
+        for k in range(len(phi) + 1)
+        for subset in combinations(gens, k)
+        for mu in [_solve(subset, phi)]
+    )
+
+
+def test_sequential_verdicts_match_farkas_on_random_cones():
+    # small random systems, many of them lower-dimensional or with a
+    # lineality space, reduced as reduce_system does
+    rng = random.Random(11)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+        rows += rng.choices(rows, k=rng.randint(0, 2))  # repeated rows
+        cone = Cone(rows)
+        for k in range(len(rows)):
+            implied = is_implied(cone, k)
+            assert implied == _in_cone(rows[k], cone.others(k)), (rows, k)
+            if implied or rng.random() < 0.3:
+                cone.drop(k)
+
+
+def test_derivation_set_matches_expected_counts():
     expected = json.loads(EXPECTED_REDUCE.read_text())
     blocks = [(s, t) for s in range(1, 5) for t in range(1, 5) if s + t <= 5] + [(4, 2)]
     for s, t in blocks:
@@ -141,15 +171,9 @@ def test_shared_cone_agrees_with_fresh_cones(monkeypatch):
             monkeypatch, lambda: reduce_system(2, 2, scalar_b=scalar_b, table=HornTable())
         )
         assert True in verdicts and False in verdicts
-    verdicts = _replay_against_fresh(
-        monkeypatch, lambda: redundant_members_full(4, table=HornTable())
-    )
-    assert verdicts and not any(verdicts)
 
 
-def test_freed_row_is_restored_and_dropped_row_is_freed(monkeypatch):
-    # the fallback would hide a wrong model behind a right verdict
-    monkeypatch.setattr(weilgroup.linprog, "_farkas_implied", _no_fallback)
+def test_freed_row_is_restored_and_dropped_row_is_freed():
     cone = Cone([(1, -1), (1, 0), (0, 1)])  # x1 >= x2, x1 >= 0, x2 >= 0
     assert not is_implied(cone, 0)
     # x1 >= 0 follows from x1 >= x2 >= 0 only if row 0 constrains again
@@ -158,18 +182,81 @@ def test_freed_row_is_restored_and_dropped_row_is_freed(monkeypatch):
     assert not is_implied(cone, 1)
 
 
-def test_reduce_path_avoids_scipy_linprog(monkeypatch):
-    import scipy.optimize
+def test_reduce_path_avoids_scipy_linprog():
+    """No redundancy verdict loads scipy or numpy."""
+    script = (
+        "import sys\n"
+        "from weilgroup.reduce import reduce_system, redundant_members_full\n"
+        "from weilgroup.verify import verify_paper_lists\n"
+        "reduce_system(4, 2)\n"
+        "reduce_system(4, 2, scalar_b=True)\n"
+        "assert len(redundant_members_full(6)) == 1\n"
+        "verify_paper_lists()\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.optimize.linprog called")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-    expected = json.loads(EXPECTED_REDUCE.read_text())
-    result = reduce_system(2, 2, table=HornTable())
-    counts = [len(result.kept), len(result.removed_structural), len(result.removed_implied)]
-    assert counts == expected["reduce_system"]["2x2.smith"]
-    assert redundant_members_full(4, table=HornTable()) == ()
+def _section(row, n):
+    """A full-mode row on the section a_n = b_n = 0, which meets the
+    2-dimensional lineality space of the system in 0."""
+    return tuple(v for j, v in enumerate(row) if j not in (n - 1, 2 * n - 1))
+
+
+def test_full_mode_lr_rule_matches_double_description():
+    # non-sequential referee: one double description per system; a row is
+    # redundant iff its face is not a facet or another row defines it too
+    for n in range(2, 6):
+        cands = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
+        rows = [_section(_functional(*tri, (n, n, n)), n) for tri in cands]
+        base = [_section(r, n) for r in _base_rows((n, n, n), False)]
+        rays, lineality = linprog(sorted(base, reverse=True) + sorted(rows, reverse=True), 3 * n - 3)
+        assert not lineality
+        # extreme rays of a pointed cone: no ray's tight rows lie inside another's
+        on = [frozenset(j for j, g in enumerate(rows + base) if not _dot(g, r)) for r in rays]
+        assert not any(a < b for a in on for b in on)
+        tight = [frozenset(k for k, r in enumerate(rays) if not _dot(g, r)) for g in rows + base]
+        every = frozenset(range(len(rays)))
+        redundant = []
+        for k, tri in enumerate(cands):
+            others = tight[:k] + tight[k + 1 :]
+            facet = tight[k] != every and not any(z != every and tight[k] < z for z in others)
+            if not facet or tight[k] in others:
+                redundant.append(tri)
+        assert tuple(redundant) == redundant_members_full(n), n
+
+
+def test_full_mode_certificates_at_six():
+    # integer certificates for every verdict of the n = 6 system: a point
+    # refuting each kept row against all the others, and nonnegative
+    # multipliers reproducing the one redundant row
+    data = json.loads(FULL6_CERTIFICATES.read_text())
+    n = data["n"]
+    sizes = (n, n, n)
+    cands = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
+    rows = {tri: _functional(*tri, sizes) for tri in cands}
+    base = _base_rows(sizes, False)
+    key = lambda tri: tuple(map(tuple, tri))
+    refuted = {key(c["row"]): c["point"] for c in data["refutations"]}
+    (implied,) = data["implied"]
+    assert set(refuted) | {key(implied["row"])} == set(cands)
+    assert tuple(redundant_members_full(n)) == (key(implied["row"]),)
+    for tri, x in refuted.items():
+        assert all(type(v) is int for v in x)
+        assert _dot(rows[tri], x) < 0
+        assert all(_dot(g, x) >= 0 for other, g in rows.items() if other != tri)
+        assert all(_dot(g, x) >= 0 for g in base)
+    combination = [0] * len(rows[cands[0]])
+    for term in implied["combination"]:
+        g = rows[key(term["candidate"])] if "candidate" in term else base[term["base"]]
+        assert term["multiplier"] > 0
+        combination = [c + term["multiplier"] * v for c, v in zip(combination, g)]
+    assert implied["denominator"] > 0
+    assert combination == [implied["denominator"] * v for v in rows[key(implied["row"])]]
 
 
 def test_reduce_1_1():

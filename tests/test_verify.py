@@ -1,7 +1,7 @@
 """Checks of the published-table verification report.
 
-Building the report is expensive (exact LP reductions plus the full n = 6
-redundancy scan), so it is computed once per process and shared with the
+The report (exact reductions of the block systems plus the full n = 6
+redundancy scan) is computed once per process and shared with the
 acceptance suite through the module-level cache.
 """
 
