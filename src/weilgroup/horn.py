@@ -15,11 +15,15 @@ transcription of this recursion reverses the comparison; the direction
 above is the one that reproduces the closed-form descriptions of T^n_1,
 T^n_2 and T^n_{n-1}, all of which are pinned by tests.)
 
+:class:`HornTable` decides all of them for one triple in a single integer
+sum, one bit field per row (F, G, H).
+
 The block restrictions T~^{s,t}_p and T^{s,t}_p select triples whose
 overflow above s (for I) and above t (for J) is an initial segment; the
-strict variant additionally requires #(I & M_s) + #(J & M_t) = p.  These
-encode the essential inequalities between Smith invariants of a block
-triangular matrix, see :mod:`weilgroup.smith`.
+strict variant additionally requires #(I & M_s) + #(J & M_t) = p, tested
+per triple by :func:`is_strict`.  These encode the essential inequalities
+between Smith invariants of a block triangular matrix, see
+:mod:`weilgroup.smith`.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
             target = sum(I) + sum(J) - shift
             for K in by_sum.get(target, ()):
                 out.append(HornTriple(I, J, K))
-    out.sort()
     return tuple(out)
 
 
@@ -70,7 +73,20 @@ class HornTable:
     """In-memory memo of the T^n_p tables.
 
     Each table is built once per instance and returned as the same tuple on
-    later lookups; a fresh instance starts cold.
+    later lookups; a fresh instance starts cold.  A triple (I, J, K) of
+    U^n_p is tested against every row (F, G, H) of every T^p_r, r < p, in
+    one exact integer sum.  With v = r(r+1)/2 - (sum_F i_f + sum_G j_g -
+    sum_H k_h), the triple stays iff v >= 0 for every row.  As i_f - f lies
+    in [0, n-p], the trace of (F, G, H) gives -2r(n-p) <= v <= r(n-p), and
+    subtracting the trace of (I, J, K) gives -(p-r)(n-p) <= v <= 2(p-r)(n-p)
+    through the complements.  As min(2r, p-r) and min(r, 2(p-r)) are at
+    most 2p/3, every row at that n has |v| <= floor(2p/3)(n-p) < 2^(W-1)
+    for W = (floor(2p/3)(n-p)).bit_length() + 1.  Row k owns the W-bit
+    field at bit kW; ``bias`` holds 2^(W-1) + r(r+1)/2 in every field and
+    each coordinate of I, J, K one packed coefficient (-1 in the fields of
+    rows whose F, resp. G, holds it, +1 where H does).  Each field of
+    bias + sum_c coef_c x_c is then 2^(W-1) + v in [0, 2^W), no borrow
+    crosses a field, and the row holds iff the field's high bit is set.
     """
 
     def __init__(self):
@@ -88,24 +104,27 @@ class HornTable:
         if p == 1:
             result = enumerate_U(n, 1)
         else:
-            inner = [
-                (r, self._compute(p, r), r * (r + 1) // 2) for r in range(1, p)
-            ]
-            kept = []
-            for tri in enumerate_U(n, p):
-                I, J, K = tri
-                ok = True
-                for _r, table, shift in inner:
-                    for F, G, H in table:
-                        lhs = sum(I[f - 1] for f in F) + sum(J[g - 1] for g in G)
-                        if lhs > sum(K[h - 1] for h in H) + shift:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    kept.append(tri)
-            result = tuple(kept)
+            width = ((2 * p // 3) * (n - p)).bit_length() + 1
+            bias = mask = 0
+            coefs = [[0] * p for _ in range(3)]
+            rows = [(r, row) for r in range(1, p) for row in self._compute(p, r)]
+            for k, (r, row) in enumerate(rows):
+                high = 1 << (k * width + width - 1)
+                low = 1 << (k * width)
+                bias += high + low * (r * (r + 1) // 2)
+                mask |= high
+                for coef, sign, idx in zip(coefs, (-low, -low, low), row):
+                    for f in idx:
+                        coef[f - 1] += sign
+            subsets = list(combinations(range(1, n + 1), p))
+            vI, vJ, vK = (
+                {S: sum(c * x for c, x in zip(coef, S)) for S in subsets}
+                for coef in coefs
+            )
+            result = tuple(
+                tri for tri in enumerate_U(n, p)
+                if (bias + vI[tri.I] + vJ[tri.J] + vK[tri.K]) & mask == mask
+            )
         self._tables[key] = result
         return result
 
@@ -190,6 +209,12 @@ def _initial_segment_above(s: int, overflow: tuple[int, ...]) -> bool:
     return all(x == s + k + 1 for k, x in enumerate(overflow))
 
 
+def is_strict(triple: HornTriple, s: int, t: int) -> bool:
+    """The strict block condition #(I & M_s) + #(J & M_t) = p."""
+    I, J, _K = triple
+    return sum(i <= s for i in I) + sum(j <= t for j in J) == len(I)
+
+
 def enumerate_T_st(
     s: int,
     t: int,
@@ -203,7 +228,7 @@ def enumerate_T_st(
 
     ``tilde`` keeps triples whose part of I above s and part of J above t
     are initial segments {s+1..s+alpha} and {t+1..t+beta}; ``strict``
-    additionally requires #(I & M_s) + #(J & M_t) = p.
+    additionally requires :func:`is_strict`.
     """
     if mode not in ("tilde", "strict"):
         raise ValueError(f"mode must be 'tilde' or 'strict', got {mode!r}")
@@ -211,15 +236,11 @@ def enumerate_T_st(
     out = []
     for tri in enumerate_T(n, p, allow_large=allow_large, table=table):
         I, J, K = tri
-        I_in = tuple(i for i in I if i <= s)
-        I_out = tuple(i for i in I if i > s)
-        J_in = tuple(j for j in J if j <= t)
-        J_out = tuple(j for j in J if j > t)
-        if not _initial_segment_above(s, I_out):
+        if not _initial_segment_above(s, tuple(i for i in I if i > s)):
             continue
-        if not _initial_segment_above(t, J_out):
+        if not _initial_segment_above(t, tuple(j for j in J if j > t)):
             continue
-        if mode == "strict" and len(I_in) + len(J_in) != p:
+        if mode == "strict" and not is_strict(tri, s, t):
             continue
         out.append(tri)
     return tuple(out)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
+from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .smith import SmithInequality, _restricted
@@ -173,13 +173,10 @@ def _reduce_system_impl(
         cands: list[SmithInequality] = []
         structural: list[SmithInequality] = []
         for p in range(1, n):
-            strict = set(enumerate_T_st(s, t, p, "strict", table=table))
             for tri in enumerate_T_st(s, t, p, "tilde", table=table):
-                iq = _restricted(tri, s, t)
-                if tri in strict:
-                    cands.append(iq)
-                else:
-                    structural.append(iq)
+                (cands if is_strict(tri, s, t) else structural).append(
+                    _restricted(tri, s, t)
+                )
         sizes = (s, t, n)
         rows = {iq: _functional(*iq.key(), sizes) for iq in cands + structural}
         base = _base_rows(sizes, True)

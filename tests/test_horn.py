@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +30,39 @@ def test_U_rejects_bad_p():
         enumerate_U(3, 0)
 
 
+def test_U_is_sorted():
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            U = enumerate_U(n, p)
+            assert list(U) == sorted(U)
+
+
+@lru_cache(maxsize=None)
+def reference_T(n, p):
+    """T^n_p by the defining recursion, one three-sum check per inner row."""
+    subsets = list(combinations(range(1, n + 1), p))
+    U = [
+        (I, J, K) for I, J, K in product(subsets, repeat=3)
+        if sum(I) + sum(J) == sum(K) + p * (p + 1) // 2
+    ]
+    inner = [(r, reference_T(p, r)) for r in range(1, p)]
+    return tuple(
+        HornTriple(I, J, K) for I, J, K in U
+        if all(
+            sum(I[f - 1] for f in F) + sum(J[g - 1] for g in G)
+            <= sum(K[h - 1] for h in H) + r * (r + 1) // 2
+            for r, table in inner
+            for F, G, H in table
+        )
+    )
+
+
+def test_T_matches_reference_recursion():
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            assert enumerate_T(n, p, table=HornTable()) == reference_T(n, p), (n, p)
+
+
 def test_T_base_case_matches_U():
     for n in range(1, 8):
         assert enumerate_T(n, 1) == enumerate_U(n, 1)
@@ -47,7 +83,7 @@ def t2_criterion(n):
     return tuple(out)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_T2_three_inequality_criterion(n):
     assert enumerate_T(n, 2, allow_large=True) == t2_criterion(n)
 
@@ -201,3 +237,8 @@ def test_table_memoization():
     first = table.T(5, 2)
     assert table.T(5, 2) is first
     assert HornTable().T(5, 2) == first
+    # a fresh table starts cold and builds only what T^6_3 recurses into
+    fresh = HornTable()
+    assert fresh._tables == {}
+    fresh.T(6, 3)
+    assert set(fresh._tables) == {(6, 3), (3, 2), (3, 1), (2, 1)}
