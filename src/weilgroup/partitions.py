@@ -3,6 +3,9 @@
 A partition here is a tuple of weakly decreasing nonnegative integers.
 Trailing zeros are meaningful: they fix the ambient length (the size of
 the matrix or the number of group generators), so callers pad explicitly.
+
+:func:`partitions_of` can prune its depth-first walk by a packed integer
+test of a linear system (see :func:`weilgroup.smith.enumerate_cokernels`).
 """
 
 from __future__ import annotations
@@ -34,23 +37,36 @@ def merge_sorted(*parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def partitions_of(total: int, max_len: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_of(
+    total: int, max_len: int, max_part: int | None = None, *,
+    within: tuple[int, Sequence[int], int] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` into at most ``max_len`` parts, padded
-    with zeros to exactly ``max_len`` parts, in descending lex order."""
+    with zeros to exactly ``max_len`` parts, in descending lex order.
+
+    ``within=(start, coeffs, high)`` keeps only the c with (start - sum_k
+    c_k coeffs[k]) & high == high, tested as each part is fixed: a failing
+    part value is skipped with its subtree.  That is exact when every
+    ``coeffs[k]`` is fieldwise nonnegative and no prefix makes a field
+    borrow.  Without ``within`` the packed value and mask are 0.
+    """
     if max_part is None:
         max_part = total
-    def rec(remaining: int, slots: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
+    start, coeffs, high = within or (0, (0,) * max_len, 0)
+    def rec(remaining: int, k: int, bound: int, packed: int) -> Iterator[tuple[int, ...]]:
+        if k == max_len:
             if remaining == 0:
                 yield ()
             return
-        lo = -(-remaining // slots)  # ceil: keep weakly decreasing feasible
+        coeff = coeffs[k]
+        lo = -(-remaining // (max_len - k))  # ceil: keep weakly decreasing feasible
         for first in range(min(bound, remaining), lo - 1, -1):
-            if first == 0 and remaining > 0:
+            left = packed - first * coeff
+            if left & high != high:
                 continue
-            for rest in rec(remaining - first, slots - 1, first):
+            for rest in rec(remaining - first, k + 1, first, left):
                 yield (first,) + rest
-    yield from rec(total, max_len, max_part)
+    yield from rec(total, 0, max_part, start)
 
 
 def partitions_up_to(max_total: int, max_len: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -14,6 +14,9 @@ for the block-restricted Horn triples.  The strict restriction T^{s,t}_p
 suffices, and it is the only one used here; the tilde restriction lives in
 :mod:`weilgroup.horn`, for :mod:`weilgroup.reduce` and :mod:`weilgroup.verify`.
 
+:func:`enumerate_cokernels` lists every c for one (a, b) in a single pruned
+walk over c that tests all rows at once in a packed integer.
+
 Zero parts are meaningful (they fix the ambient sizes), so lengths are
 enforced exactly and callers pad explicitly.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .horn import HornTriple, enumerate_T_st
@@ -143,48 +147,52 @@ def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, 
 
     Search space: partitions of sum(a)+sum(b) into s+t parts, pruned by
     c_1 <= a_1 + b_1 (a valid consequence of the size-one inequalities).
-    Each candidate is tested against integer bounds on sum_{k in K} c_k
-    that the strict system reduces to at this (a, b); see
-    ``_cokernels_cached``.  The result is memoised on (a, b):
-    classification calls this only on a miss of its route memo
-    (``classify._route_groups``), and distinct route keys still meet the
-    same few witness pairs.
+    The walk over c tests every row of the strict system as each part is
+    fixed and drops whole subtrees; see ``_cokernels_cached``.  The result
+    is memoised on (a, b): classification calls this only on a miss of its
+    route memo (``classify._route_groups``), and distinct route keys still
+    meet the same few witness pairs.
     """
     a = as_partition(a)
     b = as_partition(b)
     return _cokernels_cached(a, b)
 
 
+@lru_cache(maxsize=None)
+def _packed_rows(s: int, t: int, width: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per coordinate of a, b and c, the packed count of the rows using it
+    (row r of the (s, t) system owns the ``width``-bit field at bit
+    r * width), and the mask of every field's high bit."""
+    counts = [[0] * s, [0] * t, [0] * (s + t)]
+    high = 0
+    for r, iq in enumerate(_inequality_system_cached(s, t).inequalities):
+        low = 1 << (r * width)
+        high |= low << (width - 1)
+        for count, idx in zip(counts, (iq.a_idx, iq.b_idx, iq.c_idx)):
+            for i in idx:
+                count[i - 1] += low
+    return tuple(map(tuple, counts)), high
+
+
 @lru_cache(maxsize=COKERNEL_MEMO_SIZE)
 def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Candidates c passing the strict system, checked as per-K integer bounds.
+    """Candidates c passing the strict system, all rows in one packed integer.
 
-    With (a, b) fixed, the left side of every row is an integer, so the row
-    reads sum_{k in K} c_k <= bound; rows sharing K keep the smallest
-    bound.  A bound >= total holds for every c >= 0 of that total, and a
-    bound >= len(K) * top holds for every candidate, whose parts are at
-    most top; both are dropped.  A candidate passes exactly when it meets
-    the remaining bounds, so the result equals checking every row.
+    Row r, lhs_r = sum_{a_idx} a + sum_{b_idx} b >= sum_{K_r} c, owns a
+    W-bit field: ``start`` puts 2^(W-1) + lhs_r in it, and the walk
+    subtracts c_k times c_k's packed count as it fixes each part.  Width:
+    a row's a, b and c indices come from the strictly increasing I, J and K
+    of a Horn triple, so no coordinate enters a row twice.  Hence 0 <= lhs_r
+    <= total and 0 <= sum_{K_r} c <= total over every prefix of c.  As
+    W = total.bit_length() + 1 gives total < 2^(W-1), every field stays in
+    (0, 2^W): no borrow crosses a field, and its high bit is set iff lhs_r
+    >= sum_{K_r} c over the parts fixed so far.  That sum only grows, so a
+    prefix that clears a high bit is dropped with its subtree, and a
+    complete c survives iff every row holds.
     """
     system = inequality_system(len(a), len(b))
     total = sum(a) + sum(b)
+    (A, B, C), high = _packed_rows(system.s, system.t, total.bit_length() + 1)
+    start = high + sum(map(mul, a, A)) + sum(map(mul, b, B))
     top = min(total, a[0] + b[0])
-    bounds: dict[tuple[int, ...], int] = {}
-    for iq in system.inequalities:
-        lhs = sum(a[i - 1] for i in iq.a_idx) + sum(b[j - 1] for j in iq.b_idx)
-        if lhs < bounds.get(iq.c_idx, total):  # a bound >= total never enters
-            bounds[iq.c_idx] = lhs
-    live = [
-        (tuple(k - 1 for k in K), bound)
-        for K, bound in bounds.items()
-        if bound < len(K) * top
-    ]
-    out = []
-    for c in partitions_of(total, len(a) + len(b), max_part=top):
-        part = c.__getitem__
-        for K, bound in live:
-            if sum(map(part, K)) > bound:
-                break
-        else:
-            out.append(c)
-    return tuple(out)
+    return tuple(partitions_of(total, len(a) + len(b), top, within=(start, C, high)))

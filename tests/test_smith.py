@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +97,96 @@ def test_cokernels_match_rowwise_reference_at_larger_totals():
                 a = rng.choice(list(partitions_of(split, s)))
                 b = rng.choice(list(partitions_of(total - split, t)))
                 assert enumerate_cokernels(a, b) == _rowwise_cokernels(a, b), (a, b)
+
+
+def _one_part_pairs(s, t, total):
+    """The pairs with all of ``total`` in the first part of a, or of b."""
+    a0, b0 = (0,) * s, (0,) * t
+    return (((total,) + a0[1:], b0), (a0, (total,) + b0[1:]))
+
+
+def test_cokernels_match_rowwise_reference_at_width_edges():
+    """Totals 2^k - 1 and 2^k, where the packed field width steps, with every
+    row's left side at its largest (all mass in one part of a or of b)."""
+    for (s, t), top in (((1, 1), 64), ((2, 2), 64), ((4, 2), 16)):
+        totals = sorted({x for k in range(top.bit_length()) for x in (2**k - 1, 2**k)})
+        for total in totals:
+            for a, b in _one_part_pairs(s, t, total):
+                assert enumerate_cokernels(a, b) == _rowwise_cokernels(a, b), (a, b)
+
+
+def test_strict_rows_use_each_coordinate_once():
+    """The packed width bound needs lhs <= total and sum_K c <= total."""
+    for s in range(1, 6):
+        for t in range(1, 7 - s):
+            for iq in inequality_system(s, t).inequalities:
+                for idx in (iq.a_idx, iq.b_idx, iq.c_idx):
+                    assert len(set(idx)) == len(idx), (s, t, iq)
+
+
+def test_every_cokernel_passes_through_partitions_of(monkeypatch):
+    """Each result is a yield of the module's ``partitions_of``, which is
+    what a tracer wraps to count candidates."""
+    pulled = []
+    real = weilgroup.smith.partitions_of
+
+    def counting(*args, **kwargs):
+        for c in real(*args, **kwargs):
+            pulled.append(c)
+            yield c
+
+    monkeypatch.setattr(weilgroup.smith, "partitions_of", counting)
+    weilgroup.smith._cokernels_cached.cache_clear()
+    try:
+        result = enumerate_cokernels((3, 1, 0, 0), (2, 1))
+    finally:
+        weilgroup.smith._cokernels_cached.cache_clear()
+    assert len(pulled) == len(result) > 0
+    assert tuple(pulled) == result
+
+
+def _brute_partitions(total, max_len, max_part):
+    return [
+        c for c in combinations_with_replacement(range(max_part, -1, -1), max_len)
+        if sum(c) == total
+    ]
+
+
+def test_partitions_of_matches_brute_force():
+    for total in range(11):
+        for max_len in range(7):
+            for max_part in range(total + 1):
+                expected = _brute_partitions(total, max_len, max_part)
+                assert list(partitions_of(total, max_len, max_part)) == expected, (
+                    total, max_len, max_part)
+            assert list(partitions_of(total, max_len)) == _brute_partitions(
+                total, max_len, total)
+
+
+def test_partitions_of_within_filters_by_packed_rows():
+    """Random rows sum_{k in K} c_k <= bound, packed as the cokernel walk
+    packs them: the pruned walk equals the unpruned one filtered."""
+    rng = random.Random(13)
+    for _ in range(300):
+        total, max_len = rng.randint(0, 10), rng.randint(1, 6)
+        width = total.bit_length() + 1
+        start = high = 0
+        coeffs = [0] * max_len
+        for r in range(rng.randint(1, 8)):
+            low = 1 << (r * width)
+            high |= low << (width - 1)
+            start += (low << (width - 1)) + low * rng.randint(0, total)
+            for k in rng.sample(range(max_len), rng.randint(1, max_len)):
+                coeffs[k] += low
+        max_part = rng.randint(0, total)
+
+        def passes(c):
+            packed = start - sum(x * coeff for x, coeff in zip(c, coeffs))
+            return packed & high == high
+
+        plain = partitions_of(total, max_len, max_part)
+        pruned = partitions_of(total, max_len, max_part, within=(start, coeffs, high))
+        assert list(pruned) == [c for c in plain if passes(c)]
 
 
 def test_enumerate_descending_lex_and_pruned():
