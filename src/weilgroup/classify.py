@@ -23,6 +23,14 @@ valuation, or v_l(Q(0)) for the cyclic-index route; a hull's width is its
 degree) and the route's r and s.  The answer per key is memoised in a
 bounded ``lru_cache`` (``_route_groups``); Fraction profiles are built, and
 the cores run, only on a miss.
+
+``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
+preconditions by construction.  Each operator factor is a monic int tuple
+(``transform_one_minus_t`` output, or (1, -2, 1 - q) for the cyclic-index
+route).  Its constant term is nonzero: it is +-P(1) for a factor P of f,
+and f(1) != 0 for every valid class, or 1 - q for the cyclic-index route.
+Each l is prime: it comes from ``_prime_factors`` or passes the ``only_l``
+check.  The public wrappers reject a non-prime l before any valuation.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, transform_one_minus_t, valuation
+from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, require_prime, transform_one_minus_t, valuation
 from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
@@ -221,6 +229,7 @@ def groups_cyclic_index(
     itself (P is already in operator coordinates); the s remaining summands
     are cyclic of exponent v_l(Q(0)).
     """
+    require_prime(l)
     P = tuple(int(c) for c in P)
     Q = tuple(int(c) for c in Q)
     if len(Q) != 2 or Q[0] != 1:
@@ -241,6 +250,7 @@ def groups_cyclic_index(
 
 def groups_scalar(sign: str, q: int, s: int, l: int) -> GroupTuple:
     """Shape (t +- sqrt(q))^s: the unique group is (Z/l^v)^s, v = v_l(1 +- sqrt q)."""
+    require_prime(l)
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     return (_real_multiplier_valuation(sign, q, l),) * s
@@ -259,6 +269,7 @@ def groups_case1(P: Sequence[int], Q: Sequence[int], l: int) -> GroupSet:
 
 def groups_case2(P: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
     """Shape P (t +- sqrt q)^2 with P a separable quartic, P(-+ sqrt q) != 0."""
+    require_prime(l)
     P = tuple(int(c) for c in P)
     if len(P) != 5:
         raise ValueError("P must be quartic")
@@ -272,6 +283,7 @@ def groups_case2(P: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
 
 def groups_case3(Q: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
     """Shape Q^2 (t +- sqrt q)^2 with Q a separable quadratic, Q(-+ sqrt q) != 0."""
+    require_prime(l)
     Q = tuple(int(c) for c in Q)
     if len(Q) != 3:
         raise ValueError("Q must be quadratic")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 
@@ -31,9 +30,11 @@ class PolygonError(ValueError):
 
 
 def valuation(x: int, l: int) -> int:
-    """l-adic valuation of a nonzero integer."""
+    """l-adic valuation of a nonzero integer at l >= 2."""
     if x == 0:
         raise ValueError("valuation of zero is infinite")
+    if l < 2:
+        raise ValueError(f"valuation needs l >= 2, got l={l}")
     v = 0
     while x % l == 0:
         x //= l
@@ -64,6 +65,12 @@ def is_prime(n: int) -> bool:
         pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
         for a in _MR_BASES
     )
+
+
+def require_prime(l: int) -> None:
+    """Raise PolygonError unless l is prime."""
+    if not is_prime(l):
+        raise PolygonError(f"l={l} is not prime")
 
 
 def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int, Fraction | int], ...]:
@@ -181,45 +188,60 @@ def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
     """Coefficients of (-1)^d * P(1-t) for monic integer P, highest degree first.
 
     The sign normalization keeps the result monic; applying the transform
-    twice returns the input.
+    twice returns the input.  With u = t - 1, (-1)^d P(1 - t) is
+    sum_k (-1)^k c_k u^(d-k), evaluated by Horner's rule in u.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if not coeffs or coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
-    d = len(coeffs) - 1
-    out = [0] * (d + 1)
-    # P(1-t) = sum_k coeffs[k] * (1-t)^(d-k); coeffs[k] multiplies t^(d-k)
-    for k, ck in enumerate(coeffs):
-        e = d - k
-        for m in range(e + 1):
-            out[m] += ck * comb(e, m) * (-1) ** m
-    sign = (-1) ** d
-    # out[m] is the coefficient of t^m; reverse to highest-first
-    return tuple(sign * out[m] for m in range(d, -1, -1))
+    out: list[int] = []
+    sign = 1
+    for c in coeffs:  # out <- out * (t - 1) + (-1)^k c_k, in place
+        prev = 0
+        for i, x in enumerate(out):
+            out[i] = x - prev
+            prev = x
+        out.append(sign * c - prev)
+        sign = -sign
+    return tuple(out)
 
 
-def newton_points(coeffs: Sequence[int], l: int) -> list[tuple[int, int]]:
-    """The integer points (i, v_l(f_i)) of a monic integer polynomial at the
-    prime l, where f_0 = 1 is the leading coefficient.
+def newton_hull(coeffs: tuple[int, ...], l: int) -> tuple[tuple[int, int], ...]:
+    """The integer vertices of the l-adic Newton polygon, left to right: the
+    lower hull of the points (i, v_l(f_i)) of the nonzero coefficients,
+    where f_0 = 1 is the leading coefficient.
 
-    Zero coefficients contribute no point.  The constant term must be
-    nonzero, else the final slope would be infinite.
+    Collinear points are dropped, so two polynomials with the same root
+    valuations have the same hull: it is a canonical, hashable integer form
+    of the valuation profile.  Unchecked: ``coeffs`` must be a tuple of
+    ints, monic with a nonzero constant term, and l prime.  Entry points
+    that take outside input check these first (:func:`newton_points`);
+    ``classify.classify_all`` holds them by construction.
+    """
+    return _lower_hull([(i, valuation(c, l)) for i, c in enumerate(coeffs) if c])
+
+
+def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
+    """:func:`newton_hull` of a monic integer polynomial at the prime l,
+    with its preconditions checked.
+
+    The constant term must be nonzero, else the final slope would be
+    infinite.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if not coeffs or all(c == 0 for c in coeffs):
         raise PolygonError("zero polynomial has no Newton polygon")
     if coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
-    if not is_prime(l):
-        raise PolygonError(f"l={l} is not prime")
+    require_prime(l)
     if coeffs[-1] == 0:
         raise PolygonError("zero constant term: root valuation would be infinite")
-    return [(i, valuation(c, l)) for i, c in enumerate(coeffs) if c != 0]
+    return newton_hull(coeffs, l)
 
 
 def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
-    """Newton polygon of a monic integer polynomial at the prime l: the lower
-    hull of :func:`newton_points`."""
+    """Newton polygon of a monic integer polynomial at the prime l, from the
+    checked vertices of :func:`newton_points`."""
     return LatticePolygon.from_points(newton_points(coeffs, l))
 
 

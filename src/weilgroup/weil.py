@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from typing import Sequence
 
 from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime
-from .polygon import _lower_hull, _slopes, newton_points
+from .polygon import _slopes, newton_hull, newton_points  # noqa: F401  (newton_hull is re-exported)
 
 
 class WeilError(ValueError):
@@ -184,15 +184,24 @@ def _roots_real_within(h: Sequence[int], q: int) -> bool:
 
 
 def _integer_root(h: Sequence[int], bound: int) -> int | None:
-    """An integer root in [-bound, bound] of the real-rooted monic h of degree 2
-    or 3, by bisection on each piece [lo, floor(c1)], [floor(c1) + 1, ...]
-    between the critical points c1 <= c2, where h is monotone."""
+    """An integer root in [-bound, bound] of the monic h of degree 2 or 3,
+    whose roots are all real and in [-bound, bound], or None.
+
+    A quadratic x^2 + bx + c has an integer root exactly when its
+    discriminant b^2 - 4c (>= 0, since h is real-rooted) is a square s^2;
+    then s and b have the same parity, as b^2 - 4c = b^2 (mod 4), so the
+    smaller root (-b - s) / 2 is an exact integer division.  A cubic is
+    bisected on each piece [lo, floor(c1)], [floor(c1) + 1, ...] between
+    the critical points c1 <= c2, where it is monotone.
+    """
     if len(h) == 3:
-        cuts = [-h[1] // 2]
-    else:  # h' = 3x^2 + 2bx + c is real-rooted because h is
-        disc = h[1] ** 2 - 3 * h[2]
+        disc = h[1] ** 2 - 4 * h[2]
         s = isqrt(disc)
-        cuts = [(-h[1] - s - (s * s != disc)) // 3, (-h[1] + s) // 3]
+        return (-h[1] - s) // 2 if s * s == disc else None
+    # h' = 3x^2 + 2bx + c is real-rooted because h is
+    disc = h[1] ** 2 - 3 * h[2]
+    s = isqrt(disc)
+    cuts = [(-h[1] - s - (s * s != disc)) // 3, (-h[1] + s) // 3]
     for lo, hi in zip([-bound] + [cut + 1 for cut in cuts], cuts + [bound]):
         sign = 1 if poly_eval(h, hi) >= poly_eval(h, lo) else -1
         while lo < hi:  # smallest x in the piece with sign * h(x) >= 0
@@ -257,20 +266,14 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
     return FactoredShape(weil=weil, factors=ordered)
 
 
-def newton_hull(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
-    """The integer vertices of the l-adic Newton polygon, left to right.
-
-    Collinear points are dropped, so two polynomials with the same root
-    valuations have the same hull: it is a canonical, hashable integer form
-    of the valuation profile.  Checks as :func:`polygon.newton_points`.
-    """
-    return _lower_hull(newton_points(coeffs, l))
-
-
 def root_valuations(coeffs: Sequence[int], l: int) -> ValuationProfile:
-    """Descending l-adic valuations of the roots: the slopes of
-    :func:`newton_hull`."""
-    return ValuationProfile(_slopes(newton_hull(coeffs, l))[::-1])
+    """Descending l-adic valuations of the roots: the slopes of the Newton
+    polygon, from the checked :func:`polygon.newton_points`.
+
+    ``newton_hull`` (the unchecked kernel, imported from :mod:`.polygon`)
+    gives the same vertices when its preconditions hold.
+    """
+    return ValuationProfile(_slopes(newton_points(coeffs, l))[::-1])
 
 
 def group_order(weil: WeilPolynomial) -> int:

@@ -31,6 +31,7 @@ from weilgroup.oracle import lr_coefficient, operator_group_oracle
 from weilgroup.partitions import merge_sorted, partitions_of
 from weilgroup.polygon import (
     PRIME_TEST_LIMIT,
+    PolygonError,
     hodge_polygon,
     newton_polygon,
     np_dominates_hp,
@@ -187,6 +188,35 @@ def test_case2_case3_polynomial_guards():
         groups_case2(quartic_with_root, "minus", 9, 2)  # shares the real root
     with pytest.raises(UnsupportedShapeError):
         groups_case3((1, 1, 2), "plus", 2, 3)  # q not a square
+
+
+@pytest.mark.parametrize("l", [-1, 0, 1])
+def test_valuation_rejects_l_below_two(l):
+    # runs before the wrapper test below: a valuation that loops at l = +-1
+    # would make it hang instead of fail
+    with pytest.raises(ValueError, match="l >= 2"):
+        valuation(12, l)
+
+
+QUARTIC = poly_mul((1, 1, 3), (1, 3, 9))  # separable, no root at -+3
+
+
+@pytest.mark.parametrize(
+    "wrapper, args",
+    [
+        pytest.param(groups_scalar, ("minus", 9, 2), id="scalar"),
+        pytest.param(groups_case2, (QUARTIC, "minus", 9), id="case2"),
+        pytest.param(groups_case3, ((1, 3, 9), "plus", 9), id="case3"),
+        pytest.param(groups_cyclic_index, ((1, -2, -8), (1, 2), 2, 2), id="cyclic_index"),
+    ],
+)
+@pytest.mark.parametrize("l", [-1, 0, 1, 4])
+def test_groups_wrappers_reject_non_prime_l(wrapper, args, l):
+    with pytest.raises(PolygonError) as wrapper_error:
+        wrapper(*args, l)
+    with pytest.raises(PolygonError) as polygon_error:
+        newton_polygon((1, 1), l)
+    assert str(wrapper_error.value) == str(polygon_error.value) == f"l={l} is not prime"
 
 
 def test_case2_trivial_profiles():

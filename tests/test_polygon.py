@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +41,26 @@ def test_transform_involution_deg2(b, c):
 def test_transform_involution_any_degree(tail):
     coeffs = tuple([1] + tail)
     assert transform_one_minus_t(transform_one_minus_t(coeffs)) == coeffs
+
+
+def _binomial_transform(coeffs):
+    """(-1)^d P(1 - t) by expanding each (1 - t)^e with binomials (the
+    expansion that preceded Horner's rule)."""
+    d = len(coeffs) - 1
+    out = [0] * (d + 1)  # out[m] multiplies t^m
+    for k, ck in enumerate(coeffs):
+        e = d - k
+        for m in range(e + 1):
+            out[m] += ck * comb(e, m) * (-1) ** m
+    return tuple((-1) ** d * out[m] for m in range(d, -1, -1))
+
+
+def test_transform_matches_binomial_expansion():
+    rng = random.Random(14)
+    for d in range(9):
+        for _ in range(200):
+            coeffs = (1, *(rng.randint(-10**6, 10**6) for _ in range(d)))
+            assert transform_one_minus_t(coeffs) == _binomial_transform(coeffs), coeffs
 
 
 def test_transform_rejects_non_monic():

@@ -22,7 +22,9 @@ from weilgroup.weil import (
     RootModulusError,
     SizeLimitError,
     SymmetryViolatedError,
+    _integer_root,
     _is_squarefree,
+    _roots_real_within,
     factor_weil,
     group_order,
     newton_hull,
@@ -160,13 +162,13 @@ def test_root_valuations_merge_under_product():
     assert tuple(root_valuations(poly_mul(p, q), 2)) == tuple(merged)
 
 
-def _newton_points_cases(seed, count):
-    """Seeded monic polynomials of degree 1..6 at l in {2, 3, 5}: half with
+def _newton_points_cases(seed, count, primes=(2, 3, 5)):
+    """Seeded monic polynomials of degree 1..6 at l in ``primes``: half with
     random zero middle coefficients, half with l dividing every
     coefficient below the leading one."""
     rng = random.Random(seed)
     for k in range(count):
-        l, d = rng.choice((2, 3, 5)), rng.randint(1, 6)
+        l, d = rng.choice(primes), rng.randint(1, 6)
         tail = [rng.choice((1, -1)) * l ** rng.randint(0, 6) * rng.randint(1, 50) for _ in range(d)]
         if k % 2:
             tail = [c * l ** rng.randint(1, 3) for c in tail]
@@ -182,21 +184,26 @@ def test_root_valuations_match_newton_polygon():
 
 
 def test_newton_hull_is_the_polygon_in_integers():
-    """The hull's vertices are the Newton polygon's, as ints, with collinear
-    points dropped, so equal root valuations give equal hulls."""
+    """The unchecked hull's vertices are the checked Newton polygon's, as
+    ints, with collinear points dropped, so equal root valuations give
+    equal hulls; at small primes and at primes above 43^2, where primality
+    takes Miller-Rabin."""
     profiles = {}
-    for coeffs, l in _newton_points_cases(seed=21, count=1000):
-        hull = newton_hull(coeffs, l)
-        assert all(type(x) is int and type(y) is int for x, y in hull)
-        assert hull == newton_polygon(coeffs, l).vertices, (coeffs, l)
-        assert profiles.setdefault(root_valuations(coeffs, l), hull) == hull
+    for primes in ((2, 3, 5), (1000003, 2**31 - 1, 2**61 - 1)):
+        for coeffs, l in _newton_points_cases(seed=21, count=1000, primes=primes):
+            hull = newton_hull(coeffs, l)
+            assert all(type(x) is int and type(y) is int for x, y in hull)
+            assert hull == newton_polygon(coeffs, l).vertices, (coeffs, l)
+            assert profiles.setdefault(root_valuations(coeffs, l), hull) == hull
     assert newton_hull((1, 2, 4, 8), 2) == ((0, 0), (3, 3))
     assert newton_hull((1, -3, 6), 3) == ((0, 0), (2, 1))
+    assert newton_hull((1, 0, 0, 1000003**5), 1000003) == ((0, 0), (3, 5))
 
 
 @pytest.mark.parametrize(
     "coeffs, l",
-    [((0,), 2), ((2, 4), 2), ((1, 1, 4), 4), ((1, 2, 0), 2), ((1, 3), 1), ((-1, 2), 3)],
+    [((0,), 2), ((2, 4), 2), ((1, 1, 4), 4), ((1, 2, 0), 2), ((1, 3), 1), ((-1, 2), 3),
+     ((1, 1, 4), 1), ((1, 1, 4), 1000003 * 1000033)],
 )
 def test_root_valuations_rejects_like_newton_polygon(coeffs, l):
     with pytest.raises(PolygonError) as polygon_error:
@@ -204,6 +211,28 @@ def test_root_valuations_rejects_like_newton_polygon(coeffs, l):
     with pytest.raises(PolygonError) as valuations_error:
         root_valuations(coeffs, l)
     assert str(valuations_error.value) == str(polygon_error.value)
+
+
+def test_quadratic_integer_root_matches_scan():
+    """The discriminant answer for every monic quadratic with all roots
+    real and in [-2 sqrt q, 2 sqrt q], q <= 64, against a scan over
+    [-isqrt(4q), isqrt(4q)] for the smallest integer root."""
+    seen = {"double": 0, "irrational": 0, "at_bound": 0}
+    for q in range(2, 65):
+        bound = isqrt(4 * q)
+        for b in range(-2 * bound, 2 * bound + 1):
+            for c in range(-4 * q, 4 * q + 1):
+                h = (1, b, c)
+                if not _roots_real_within(h, q):
+                    continue
+                scan = next((x for x in range(-bound, bound + 1) if x * x + b * x + c == 0), None)
+                assert _integer_root(h, bound) == scan, (h, q)
+                seen["double"] += b * b == 4 * c
+                seen["irrational"] += scan is None
+                seen["at_bound"] += scan == -bound or (scan is not None and -b - scan == bound)
+    assert all(seen.values()), seen
+    for q in (4, 9, 16, 25, 36, 49, 64):  # x^2 - 4q = (x - 2 sqrt q)(x + 2 sqrt q)
+        assert _integer_root((1, 0, -4 * q), isqrt(4 * q)) == -isqrt(4 * q)
 
 
 def _reference_is_squarefree(coeffs):
