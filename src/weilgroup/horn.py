@@ -205,8 +205,13 @@ def complement_triple(
     return ComplementTriple(comp, "<=")
 
 
-def _initial_segment_above(s: int, overflow: tuple[int, ...]) -> bool:
-    return all(x == s + k + 1 for k, x in enumerate(overflow))
+def _overflow_shaped(n: int, s: int, p: int) -> dict[tuple[int, ...], int]:
+    """Each p-subset of {1..n} whose part above s is {s+1..s+alpha}, mapped to alpha."""
+    return {
+        low + tuple(range(s + 1, s + alpha + 1)): alpha
+        for alpha in range(min(p, n - s) + 1)
+        for low in combinations(range(1, s + 1), p - alpha)
+    }
 
 
 def is_strict(triple: HornTriple, s: int, t: int) -> bool:
@@ -233,14 +238,14 @@ def enumerate_T_st(
     if mode not in ("tilde", "strict"):
         raise ValueError(f"mode must be 'tilde' or 'strict', got {mode!r}")
     n = s + t
+    over_I = _overflow_shaped(n, s, p)
+    over_J = _overflow_shaped(n, t, p)
     out = []
     for tri in enumerate_T(n, p, allow_large=allow_large, table=table):
-        I, J, K = tri
-        if not _initial_segment_above(s, tuple(i for i in I if i > s)):
-            continue
-        if not _initial_segment_above(t, tuple(j for j in J if j > t)):
-            continue
-        if mode == "strict" and not is_strict(tri, s, t):
+        alpha = over_I.get(tri.I)
+        beta = over_J.get(tri.J)
+        # the strict condition counts p - alpha parts of I in M_s, p - beta of J in M_t
+        if alpha is None or beta is None or mode == "strict" and alpha + beta != p:
             continue
         out.append(tri)
     return tuple(out)

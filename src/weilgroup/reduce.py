@@ -149,6 +149,8 @@ def reduce_system(
     the first representative.  Candidates are processed in canonical order;
     orderings, nonnegativity and the trace are always kept.
     """
+    if s < 1 or t < 1:
+        raise ValueError("need s, t >= 1")
     if table is None:
         return _reduce_system_cached(s, t, mode, scalar_b)
     return _reduce_system_impl(s, t, mode, scalar_b, table)
@@ -178,7 +180,7 @@ def _reduce_system_impl(
                     _restricted(tri, s, t)
                 )
         sizes = (s, t, n)
-        rows = {iq: _functional(*iq.key(), sizes) for iq in cands + structural}
+        rows = {iq: _functional(*iq.key(), sizes) for iq in cands}
         base = _base_rows(sizes, True)
         if scalar_b:
             rows = {iq: _scalarize_b(r, s, t) for iq, r in rows.items()}

@@ -130,6 +130,14 @@ def test_horn_reduce(run):
     assert "a1+b1 >= c1" in payload["removed_structural"]
 
 
+def test_horn_reduce_rejects_empty_block(run):
+    for s in ("0", "-2"):
+        code, out, err = run("horn", "reduce", "--s", s, "--t", "3")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: need s, t >= 1"
+
+
 def test_verify_paper_lists_subcommand(run):
     code, out, _ = run("--json", "verify", "paper-lists")
     assert code == 0

@@ -12,7 +12,7 @@ import pytest
 import weilgroup.linprog
 import weilgroup.reduce
 from weilgroup.horn import HornTable, enumerate_T
-from weilgroup.linprog import Cone, is_implied, linprog
+from weilgroup.linprog import Cone, _combine, is_implied, linprog
 from weilgroup.reduce import (
     _base_rows,
     _functional,
@@ -90,6 +90,77 @@ def test_double_description_with_lineality():
     assert is_implied(Cone([(1, 0, -1), *rows]), 0)
 
 
+def _scan_linprog(rows, dim):
+    """The double description with adjacency decided by a scan over every
+    other ray: the reference for the packed test in ``linprog``."""
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for bit, g in enumerate(rows):
+        mask = 1 << bit
+        k = next((k for k, v in enumerate(lineality) if _dot(g, v)), None)
+        if k is not None:
+            pivot = lineality.pop(k)
+            gp = _dot(g, pivot)
+            if gp < 0:
+                gp, pivot = -gp, tuple(-x for x in pivot)
+            lineality = [_combine(gp, v, -_dot(g, v), pivot) for v in lineality]
+            rays = [(_combine(gp, r, -_dot(g, r), pivot), z | mask) for r, z in rays]
+            rays.append((pivot, mask - 1))
+            continue
+        values = [_dot(g, r) for r, _ in rays]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        need = dim - len(lineality) - 2
+        new = [(r, z | mask if v == 0 else z) for (r, z), v in zip(rays, values) if v >= 0]
+        for p in pos:
+            rp, zp = rays[p]
+            for q in neg:
+                rq, zq = rays[q]
+                common = zp & zq
+                if common.bit_count() < need or any(
+                    z & common == common for k, (_, z) in enumerate(rays) if k != p and k != q
+                ):
+                    continue
+                new.append((_combine(values[p], rq, -values[q], rp), common | mask))
+        rays = new
+    return [r for r, _ in rays], lineality
+
+
+def test_packed_adjacency_matches_scan_on_block_systems(monkeypatch):
+    # every double description a reduction runs: each block system's sorted
+    # cone rows and each implicit-equality sub-system
+    inputs = []
+    packed = weilgroup.linprog.linprog
+
+    def recorded(rows, dim):
+        inputs.append((list(rows), dim))
+        return packed(rows, dim)
+
+    monkeypatch.setattr(weilgroup.linprog, "linprog", recorded)
+    for n in range(2, 7):
+        for s in range(1, n):
+            for scalar_b in (False, True):
+                reduce_system(s, n - s, scalar_b=scalar_b, table=HornTable())
+    assert len(inputs) > 2 * 15  # one cone per system, plus the equality runs
+    for rows, dim in inputs:
+        assert packed(rows, dim) == _scan_linprog(rows, dim), (rows, dim)
+
+
+def test_packed_adjacency_matches_scan_on_random_cones():
+    rng = random.Random(15)
+    with_lineality = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 18))]
+        if rng.random() < 0.5:  # a pointed cone: add x_i >= 0 for every coordinate
+            rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+            rng.shuffle(rows)
+        rays, lineality = linprog(rows, dim)
+        with_lineality += bool(lineality)
+        assert (rays, lineality) == _scan_linprog(rows, dim), (rows, dim)
+    assert 100 < with_lineality < 1400
+
+
 def _solve(gens, phi):
     """The unique mu with sum mu_j gens_j = phi, in Fractions, or None."""
     k = len(gens)
@@ -119,6 +190,11 @@ def _in_cone(phi, gens):
     )
 
 
+def _others(cone, i):
+    """The active rows of the cone other than row i, in index order."""
+    return [r for j, r in enumerate(cone.rows) if cone.active[j] and j != i]
+
+
 def test_sequential_verdicts_match_farkas_on_random_cones():
     # small random systems, many of them lower-dimensional or with a
     # lineality space, reduced as reduce_system does
@@ -130,7 +206,7 @@ def test_sequential_verdicts_match_farkas_on_random_cones():
         cone = Cone(rows)
         for k in range(len(rows)):
             implied = is_implied(cone, k)
-            assert implied == _in_cone(rows[k], cone.others(k)), (rows, k)
+            assert implied == _in_cone(rows[k], _others(cone, k)), (rows, k)
             if implied or rng.random() < 0.3:
                 cone.drop(k)
 
@@ -156,7 +232,7 @@ def _replay_against_fresh(monkeypatch, run):
 
     def checked(cone, k):
         verdict = shared(cone, k)
-        assert verdict == shared(Cone([cone.rows[k], *cone.others(k)]), 0)
+        assert verdict == shared(Cone([cone.rows[k], *_others(cone, k)]), 0)
         verdicts.append(verdict)
         return verdict
 
@@ -166,9 +242,10 @@ def _replay_against_fresh(monkeypatch, run):
 
 
 def test_shared_cone_agrees_with_fresh_cones(monkeypatch):
-    for scalar_b in (False, True):
+    # (1, 3) and (1, 4) with scalar_b hold most implicit-equality verdicts
+    for s, t, scalar_b in ((2, 2, False), (2, 2, True), (1, 3, True), (1, 4, True)):
         verdicts = _replay_against_fresh(
-            monkeypatch, lambda: reduce_system(2, 2, scalar_b=scalar_b, table=HornTable())
+            monkeypatch, lambda: reduce_system(s, t, scalar_b=scalar_b, table=HornTable())
         )
         assert True in verdicts and False in verdicts
 
@@ -338,6 +415,11 @@ def test_full_mode_no_redundancy_below_six():
 def test_reduce_guards():
     with pytest.raises(ValueError):
         reduce_system(4, 3)
+    for s, t in ((0, 3), (-2, 3), (3, 0)):
+        with pytest.raises(ValueError, match="need s, t >= 1"):
+            reduce_system(s, t)
+        with pytest.raises(ValueError, match="need s, t >= 1"):
+            reduce_system(s, t, table=HornTable())
     with pytest.raises(ValueError):
         reduce_system(2, 2, "bogus")
     with pytest.raises(ValueError):
