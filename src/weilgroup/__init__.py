@@ -7,17 +7,7 @@ independent brute-force oracles (tableau counting and exhaustive matrix
 sweeps) validating every step.
 """
 
-from .classify import (
-    Classification,
-    classify_all,
-    groups_case1,
-    groups_case2,
-    groups_case3,
-    groups_cyclic_index,
-    groups_p_square,
-    groups_scalar,
-    groups_separable,
-)
+from .classify import Classification, classify_all
 from .horn import (
     HornTriple,
     complement_triple,
@@ -73,13 +63,6 @@ __all__ = [
     "factor_weil",
     "feasible_triple",
     "group_order",
-    "groups_case1",
-    "groups_case2",
-    "groups_case3",
-    "groups_cyclic_index",
-    "groups_p_square",
-    "groups_scalar",
-    "groups_separable",
     "hodge_polygon",
     "inequality_system",
     "lambda_of",

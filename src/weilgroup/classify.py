@@ -9,20 +9,22 @@ quotient module, of the block triangular feasibility decided in
 :mod:`weilgroup.smith`.  The inequality systems are never hard-coded: they
 are generated from the Horn tables each time.
 
-All case routines come in two layers: a ``*_from_profile`` core taking
-exact valuation profiles (handy for grid tests), and a polynomial-facing
-``groups_*`` wrapper doing the 1 - Frobenius transform and validation.
+Every route is one witness set, or ``extensions`` of two: a separable
+class is ``admissible_exponents`` of its profile; P^2, (t +- sqrt q)^s and
+the cyclic-index pattern are ``direct_sums`` of admissible pairs and
+cyclic parts; P^2 Q, P (t +- sqrt q)^2 and Q^2 (t +- sqrt q)^2 are
+``extensions`` of a submodule witness set by a quotient witness set.
 
-``classify_all`` skips the wrappers' separability and shape re-checks:
+``classify_all`` does not re-check separability or shape:
 ``factor_weil`` and ``shape_of`` have settled those already.  It
-transforms each factor of its dispatch plan once per request, and answers
-each prime l from a key that does not mention the polynomial: the route
-kind, the integer Newton hull (``weil.newton_hull``) at l of each
-operator-side factor, the integer b the route needs (the real-multiplier
-valuation, or v_l(Q(0)) for the cyclic-index route; a hull's width is its
-degree) and the route's r and s.  The answer per key is memoised in a
-bounded ``lru_cache`` (``_route_groups``); Fraction profiles are built, and
-the cores run, only on a miss.
+transforms each factor of its dispatch plan once per request, and
+answers each prime l from a key that does not mention the polynomial:
+the route kind, the integer Newton hull (``weil.newton_hull``) at l of
+each operator-side factor, the integer b the route needs (the
+real-multiplier valuation, or v_l(Q(0)) for the cyclic-index route; a
+hull's width is its degree) and the route's r and s.  The answer per key
+is memoised in a bounded ``lru_cache`` (``_route_groups``); Fraction
+profiles are built, and the witness sets computed, only on a miss.
 
 ``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
 preconditions by construction.  Each operator factor is a monic int tuple
@@ -30,7 +32,7 @@ preconditions by construction.  Each operator factor is a monic int tuple
 route).  Its constant term is nonzero: it is +-P(1) for a factor P of f,
 and f(1) != 0 for every valid class, or 1 - q for the cyclic-index route.
 Each l is prime: it comes from ``_prime_factors`` or passes the ``only_l``
-check.  The public wrappers reject a non-prime l before any valuation.
+check.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, require_prime, transform_one_minus_t, valuation
+from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, transform_one_minus_t, valuation
 from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
@@ -51,15 +53,12 @@ from .weil import (
     SizeLimitError,
     UnsupportedShapeError,
     WeilPolynomial,
-    _is_squarefree,
     factor_weil,
     group_order,
     newton_hull,
-    poly_eval,
-    poly_mul,
-    root_valuations,
     shape_of,
 )
+from .weil import root_valuations  # noqa: F401  (perfbench --trace 1 wraps this name by getattr)
 
 GroupTuple = tuple[int, ...]
 GroupSet = tuple[GroupTuple, ...]
@@ -112,202 +111,19 @@ def admissible_exponents(
     return _sorted_groups(out)
 
 
-def quadratic_pairs(profile: Sequence[Fraction | int]) -> GroupSet:
-    """Admissible two-generator exponent pairs for a quadratic profile."""
-    if len(profile) != 2:
-        raise ValueError("quadratic profile needs exactly two valuations")
-    return admissible_exponents(profile, 2)
-
-
-# ---------------------------------------------------------------------------
-# profile-level cores
-
-
-def separable_groups_from_profile(
-    profile: Sequence[Fraction | int], length: int
-) -> GroupSet:
-    return admissible_exponents(profile, length)
-
-
-def p_square_groups_from_profile(profile: Sequence[Fraction | int]) -> GroupSet:
-    """Direct sums of two admissible pairs for the quadratic profile."""
-    pairs = quadratic_pairs(profile)
+def direct_sums(profile: Sequence[Fraction | int], r: int, v: int, s: int) -> GroupSet:
+    """Direct sums of r admissible pairs for the quadratic profile plus s
+    cyclic parts of exponent v."""
+    pairs = admissible_exponents(profile, 2)
     return _sorted_groups(
-        merge_sorted(p1, p2) for p1 in pairs for p2 in pairs
+        merge_sorted(*combo, (v,) * s) for combo in combinations_with_replacement(pairs, r)
     )
 
 
-def cyclic_index_groups_from_profile(
-    profile: Sequence[Fraction | int], r: int, v: int, s: int
-) -> GroupSet:
-    """Direct sums of r admissible pairs plus s copies of exponent v."""
-    if r == 0:
-        return ((v,) * s,)
-    pairs = quadratic_pairs(profile)
-
-    def rec(k: int) -> list[tuple[GroupTuple, ...]]:
-        if k == 0:
-            return [()]
-        return [(p,) + rest for p in pairs for rest in rec(k - 1)]
-
-    return _sorted_groups(
-        merge_sorted(*(list(combo) + [(v,) * s])) for combo in rec(r)
-    )
-
-
-def case1_groups_from_profiles(
-    m: Sequence[Fraction | int], n: Sequence[Fraction | int]
-) -> GroupSet:
-    """Square-quadratic times coprime quadratic: union over witnesses.
-
-    Witness a: exponents of the squared part, i.e. any merge of two
-    admissible pairs for m.  Witness b: admissible pair for n.  Each
-    witness contributes every feasible block extension c.
-    """
-    b_witnesses = quadratic_pairs(n)
-    out: set[GroupTuple] = set()
-    for a in p_square_groups_from_profile(m):
-        for b in b_witnesses:
-            out.update(enumerate_cokernels(a, b))
-    return _sorted_groups(out)
-
-
-def case2_groups_from_profile(
-    m: Sequence[Fraction | int], b: int
-) -> GroupSet:
-    """Separable quartic times a squared real factor acting by valuation b."""
-    a_witnesses = admissible_exponents(m, 4)
-    out: set[GroupTuple] = set()
-    for a in a_witnesses:
-        out.update(enumerate_cokernels(a, (b, b)))
-    return _sorted_groups(out)
-
-
-def case3_groups_from_profile(
-    m: Sequence[Fraction | int], b: int
-) -> GroupSet:
-    """Squared quadratic times a squared real factor acting by valuation b."""
-    out: set[GroupTuple] = set()
-    for a in p_square_groups_from_profile(m):
-        out.update(enumerate_cokernels(a, (b, b)))
-    return _sorted_groups(out)
-
-
-# ---------------------------------------------------------------------------
-# polynomial-facing operations
-
-
-def _transformed_profile(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
-    """Descending root valuations of f(1 - t): the operator 1 - Frobenius."""
-    return root_valuations(transform_one_minus_t(coeffs), l).vals
-
-
-def groups_separable(coeffs: Sequence[int], l: int) -> GroupSet:
-    """All admissible exponent tuples for a separable polynomial."""
-    coeffs = tuple(int(c) for c in coeffs)
-    if not _is_squarefree(coeffs):
-        raise ValueError("polynomial is not separable")
-    return separable_groups_from_profile(_transformed_profile(coeffs, l), len(coeffs) - 1)
-
-
-def groups_p_square(P: Sequence[int], l: int) -> GroupSet:
-    """Shape P^2 with P a separable quadratic (surface case)."""
-    P = tuple(int(c) for c in P)
-    if len(P) != 3:
-        raise ValueError("P must be quadratic")
-    if not _is_squarefree(P):
-        raise ValueError("P must be separable")
-    return p_square_groups_from_profile(_transformed_profile(P, l))
-
-
-def groups_cyclic_index(
-    P: Sequence[int], Q: Sequence[int], r: int, s: int, l: int
-) -> GroupSet:
-    """Shape P^r Q^s on the 1 - Frobenius side, with Q a linear divisor of P.
-
-    Each of the r two-generator summands dominates the Newton polygon of P
-    itself (P is already in operator coordinates); the s remaining summands
-    are cyclic of exponent v_l(Q(0)).
-    """
-    require_prime(l)
-    P = tuple(int(c) for c in P)
-    Q = tuple(int(c) for c in Q)
-    if len(Q) != 2 or Q[0] != 1:
-        raise ValueError("Q must be monic linear")
-    if len(P) != 3:
-        raise ValueError("P must be quadratic")
-    rem = poly_eval(P, -Q[1])
-    if rem != 0:
-        raise ValueError(f"Q does not divide P: P({-Q[1]}) = {rem}")
-    if not _is_squarefree(P):
-        raise ValueError("P must be separable")
-    if Q[1] == 0:
-        raise ValueError("Q(0) = 0: degenerate operator")
-    v = valuation(Q[1], l)
-    profile = tuple(root_valuations(P, l))
-    return cyclic_index_groups_from_profile(profile, r, v, s)
-
-
-def groups_scalar(sign: str, q: int, s: int, l: int) -> GroupTuple:
-    """Shape (t +- sqrt(q))^s: the unique group is (Z/l^v)^s, v = v_l(1 +- sqrt q)."""
-    require_prime(l)
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    return (_real_multiplier_valuation(sign, q, l),) * s
-
-
-def groups_case1(P: Sequence[int], Q: Sequence[int], l: int) -> GroupSet:
-    """Shape P^2 Q, deg P = deg Q = 2, PQ separable."""
-    P = tuple(int(c) for c in P)
-    Q = tuple(int(c) for c in Q)
-    if len(P) != 3 or len(Q) != 3:
-        raise ValueError("P and Q must be quadratic")
-    if not _is_squarefree(poly_mul(P, Q)):
-        raise ValueError("PQ must be separable")
-    return case1_groups_from_profiles(_transformed_profile(P, l), _transformed_profile(Q, l))
-
-
-def groups_case2(P: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
-    """Shape P (t +- sqrt q)^2 with P a separable quartic, P(-+ sqrt q) != 0."""
-    require_prime(l)
-    P = tuple(int(c) for c in P)
-    if len(P) != 5:
-        raise ValueError("P must be quartic")
-    if not _is_squarefree(P):
-        raise ValueError("P must be separable")
-    b = _real_multiplier_valuation(sign, q, l)
-    if poly_eval(P, _real_root(sign, q)) == 0:
-        raise ValueError("P shares the real root: shape is not P * (t +- sqrt q)^2")
-    return case2_groups_from_profile(_transformed_profile(P, l), b)
-
-
-def groups_case3(Q: Sequence[int], sign: str, q: int, l: int) -> GroupSet:
-    """Shape Q^2 (t +- sqrt q)^2 with Q a separable quadratic, Q(-+ sqrt q) != 0."""
-    require_prime(l)
-    Q = tuple(int(c) for c in Q)
-    if len(Q) != 3:
-        raise ValueError("Q must be quadratic")
-    if not _is_squarefree(Q):
-        raise ValueError("Q must be separable")
-    b = _real_multiplier_valuation(sign, q, l)
-    if poly_eval(Q, _real_root(sign, q)) == 0:
-        raise ValueError("Q shares the real root: shape is not Q^2 (t +- sqrt q)^2")
-    return case3_groups_from_profile(_transformed_profile(Q, l), b)
-
-
-def _real_root(sign: str, q: int) -> int:
-    sq = math.isqrt(q)
-    if sq * sq != q:
-        raise UnsupportedShapeError(f"q={q} is not a perfect square")
-    return -sq if sign == "plus" else sq
-
-
-def _real_multiplier_valuation(sign: str, q: int, l: int) -> int:
-    """v_l(1 +- sqrt q): the action of 1 - Frobenius on the real part."""
-    base = 1 - _real_root(sign, q)
-    if base == 0:
-        raise UnsupportedShapeError("1 -+ sqrt(q) vanishes")
-    return valuation(base, l)
+def extensions(A: Sequence[GroupTuple], B: Sequence[GroupTuple]) -> GroupSet:
+    """Union over witnesses a in A (submodule) and b in B (quotient) of the
+    block triangular cokernels c of :func:`smith.enumerate_cokernels`."""
+    return _sorted_groups(c for a in A for b in B for c in enumerate_cokernels(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +255,15 @@ def _operator_factors(plan: DispatchPlan, weil: WeilPolynomial) -> tuple[tuple[i
     return ()
 
 
+def _real_multiplier_valuation(sign: str, q: int, l: int) -> int:
+    """v_l(1 +- sqrt q): the action of 1 - Frobenius on the real part.
+
+    ``shape_of`` routes only square q >= 4 here, so 1 +- sqrt q != 0.
+    """
+    sq = math.isqrt(q)
+    return valuation(1 + sq if sign == "plus" else 1 - sq, l)
+
+
 def _route_b(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> int:
     """The integer besides the hulls that a route's answer at l depends on."""
     if plan.kind in ("p_realsq", "q2_realsq", "scalar"):
@@ -452,22 +277,18 @@ def _route_b(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> int:
 def _route_groups(kind: str, hulls: tuple[Hull, ...], b: int, r: int, s: int) -> GroupSet:
     """The groups of one route at one prime, from its integer key.
 
-    The shape checks of the groups_* wrappers hold by construction of the
-    plan; each hull becomes its descending Fraction profile only here.
+    Each hull becomes its descending Fraction profile only here; the
+    scalar route has no hull.
     """
-    profiles = [_slopes(hull)[::-1] for hull in hulls]
+    m, n = ([_slopes(hull)[::-1] for hull in hulls] + [(), ()])[:2]
     if kind == "separable":
-        return separable_groups_from_profile(profiles[0], len(profiles[0]))
-    if kind == "p_square":
-        return p_square_groups_from_profile(profiles[0])
+        return admissible_exponents(m, len(m))
+    if kind in ("p_square", "scalar", "cyclic_index"):
+        return direct_sums(m, r, b, s)
     if kind == "p2q":
-        return case1_groups_from_profiles(*profiles)
+        return extensions(direct_sums(m, 2, 0, 0), admissible_exponents(n, 2))
     if kind == "p_realsq":
-        return case2_groups_from_profile(profiles[0], b)
+        return extensions(admissible_exponents(m, 4), ((b, b),))
     if kind == "q2_realsq":
-        return case3_groups_from_profile(profiles[0], b)
-    if kind == "scalar":
-        return ((b,) * s,)
-    if kind == "cyclic_index":
-        return cyclic_index_groups_from_profile(profiles[0], r, b, s)
+        return extensions(direct_sums(m, 2, 0, 0), ((b, b),))
     raise UnsupportedShapeError(f"no classifier for plan {kind!r}")

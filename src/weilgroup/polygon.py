@@ -67,12 +67,6 @@ def is_prime(n: int) -> bool:
     )
 
 
-def require_prime(l: int) -> None:
-    """Raise PolygonError unless l is prime."""
-    if not is_prime(l):
-        raise PolygonError(f"l={l} is not prime")
-
-
 def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int, Fraction | int], ...]:
     """Lower convex hull of points with strictly increasing x.
 
@@ -233,7 +227,8 @@ def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
         raise PolygonError("zero polynomial has no Newton polygon")
     if coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
-    require_prime(l)
+    if not is_prime(l):
+        raise PolygonError(f"l={l} is not prime")
     if coeffs[-1] == 0:
         raise PolygonError("zero constant term: root valuation would be infinite")
     return newton_hull(coeffs, l)

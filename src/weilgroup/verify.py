@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Sequence
 
-from .classify import case1_groups_from_profiles, quadratic_pairs
+from .classify import admissible_exponents, direct_sums, extensions
 from .horn import HornTriple, enumerate_T_st, is_strict
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
-from .partitions import merge_sorted
+from .partitions import partitions_of
 from .reduce import (
     ReducedSystem,
     _base_rows,
@@ -87,8 +88,6 @@ class PublishedRow:
 
 def _derive_K(I: Sequence[int], J: Sequence[int]) -> tuple[int, ...] | None:
     """The unique K completing (I, J) to a trace triple, if unique."""
-    from itertools import combinations
-
     p = len(I)
     target = sum(I) + sum(J) - p * (p + 1) // 2
     matches = [K for K in combinations(M6, p) if sum(K) == target]
@@ -123,8 +122,6 @@ def published_rows_p2q() -> tuple[PublishedRow, ...]:
     for i in range(1, 5):
         add("[6]", "sizes-1-and-5", _without(M6, i), _without(M6, 6),
             _derive_K(_without(M6, i), _without(M6, 6)), (i,), (), (i,), "<=", i)
-
-    from itertools import combinations
 
     for size in range(1, 5):
         for I in combinations(range(1, 5), size):
@@ -242,8 +239,6 @@ def summary_list_p2q() -> tuple[PublishedRow, ...]:
     add("[5]", (), (2,), (2,), "<=")
     for i in range(1, 5):
         add("[6]", (i,), (), (i,), "<=", i)
-    from itertools import combinations
-
     for size in range(1, 5):
         for I in combinations(range(1, 5), size):
             add("[7]", tuple(I), (2,), tuple(x + 1 for x in I) + (6,), ">=",
@@ -705,8 +700,6 @@ def _pair_misprints(
 ) -> tuple[list[MisprintPair], set[tuple[int, ...]]]:
     """Match published-only rows to machine-only rows, minimizing the total
     coefficient distance over all assignments (the diffs are tiny)."""
-    from itertools import permutations
-
     pub = list(published_only.items())
     mach = list(machine_only.items())
     if not pub or not mach:
@@ -755,11 +748,8 @@ def _published_case1_set(
 ) -> set[tuple[int, ...]]:
     """Classified set per a printed list: union over witnesses of the c
     satisfying every row (plus the trace equality)."""
-    from .partitions import partitions_of
-
-    m_pairs = quadratic_pairs(m)
-    a_wit = sorted({merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs})
-    b_wit = quadratic_pairs(n)
+    a_wit = direct_sums(m, 2, 0, 0)
+    b_wit = admissible_exponents(n, 2)
     total = sum(a_wit[0]) + sum(b_wit[0])
     out = set()
     for c in partitions_of(total, 6):
@@ -779,8 +769,6 @@ def _row_holds(row: PublishedRow, a, b, cc) -> bool:
 
 
 def _grid_profiles(max_total: int):
-    from .partitions import partitions_of
-
     for m_tot in range(max_total + 1):
         for m in partitions_of(m_tot, 2):
             for n_tot in range(max_total + 1):
@@ -820,21 +808,18 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
         realizing_a, realizing_b, rejected_c,
     )
 
-    from .partitions import partitions_of
-
     phi_row = _summary_row("phi", (1, 3), (1,), (1, 4, 6), ">=", False, "p2q")
     omission_changes = False
     corrected_matches = True
     machine_matches_lr = True
     for m, n in _grid_profiles(4):
-        machine_set = set(case1_groups_from_profiles(m, n))
+        a_wit = direct_sums(m, 2, 0, 0)
+        b_wit = admissible_exponents(n, 2)
+        machine_set = set(extensions(a_wit, b_wit))
         if _published_case1_set(corrected_rows, m, n) != machine_set:
             omission_changes = True
         if _published_case1_set(corrected_rows + [phi_row], m, n) != machine_set:
             corrected_matches = False
-        m_pairs = quadratic_pairs(m)
-        a_wit = sorted({merge_sorted(p1, p2) for p1 in m_pairs for p2 in m_pairs})
-        b_wit = quadratic_pairs(n)
         total = sum(a_wit[0]) + sum(b_wit[0])
         oracle_set = {
             c for c in partitions_of(total, 6)

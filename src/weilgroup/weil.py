@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd, isqrt
+from math import isqrt
+from operator import index
 from typing import Sequence
 
 from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime
@@ -43,6 +44,10 @@ class RootModulusError(WeilError):
 
 class QNotPrimePowerError(WeilError):
     code = "QNotPrimePower"
+
+
+class NotIntegralError(WeilError):
+    code = "NotIntegral"
 
 
 class DegenerateClassError(WeilError):
@@ -102,7 +107,20 @@ class WeilPolynomial:
 
 
 def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
-    coeffs = tuple(int(c) for c in coeffs)
+    """Validate integer coefficients (highest degree first) and q.
+
+    Coefficients and q are taken through ``operator.index``: ints, bools
+    and numpy integers pass, anything else (a float, a string) raises
+    NotIntegralError for a coefficient and QNotPrimePowerError for q.
+    """
+    try:
+        coeffs = tuple(map(index, coeffs))
+    except TypeError:
+        raise NotIntegralError(f"coefficients must be integers, got {coeffs!r}") from None
+    try:
+        q = index(q)
+    except TypeError:
+        raise QNotPrimePowerError(f"q={q!r} is not a prime power") from None
     p, r = split_prime_power(q)
     if not coeffs or coeffs[0] != 1:
         raise NotMonicError(f"leading coefficient must be 1, got {coeffs[:1]}")
@@ -143,21 +161,6 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _is_squarefree(coeffs: Sequence[int]) -> bool:
-    """gcd(f, f') is constant, by a primitive pseudo-remainder sequence over Z."""
-    d = len(coeffs) - 1
-    a = list(coeffs)
-    b = [(d - i) * c for i, c in enumerate(coeffs[:-1])]
-    while b:  # a, b = b, prem(a, b) / content
-        while len(a) >= len(b):
-            a = [b[0] * x - a[0] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-        while a and not a[0]:
-            a.pop(0)
-        content = gcd(*a)
-        a, b = b, [x // content for x in a]
-    return len(a) == 1
 
 
 def _real_weil_polynomial(coeffs: Sequence[int], q: int) -> tuple[int, ...]:

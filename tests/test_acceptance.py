@@ -13,14 +13,7 @@ report; see the omitted-line analysis for the oracle evidence.
 import time
 from fractions import Fraction
 
-from weilgroup.classify import (
-    admissible_exponents,
-    case2_groups_from_profile,
-    case3_groups_from_profile,
-    classify_all,
-    p_square_groups_from_profile,
-    separable_groups_from_profile,
-)
+from weilgroup.classify import admissible_exponents, classify_all, direct_sums, extensions
 from weilgroup.horn import HornTriple, enumerate_T, enumerate_U
 from weilgroup.oracle import (
     lr_coefficient,
@@ -269,17 +262,17 @@ def test_criterion_9_degeneration_consistency():
     start = time.time()
     for total in range(5):
         for m in partitions_of(total, 4):
-            got = case2_groups_from_profile(m, 0)
+            got = extensions(admissible_exponents(m, 4), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in separable_groups_from_profile(m, 4)},
+                {c + (0, 0) for c in admissible_exponents(m, 4)},
                 reverse=True,
             ))
             assert got == want, m
     for total in range(5):
         for m in partitions_of(total, 2):
-            got = case3_groups_from_profile(m, 0)
+            got = extensions(direct_sums(m, 2, 0, 0), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in p_square_groups_from_profile(m)},
+                {c + (0, 0) for c in direct_sums(m, 2, 0, 0)},
                 reverse=True,
             ))
             assert got == want, m

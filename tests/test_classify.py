@@ -11,21 +11,9 @@ from weilgroup.classify import (
     _prime_factors,
     _route_groups,
     admissible_exponents,
-    case1_groups_from_profiles,
-    case2_groups_from_profile,
-    case3_groups_from_profile,
     classify_all,
-    cyclic_index_groups_from_profile,
-    groups_case1,
-    groups_case2,
-    groups_case3,
-    groups_cyclic_index,
-    groups_p_square,
-    groups_scalar,
-    groups_separable,
-    p_square_groups_from_profile,
-    quadratic_pairs,
-    separable_groups_from_profile,
+    direct_sums,
+    extensions,
 )
 from weilgroup.oracle import lr_coefficient, operator_group_oracle
 from weilgroup.partitions import merge_sorted, partitions_of
@@ -41,9 +29,12 @@ from weilgroup.polygon import transform_one_minus_t
 from weilgroup.weil import (
     SizeLimitError,
     UnsupportedShapeError,
+    factor_weil,
     group_order,
     parse_and_validate,
     poly_mul,
+    root_valuations,
+    shape_of,
 )
 
 
@@ -94,142 +85,131 @@ def test_admissible_matches_operator_oracle():
         assert set(operator_group_oracle(slopes, 2, 4)) == expected
 
 
+def groups_at(coeffs, q, l, kind):
+    """classify_all's groups at the single prime l, for a class of the given route."""
+    result = classify_all(parse_and_validate(coeffs, q), only_l=l)
+    assert result.plan.kind == kind
+    return result.groups[l]
+
+
 def test_groups_separable_examples():
-    assert groups_separable((1, -1, 2), 2) == ((1, 0),)
-    assert groups_separable((1, -1, 2), 7) == ((0, 0),)
-    with pytest.raises(ValueError):
-        groups_separable(poly_mul((1, -1, 2), (1, -1, 2)), 2)
+    assert groups_at((1, -1, 2), 2, 2, "separable") == ((1, 0),)
+    assert groups_at((1, -1, 2), 2, 7, "separable") == ((0, 0),)
 
 
 def test_p_square_profiles():
-    assert p_square_groups_from_profile((1, 1)) == (
+    assert direct_sums((1, 1), 2, 0, 0) == (
         (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)
     )
-    assert p_square_groups_from_profile((1, 0)) == ((1, 1, 0, 0),)
+    assert direct_sums((1, 0), 2, 0, 0) == ((1, 1, 0, 0),)
     half = Fraction(1, 2)
-    assert p_square_groups_from_profile((half, half)) == ((1, 1, 0, 0),)
+    assert direct_sums((half, half), 2, 0, 0) == ((1, 1, 0, 0),)
 
 
 def test_groups_p_square_polynomial():
     # transform of t^2 - t + 2 has valuations (1, 0) at l = 2
-    assert groups_p_square((1, -1, 2), 2) == ((1, 1, 0, 0),)
-    with pytest.raises(ValueError):
-        groups_p_square((1, -1, 2, 0), 2)
+    p_square = poly_mul((1, -1, 2), (1, -1, 2))
+    assert groups_at(p_square, 2, 2, "p_square") == ((1, 1, 0, 0),)
 
 
 def test_cyclic_index_profiles():
-    assert cyclic_index_groups_from_profile((1, 0), 2, 1, 2) == ((1, 1, 1, 1, 0, 0),)
-    assert cyclic_index_groups_from_profile((1, 0), 0, 2, 3) == ((2, 2, 2),)
+    assert direct_sums((1, 0), 2, 1, 2) == ((1, 1, 1, 1, 0, 0),)
+    assert direct_sums((1, 0), 0, 2, 3) == ((2, 2, 2),)
 
 
 def test_groups_cyclic_index_polynomial():
-    # P = t^2 - 2t - 8 = (t - 4)(t + 2), Q = t + 2 divides it;
-    # at l = 2 the slopes of P are (1, 2), so the pair profile is (2, 1)
-    assert groups_cyclic_index((1, -2, -8), (1, 2), 2, 2, 2) == (
+    # (t - 3)^4 (t + 3)^2 at q = 9: on the operator side P = t^2 - 2t - 8 =
+    # (t - 4)(t + 2) and Q = t + 2 divides it; at l = 2 the slopes of P are
+    # (1, 2), so the pair profile is (2, 1)
+    coeffs = poly_mul(scalar_power(3, 4), scalar_power(-3, 2))
+    assert groups_at(coeffs, 9, 2, "cyclic_index") == (
         (3, 3, 1, 1, 0, 0),
         (3, 2, 1, 1, 1, 0),
         (2, 2, 1, 1, 1, 1),
     )
-    with pytest.raises(ValueError, match="does not divide"):
-        groups_cyclic_index((1, -2, -8), (1, 1), 2, 2, 2)
-    with pytest.raises(ValueError, match="separable"):
-        groups_cyclic_index((1, 2, 1), (1, 1), 1, 1, 2)
 
 
 def test_groups_scalar_examples():
-    assert groups_scalar("plus", 9, 6, 2) == (2,) * 6
-    assert groups_scalar("minus", 4, 2, 3) == (0, 0)
-    assert groups_scalar("plus", 4, 2, 7) == (0, 0)
-    with pytest.raises(ValueError):
-        groups_scalar("plus", 2, 2, 3)
-    with pytest.raises(ValueError):
-        groups_scalar("minus", 1, 2, 3)
+    assert groups_at(scalar_power(-3, 6), 9, 2, "scalar") == ((2,) * 6,)
+    assert groups_at(scalar_power(2, 2), 4, 3, "scalar") == ((0, 0),)
+    assert groups_at(scalar_power(-2, 2), 4, 7, "scalar") == ((0, 0),)
 
 
 def test_case1_worked_example():
-    assert groups_case1((1, -1, 2), (1, 2, 2), 2) == ((1, 1, 0, 0, 0, 0),)
-    assert groups_case1((1, -1, 2), (1, 2, 2), 5) == ((1, 0, 0, 0, 0, 0),)
-    with pytest.raises(ValueError):
-        groups_case1((1, -1, 2), (1, -1, 2), 2)  # PQ not separable
+    assert groups_at(P2Q_COEFFS, 2, 2, "p2q") == ((1, 1, 0, 0, 0, 0),)
+    assert groups_at(P2Q_COEFFS, 2, 5, "p2q") == ((1, 0, 0, 0, 0, 0),)
 
 
 def test_case1_contains_direct_sums():
     m, n = (2, 1), (1, 1)
-    out = set(case1_groups_from_profiles(m, n))
-    for p1 in quadratic_pairs(m):
-        for p2 in quadratic_pairs(m):
-            for b in quadratic_pairs(n):
+    out = set(extensions(direct_sums(m, 2, 0, 0), admissible_exponents(n, 2)))
+    for p1 in admissible_exponents(m, 2):
+        for p2 in admissible_exponents(m, 2):
+            for b in admissible_exponents(n, 2):
                 assert merge_sorted(p1, p2, b) in out
 
 
 def test_case3_worked_example():
-    assert groups_case3((1, 3, 9), "plus", 9, 2) == ((2, 2, 0, 0, 0, 0),)
+    assert groups_at(Q9_COEFFS, 9, 2, "q2_realsq") == ((2, 2, 0, 0, 0, 0),)
 
 
 def test_case2_case3_contain_direct_sums():
     for m in ((2, 1, 1, 0), (1, 1, 0, 0)):
         for b in (0, 1, 2):
-            out = set(case2_groups_from_profile(m, b))
+            out = set(extensions(admissible_exponents(m, 4), ((b, b),)))
             for a in (m,):  # the profile itself is always a witness
                 assert merge_sorted(a, (b, b)) in out
     for m in ((1, 1), (2, 0)):
         for b in (0, 1, 2):
-            out = set(case3_groups_from_profile(m, b))
-            for p1 in quadratic_pairs(m):
-                for p2 in quadratic_pairs(m):
+            out = set(extensions(direct_sums(m, 2, 0, 0), ((b, b),)))
+            for p1 in admissible_exponents(m, 2):
+                for p2 in admissible_exponents(m, 2):
                     assert merge_sorted(p1, p2, (b, b)) in out
-
-
-def test_case2_case3_polynomial_guards():
-    with pytest.raises(ValueError):
-        groups_case2(poly_mul((1, -3), (1, 3, 9)), "minus", 9, 2)  # not quartic
-    quartic_with_root = poly_mul(poly_mul((1, -3), (1, 3)), (1, 3, 9))
-    with pytest.raises(ValueError):
-        groups_case2(quartic_with_root, "minus", 9, 2)  # shares the real root
-    with pytest.raises(UnsupportedShapeError):
-        groups_case3((1, 1, 2), "plus", 2, 3)  # q not a square
 
 
 @pytest.mark.parametrize("l", [-1, 0, 1])
 def test_valuation_rejects_l_below_two(l):
-    # runs before the wrapper test below: a valuation that loops at l = +-1
+    # runs before the route test below: a valuation that loops at l = +-1
     # would make it hang instead of fail
     with pytest.raises(ValueError, match="l >= 2"):
         valuation(12, l)
 
 
-QUARTIC = poly_mul((1, 1, 3), (1, 3, 9))  # separable, no root at -+3
-
-
 @pytest.mark.parametrize(
-    "wrapper, args",
+    "coeffs, kind",
     [
-        pytest.param(groups_scalar, ("minus", 9, 2), id="scalar"),
-        pytest.param(groups_case2, (QUARTIC, "minus", 9), id="case2"),
-        pytest.param(groups_case3, ((1, 3, 9), "plus", 9), id="case3"),
-        pytest.param(groups_cyclic_index, ((1, -2, -8), (1, 2), 2, 2), id="cyclic_index"),
+        pytest.param(scalar_power(3, 2), "scalar", id="scalar"),
+        pytest.param(poly_mul(poly_mul((1, 3, 9), (1, -3, 9)), scalar_power(3, 2)), "p_realsq",
+                     id="case2"),
+        pytest.param(Q9_COEFFS, "q2_realsq", id="case3"),
+        pytest.param(poly_mul(scalar_power(3, 4), scalar_power(-3, 2)), "cyclic_index",
+                     id="cyclic_index"),
     ],
 )
 @pytest.mark.parametrize("l", [-1, 0, 1, 4])
-def test_groups_wrappers_reject_non_prime_l(wrapper, args, l):
-    with pytest.raises(PolygonError) as wrapper_error:
-        wrapper(*args, l)
+def test_groups_wrappers_reject_non_prime_l(coeffs, kind, l):
+    """classify_all with only_l rejects a non-prime l on each of these
+    routes at q = 9, with the polygon layer's message, before any valuation."""
+    w = parse_and_validate(coeffs, 9)
+    assert shape_of(factor_weil(w)).kind == kind
+    with pytest.raises(ValueError) as route_error:
+        classify_all(w, only_l=l)
     with pytest.raises(PolygonError) as polygon_error:
         newton_polygon((1, 1), l)
-    assert str(wrapper_error.value) == str(polygon_error.value) == f"l={l} is not prime"
+    assert str(route_error.value) == str(polygon_error.value) == f"l={l} is not prime"
 
 
 def test_case2_trivial_profiles():
-    assert case2_groups_from_profile((0, 0, 0, 0), 0) == ((0,) * 6,)
-    assert case2_groups_from_profile((0, 0, 0, 0), 2) == ((2, 2, 0, 0, 0, 0),)
+    assert extensions(admissible_exponents((0, 0, 0, 0), 4), ((0, 0),)) == ((0,) * 6,)
+    assert extensions(admissible_exponents((0, 0, 0, 0), 4), ((2, 2),)) == ((2, 2, 0, 0, 0, 0),)
 
 
 def test_degeneration_case2_to_separable():
     for total in range(5):
         for m in partitions_of(total, 4):
-            got = case2_groups_from_profile(m, 0)
+            got = extensions(admissible_exponents(m, 4), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in separable_groups_from_profile(m, 4)},
+                {c + (0, 0) for c in admissible_exponents(m, 4)},
                 reverse=True,
             ))
             assert got == want, m
@@ -238,9 +218,9 @@ def test_degeneration_case2_to_separable():
 def test_degeneration_case3_to_p_square():
     for total in range(5):
         for m in partitions_of(total, 2):
-            got = case3_groups_from_profile(m, 0)
+            got = extensions(direct_sums(m, 2, 0, 0), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in p_square_groups_from_profile(m)},
+                {c + (0, 0) for c in direct_sums(m, 2, 0, 0)},
                 reverse=True,
             ))
             assert got == want, m
@@ -251,13 +231,13 @@ def test_case1_matches_tableau_oracle_on_grid():
         for m in partitions_of(m_tot, 2):
             for n_tot in range(4):
                 for n in partitions_of(n_tot, 2):
-                    machine = set(case1_groups_from_profiles(m, n))
+                    b_wit = admissible_exponents(n, 2)
+                    machine = set(extensions(direct_sums(m, 2, 0, 0), b_wit))
                     a_wit = {
                         merge_sorted(p1, p2)
-                        for p1 in quadratic_pairs(m)
-                        for p2 in quadratic_pairs(m)
+                        for p1 in admissible_exponents(m, 2)
+                        for p2 in admissible_exponents(m, 2)
                     }
-                    b_wit = quadratic_pairs(n)
                     total = 2 * sum(m) + sum(n)
                     oracle = {
                         c
@@ -329,28 +309,34 @@ def test_classify_all_p_realsq_dispatch():
         assert all(sum(c) == total for c in groups)
 
 
-def _wrapper_groups(plan, w, l):
-    """The public polynomial-facing wrapper for a dispatch plan."""
+def _reference_groups(plan, w, l):
+    """Memo-free groups of one class at l: checked profiles of the operator
+    factors, root_valuations(transform_one_minus_t(...)), dispatched from the plan."""
+    def profile(f):
+        return tuple(root_valuations(transform_one_minus_t(f), l))
+
+    sq = math.isqrt(w.q)
+    b = valuation(1 + sq if plan.sign == "plus" else 1 - sq, l) if plan.sign else 0
     if plan.kind == "separable":
-        return groups_separable(w.coeffs, l)
+        return admissible_exponents(profile(w.coeffs), w.degree)
     if plan.kind == "p_square":
-        return groups_p_square(plan.P, l)
+        return direct_sums(profile(plan.P), 2, 0, 0)
     if plan.kind == "p2q":
-        return groups_case1(plan.P, plan.Q, l)
+        return extensions(direct_sums(profile(plan.P), 2, 0, 0), admissible_exponents(profile(plan.Q), 2))
     if plan.kind == "p_realsq":
-        return groups_case2(plan.P, plan.sign, w.q, l)
+        return extensions(admissible_exponents(profile(plan.P), 4), ((b, b),))
     if plan.kind == "q2_realsq":
-        return groups_case3(plan.Q, plan.sign, w.q, l)
+        return extensions(direct_sums(profile(plan.Q), 2, 0, 0), ((b, b),))
     if plan.kind == "scalar":
-        return (groups_scalar(plan.sign, w.q, plan.s, l),)
-    assert plan.kind == "cyclic_index"
-    return groups_cyclic_index(plan.P, plan.Q, plan.r, plan.s, l)
+        return ((b,) * plan.s,)
+    assert plan.kind == "cyclic_index"  # plan.P is on the operator side already
+    return direct_sums(tuple(root_valuations(plan.P, l)), plan.r, valuation(plan.Q[1], l), plan.s)
 
 
 def _route_corpus():
     """Products of Weil quadratics t^2 + a t + q, squared or not, and of
     (t -+ sqrt q)^2 at square q, then (t - sqrt q)^u (t + sqrt q)^w: every
-    shape with a public wrapper.  Last, one class whose route key collides
+    supported route.  Last, one class whose route key collides
     with another route's."""
     for q in (2, 3, 4, 9):
         quads = [(1, a, q) for a in range(-4, 5) if a * a < 4 * q][::2]
@@ -378,16 +364,16 @@ def _route_corpus():
     yield 25, poly_mul(poly_mul((1, 1, 25), (1, 1, 25)), poly_mul((1, 5), (1, 5)))
 
 
-def test_dispatch_matches_public_wrappers():
-    """classify_all runs the profile cores directly, behind a bounded memo
-    keyed on integer Newton hulls; from cold memos, the public wrappers,
-    which re-check the shape, must give the same groups per prime."""
+def test_dispatch_matches_reference():
+    """classify_all answers each prime from a bounded memo keyed on integer
+    Newton hulls; the memo-free reference, from checked profiles, must give
+    the same groups per prime."""
     seen = set()
     for q, coeffs in _route_corpus():
         w = parse_and_validate(coeffs, q)
         result = classify_all(w)
         for l, groups in result.groups.items():
-            assert groups == _wrapper_groups(result.plan, w, l), (coeffs, q, l)
+            assert groups == _reference_groups(result.plan, w, l), (coeffs, q, l)
         seen.add((result.plan.kind, q if result.plan.kind.endswith("realsq") else None))
     assert {"separable", "p_square", "p2q", "scalar", "cyclic_index"} <= {
         kind for kind, _ in seen

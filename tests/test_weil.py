@@ -17,13 +17,13 @@ from weilgroup.polygon import (
 )
 from weilgroup.weil import (
     BadDegreeError,
+    NotIntegralError,
     NotMonicError,
     QNotPrimePowerError,
     RootModulusError,
     SizeLimitError,
     SymmetryViolatedError,
     _integer_root,
-    _is_squarefree,
     _roots_real_within,
     factor_weil,
     group_order,
@@ -85,6 +85,31 @@ def test_validate_error_cases():
         parse_and_validate([1, -3, 2], 2)
     with pytest.raises(QNotPrimePowerError):
         parse_and_validate([1, -1, 6], 6)
+
+
+@pytest.mark.parametrize(
+    "coeffs, q, error",
+    [
+        ((1, 0.5, 2), 2, NotIntegralError),  # not truncated to t^2 + 2
+        ((1, -1.0, 2), 2, NotIntegralError),
+        ((1, "-1", 2), 2, NotIntegralError),
+        ((1, Fraction(-1), 2), 2, NotIntegralError),
+        ((1, -1, 2), 2.0, QNotPrimePowerError),
+        ((1, -1, 2), "2", QNotPrimePowerError),
+        ((1, -1, 2), Fraction(2), QNotPrimePowerError),
+        ((True, -1, 2), np.int64(2), None),  # bools and numpy integers are integers
+        ((1, np.int32(-1), 2), 2, None),
+    ],
+)
+def test_validate_takes_integers_only(coeffs, q, error):
+    if error is None:
+        w = parse_and_validate(coeffs, q)
+        assert (w.coeffs, w.q) == ((1, -1, 2), 2)
+        assert all(type(x) is int for x in w.coeffs + (w.q,))
+    else:
+        with pytest.raises(error) as info:
+            parse_and_validate(coeffs, q)
+        assert info.value.code == error.code
 
 
 def test_factor_p2q():
@@ -233,48 +258,6 @@ def test_quadratic_integer_root_matches_scan():
     assert all(seen.values()), seen
     for q in (4, 9, 16, 25, 36, 49, 64):  # x^2 - 4q = (x - 2 sqrt q)(x + 2 sqrt q)
         assert _integer_root((1, 0, -4 * q), isqrt(4 * q)) == -isqrt(4 * q)
-
-
-def _reference_is_squarefree(coeffs):
-    """gcd(f, f') is constant, by Euclid's algorithm over Q (the Fraction
-    test that preceded the integer pseudo-remainder sequence)."""
-    d = len(coeffs) - 1
-    a = [Fraction(c) for c in coeffs]
-    b = [Fraction((d - i) * c) for i, c in enumerate(coeffs[:-1])]
-    while b:  # a, b = b, a mod b
-        while len(a) >= len(b):
-            factor = a[0] / b[0]
-            a = [x - factor * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-        while a and not a[0]:
-            a.pop(0)
-        a, b = b, a
-    return len(a) == 1
-
-
-def test_is_squarefree_matches_fraction_euclid():
-    """Every polynomial of degree <= 4 with leading coefficient 1, 2 or -3
-    and other coefficients in [-3, 3], and every monic quintic with
-    coefficients in [-2, 2]."""
-    boxes = [
-        ((lead,), range(-3, 4), d) for lead in (1, 2, -3) for d in range(5)
-    ] + [((1,), range(-2, 3), 5)]
-    repeated = 0
-    for head, coeff_range, d in boxes:
-        for tail in itertools.product(coeff_range, repeat=d):
-            coeffs = head + tail
-            expected = _reference_is_squarefree(coeffs)
-            assert _is_squarefree(coeffs) == expected, coeffs
-            repeated += not expected
-    assert repeated == 426
-
-
-def test_is_squarefree_at_large_coefficients():
-    q = 2**61 - 1
-    p, r = (1, 3, q), (1, -5, q)
-    assert _is_squarefree(poly_mul(p, r))
-    assert not _is_squarefree(poly_mul(p, poly_mul(p, r)))
-    assert not _is_squarefree(poly_mul((1, 0, -q), (1, 0, -q)))
-    assert _is_squarefree(poly_mul((1, 0, -q), (1, 0, q)))
 
 
 def test_group_order():
