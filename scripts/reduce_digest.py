@@ -13,7 +13,9 @@ and classify the same way:
 * ``classify``: the ``classify_all`` answer (plan, groups and notices, or
   the error code) of every q-Weil polynomial with q in {2, 3, 4} and
   g <= 3, enumerated through the real polynomial h with f = t^g h(t + q/t):
-  2,753 classes, 54 of them UnsupportedShape.
+  2,753 classes, 54 of them UnsupportedShape;
+* ``classify q=5..9``: the same over q in {5, 7, 8, 9}, the first
+  family with p = 5 or p = 7: 40,820 classes.
 
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/reduce_digest.py``; point PYTHONPATH at another checkout's
@@ -33,7 +35,6 @@ from weilgroup.reduce import reduce_system, redundant_members_full
 from weilgroup.weil import WeilError, _roots_real_within, parse_and_validate, poly_mul
 
 BLOCKS = [(s, n - s) for n in range(2, 7) for s in range(1, n)]
-CLASSIFY_Q = (2, 3, 4)
 
 
 def _digest(parts) -> str:
@@ -72,8 +73,8 @@ def _weil_polynomials(q: int):
             yield f
 
 
-def _classify_answers():
-    for q in CLASSIFY_Q:
+def _classify_answers(qs):
+    for q in qs:
         for f in _weil_polynomials(q):
             weil = parse_and_validate(f, q)
             try:
@@ -92,7 +93,8 @@ def main() -> int:
         "redundant_members_full": lambda: (repr(redundant_members_full(n)) for n in range(1, 7)),
         "paper-lists": lambda: [_cli("verify", "paper-lists")],
         "paper-lists --json": lambda: [_cli("--json", "verify", "paper-lists")],
-        "classify": _classify_answers,
+        "classify": lambda: _classify_answers((2, 3, 4)),
+        "classify q=5..9": lambda: _classify_answers((5, 7, 8, 9)),
     }
     for name, parts in families.items():
         print(f"{_digest(parts())}  {name}")

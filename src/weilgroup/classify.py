@@ -141,28 +141,35 @@ class Classification:
     notices: tuple[str, ...] = ()
 
 
+_SMALL_PRIMES = tuple(sorted(  # the 168 primes below 1000, by the sieve of Eratosthenes
+    set(range(2, 1000)).difference(*(range(d * d, 1000, d) for d in range(2, 32)))))
+
+
 def _prime_factors(n: int) -> list[int]:
-    """Distinct primes dividing n >= 1, ascending: trial division below 1000,
-    stopping once d * d exceeds the unfactored part, then Pollard's rho;
-    n >= PRIME_TEST_LIMIT raises SizeLimitError."""
+    """Distinct primes dividing n >= 1, ascending; n >= PRIME_TEST_LIMIT
+    raises SizeLimitError.  Trial division by the primes below 1000 stops
+    at the first prime d with d * d > n, where the unfactored part is 1 or
+    a proven prime.  If the primes run out first, the cofactor goes to
+    ``is_prime`` and Pollard's rho."""
     if n >= PRIME_TEST_LIMIT:
         raise SizeLimitError(f"f(1) = {n} is not below the size limit {PRIME_TEST_LIMIT}")
-    out = set()
-    for d in range(2, 1000):
+    out = []
+    for d in _SMALL_PRIMES:
         if d * d > n:
-            break
-        while n % d == 0:
-            out.add(d)
-            n //= d
+            return out + [n] if n > 1 else out
+        if not n % d:
+            out.append(d)
+            while not n % d:
+                n //= d
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
         if is_prime(m):
-            out.add(m)
+            out.append(m)
         else:
             div = _rho_divisor(m)
             rest += [div, m // div]
-    return sorted(out)
+    return sorted(set(out))
 
 
 _RHO_BATCH = 128

@@ -75,10 +75,11 @@ def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int
     """
     hull: list[tuple[int, Fraction | int]] = []
     for p in points:
+        x, y = p
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep hull[-1] only if it lies strictly below segment hull[-2]->p
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
@@ -185,7 +186,7 @@ def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
     twice returns the input.  With u = t - 1, (-1)^d P(1 - t) is
     sum_k (-1)^k c_k u^(d-k), evaluated by Horner's rule in u.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(map(int, coeffs))
     if not coeffs or coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
     out: list[int] = []
@@ -210,9 +211,17 @@ def newton_hull(coeffs: tuple[int, ...], l: int) -> tuple[tuple[int, int], ...]:
     of the valuation profile.  Unchecked: ``coeffs`` must be a tuple of
     ints, monic with a nonzero constant term, and l prime.  Entry points
     that take outside input check these first (:func:`newton_points`);
-    ``classify.classify_all`` holds them by construction.
+    ``classify.classify_all`` holds them by construction, so each v_l(f_i)
+    is counted inline, without :func:`valuation`'s guards.
     """
-    return _lower_hull([(i, valuation(c, l)) for i, c in enumerate(coeffs) if c])
+    points = []
+    for i, c in enumerate(coeffs):
+        if c:
+            v = 0
+            while not c % l:
+                c, v = c // l, v + 1
+            points.append((i, v))
+    return _lower_hull(points)
 
 
 def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:

@@ -18,7 +18,7 @@ from math import isqrt
 from operator import index
 from typing import Sequence
 
-from .polygon import PRIME_TEST_LIMIT, ValuationProfile, is_prime
+from .polygon import _MR_BASES, PRIME_TEST_LIMIT, ValuationProfile, is_prime, valuation
 from .polygon import _slopes, newton_hull, newton_points  # noqa: F401  (newton_hull is re-exported)
 
 
@@ -73,11 +73,21 @@ def _iroot(n: int, r: int) -> int:
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^r with p prime, r >= 1; q >= PRIME_TEST_LIMIT raises SizeLimitError."""
+    """q = p^r with p prime, r >= 1; q >= PRIME_TEST_LIMIT raises SizeLimitError.
+
+    A q divisible by a prime p <= 41 (``polygon._MR_BASES``) is p^v_p(q) or
+    not a prime power; only q with no such factor search for a prime root.
+    """
     if q < 2:
         raise QNotPrimePowerError(f"q={q} is not a prime power")
     if q >= PRIME_TEST_LIMIT:
         raise SizeLimitError(f"q={q} is not below the size limit {PRIME_TEST_LIMIT}")
+    for p in _MR_BASES:
+        if not q % p:
+            r = valuation(q, p)
+            if p ** r != q:
+                raise QNotPrimePowerError(f"q={q} is not a prime power")
+            return p, r
     for r in range(1, q.bit_length()):
         p = _iroot(q, r)
         if p ** r == q and is_prime(p):

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -39,15 +39,33 @@ from weilgroup.weil import (
 
 
 def test_prime_factors():
-    def by_trial_division(n):
-        return [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+    limit = 20_000
+    spf = list(range(limit))  # smallest prime factor, by sieve
+    for d in range(2, isqrt(limit - 1) + 1):
+        if spf[d] == d:
+            for m in range(d * d, limit, d):
+                if spf[m] == m:
+                    spf[m] = d
 
-    for n in range(1, 400):
-        assert _prime_factors(n) == by_trial_division(n)
+    def by_sieve(n):
+        out = []
+        while n > 1:
+            out.append(spf[n])
+            while n % out[-1] == 0:
+                n //= out[-1]
+        return out
+
+    for n in range(1, limit):
+        assert _prime_factors(n) == by_sieve(n)
     assert _prime_factors(9973 * 9967) == [9967, 9973]
-    # trial division stops early, leaving a prime cofactor below 1000
+    # trial division stops early, leaving a cofactor that is proven prime
     assert _prime_factors(2 * 997) == [2, 997]
     assert _prime_factors(4 * 991) == [2, 991]
+    assert _prime_factors(991 * 1009) == [991, 1009]
+    # the primes below 1000 run out: the cofactor goes to is_prime, then to rho
+    assert _prime_factors(997 * 1009) == [997, 1009]
+    assert _prime_factors(1009 * 1013) == [1009, 1013]
+    assert _prime_factors(2 * 1000003) == [2, 1000003]
     assert _prime_factors(997**2) == [997]
     assert _prime_factors(2**20 * 991 * 997) == [2, 991, 997]
     assert _prime_factors(1023**2 * 1046530) == [2, 3, 5, 11, 31, 229, 457]

@@ -62,6 +62,34 @@ def test_split_prime_power():
         split_prime_power(2**20 * 3)
     with pytest.raises(SizeLimitError):
         split_prime_power(PRIME_TEST_LIMIT)
+    # the strip by the primes up to 41, and the root search beyond them
+    assert split_prime_power(43**2) == (43, 2)
+    assert split_prime_power(2**81) == (2, 81)
+    assert split_prime_power(3**51) == (3, 51)
+    for q in (41 * 43, 2 * (2**61 - 1)):
+        with pytest.raises(QNotPrimePowerError):
+            split_prime_power(q)
+    with pytest.raises(SizeLimitError):  # the size limit comes before the strip
+        split_prime_power(2**82)
+
+    limit = 2**16
+    composite = bytearray(limit)
+    expected = dict.fromkeys(range(1, limit))
+    for p in range(2, limit):  # every prime power below the limit, from a sieve
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, limit, p))
+            q, r = p, 1
+            while q < limit:
+                expected[q] = (p, r)
+                q, r = q * p, r + 1
+
+    def split(q):
+        try:
+            return split_prime_power(q)
+        except QNotPrimePowerError:
+            return None
+
+    assert {q: split(q) for q in range(1, limit)} == expected
 
 
 def test_validate_accepts_ordinary_elliptic():
