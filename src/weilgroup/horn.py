@@ -29,6 +29,7 @@ between Smith invariants of a block triangular matrix, see
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Sequence
 
 DESK_SCALE_N = 7
@@ -87,6 +88,10 @@ class HornTable:
     rows whose F, resp. G, holds it, +1 where H does).  Each field of
     bias + sum_c coef_c x_c is then 2^(W-1) + v in [0, 2^W), no borrow
     crosses a field, and the row holds iff the field's high bit is set.
+
+    :meth:`_select` runs that test over any lexicographic choice of I and
+    J: all p-subsets for T^n_p itself, the overflow-shaped ones for the
+    block restrictions of :func:`enumerate_T_st`.
     """
 
     def __init__(self):
@@ -99,37 +104,60 @@ class HornTable:
 
     def _compute(self, n: int, p: int) -> tuple[HornTriple, ...]:
         key = (n, p)
-        if key in self._tables:
-            return self._tables[key]
-        if p == 1:
-            result = enumerate_U(n, 1)
-        else:
-            width = ((2 * p // 3) * (n - p)).bit_length() + 1
-            bias = mask = 0
-            coefs = [[0] * p for _ in range(3)]
-            rows = [(r, row) for r in range(1, p) for row in self._compute(p, r)]
-            for k, (r, row) in enumerate(rows):
-                high = 1 << (k * width + width - 1)
-                low = 1 << (k * width)
-                bias += high + low * (r * (r + 1) // 2)
-                mask |= high
-                for coef, sign, idx in zip(coefs, (-low, -low, low), row):
-                    for f in idx:
-                        coef[f - 1] += sign
+        if key not in self._tables:
             subsets = list(combinations(range(1, n + 1), p))
-            vI, vJ, vK = (
-                {S: sum(c * x for c, x in zip(coef, S)) for S in subsets}
-                for coef in coefs
-            )
-            result = tuple(
-                tri for tri in enumerate_U(n, p)
-                if (bias + vI[tri.I] + vJ[tri.J] + vK[tri.K]) & mask == mask
-            )
-        self._tables[key] = result
-        return result
+            self._tables[key] = self._select(n, p, subsets, subsets)
+        return self._tables[key]
+
+    def _select(
+        self,
+        n: int,
+        p: int,
+        Is: Sequence[tuple[int, ...]],
+        Js: Sequence[tuple[int, ...]],
+    ) -> tuple[HornTriple, ...]:
+        """The triples of T^n_p with I in ``Is`` and J in ``Js``, in lexicographic order.
+
+        ``Is`` and ``Js`` are lexicographically sorted p-subsets of {1..n};
+        K runs over every p-subset that meets the trace condition.
+        """
+        width = ((2 * p // 3) * (n - p)).bit_length() + 1
+        bias = mask = 0
+        coefs = [[0] * p for _ in range(3)]
+        rows = [(r, row) for r in range(1, p) for row in self._compute(p, r)]
+        for k, (r, row) in enumerate(rows):
+            high = 1 << (k * width + width - 1)
+            low = 1 << (k * width)
+            bias += high + low * (r * (r + 1) // 2)
+            mask |= high
+            for coef, sign, idx in zip(coefs, (-low, -low, low), row):
+                for f in idx:
+                    coef[f - 1] += sign
+        cI, cJ, cK = coefs
+        by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for K in combinations(range(1, n + 1), p):
+            by_sum.setdefault(sum(K), []).append((K, sum(map(mul, cK, K))))
+        packed_J = [(J, sum(J), bias + sum(map(mul, cJ, J))) for J in Js]
+        shift = p * (p + 1) // 2
+        out = []
+        for I in Is:
+            sI = sum(I) - shift
+            vI = sum(map(mul, cI, I))
+            for J, sJ, vJ in packed_J:
+                for K, vK in by_sum.get(sI + sJ, ()):
+                    if (vI + vJ + vK) & mask == mask:
+                        out.append(HornTriple(I, J, K))
+        return tuple(out)
 
 
 _DEFAULT_TABLE = HornTable()
+
+
+def _check_desk_scale(n: int, allow_large: bool) -> None:
+    if n > DESK_SCALE_N and not allow_large:
+        raise ValueError(
+            f"n={n} exceeds desk scale {DESK_SCALE_N}; pass allow_large=True"
+        )
 
 
 def enumerate_T(
@@ -143,10 +171,7 @@ def enumerate_T(
 
     Guarded at desk scale (n <= 7); pass ``allow_large=True`` beyond that.
     """
-    if n > DESK_SCALE_N and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds desk scale {DESK_SCALE_N}; pass allow_large=True"
-        )
+    _check_desk_scale(n, allow_large)
     tab = table if table is not None else _DEFAULT_TABLE
     return tab.T(n, p)
 
@@ -229,23 +254,28 @@ def enumerate_T_st(
     allow_large: bool = False,
     table: HornTable | None = None,
 ) -> tuple[HornTriple, ...]:
-    """Block restriction of T^{s+t}_p.
+    """Block restriction of T^{s+t}_p, in lexicographic order.
 
     ``tilde`` keeps triples whose part of I above s and part of J above t
     are initial segments {s+1..s+alpha} and {t+1..t+beta}; ``strict``
-    additionally requires :func:`is_strict`.
+    additionally requires :func:`is_strict`.  Only those overflow-shaped I
+    and J go through the packed test of :class:`HornTable`, so T^{s+t}_p
+    itself is never built; the smaller tables its rows come from are.
+    Guarded at desk scale like :func:`enumerate_T`.
     """
     if mode not in ("tilde", "strict"):
         raise ValueError(f"mode must be 'tilde' or 'strict', got {mode!r}")
+    if s < 1 or t < 1:
+        raise ValueError("need s, t >= 1")
     n = s + t
+    _check_desk_scale(n, allow_large)
+    if not 1 <= p <= n:
+        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
     over_I = _overflow_shaped(n, s, p)
     over_J = _overflow_shaped(n, t, p)
-    out = []
-    for tri in enumerate_T(n, p, allow_large=allow_large, table=table):
-        alpha = over_I.get(tri.I)
-        beta = over_J.get(tri.J)
+    tab = table if table is not None else _DEFAULT_TABLE
+    out = tab._select(n, p, sorted(over_I), sorted(over_J))
+    if mode == "strict":
         # the strict condition counts p - alpha parts of I in M_s, p - beta of J in M_t
-        if alpha is None or beta is None or mode == "strict" and alpha + beta != p:
-            continue
-        out.append(tri)
-    return tuple(out)
+        out = tuple(tri for tri in out if over_I[tri.I] + over_J[tri.J] == p)
+    return out

@@ -8,15 +8,19 @@ in integer arithmetic, with no LP solver and no float anywhere.
 :func:`linprog` is Motzkin's double description method (Motzkin, Raiffa,
 Thompson and Thrall, 1953; Fukuda and Prodon, "Double description method
 revisited", 1996): it turns the rows into the extreme rays of the cone and
-a basis of its lineality space.  A :class:`Cone` runs it once, on first
-use, and each row is then classified by the set of rays it is tight on
-(the benchmark's tracer looks this module and ``linprog`` up by name and
-times the double description as ``linprog.highs``, so both keep their
-names until its spans are re-pointed):
+a basis of its lineality space, and gives each ray's zero set, the rows
+it is tight on.  A :class:`Cone` runs it once, on first use, and each row
+is then classified by its tight set, the rays it is tight on, read off
+those zero sets by a bit transpose (the benchmark's tracer looks this
+module and ``linprog`` up by name and times the double description as
+``linprog.highs``, so both keep their names until its spans are
+re-pointed):
 
 * a row that is not tight on every ray and whose face is not a facet is
   implied;
-* a facet row is implied iff another active row defines the same facet;
+* a facet row is implied iff another active row defines the same facet.
+  Both tests run over the distinct tight sets of the active rows, each
+  with the number of rows that have it;
 * an implicit equality (tight on every ray) is decided by one more double
   description, of the other implicit equalities alone.  At a
   relative-interior point of the cone every row that is not one is
@@ -25,12 +29,13 @@ names until its spans are re-pointed):
   implied iff it is nonnegative on every ray of their cone.
 
 Dropping a row found implied leaves the cone as it is, so one description
-serves a whole sequential reduction; dropping any other row forces a new
-one.
+serves a whole sequential reduction, and only that row's count changes;
+dropping any other row forces a new description.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -41,22 +46,30 @@ Row = tuple[int, ...]
 class Cone:
     """The cone {x : G x >= 0} of the active rows of G.
 
-    Indices stay stable while rows are tested and dropped; the double
-    description and each row's tight set are computed on first use.
+    Indices stay stable while rows are tested and dropped.  The double
+    description is computed on first use, and with it each active row's
+    tight set, a bitmask over the rays read off the rays' zero sets, and
+    the number of active rows per distinct tight set.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = [tuple(r) for r in rows]
         self.active = [True] * len(self.rows)
-        # per active row, its tight set as a bitmask over the rays; and every ray
-        self._faces: tuple[dict[int, int], int] | None = None
+        self._tight: dict[int, int] | None = None  # active row -> tight set
+        self._every = 0  # the tight set of an implicit equality: every ray
+        self._counts: Counter[int] = Counter()  # tight set -> active rows with it
         self._implied: int | None = None  # last row found implied since a drop
 
     def drop(self, i: int) -> None:
         """Free row i for good: it no longer constrains any later test."""
         self.active[i] = False
-        if i != self._implied:
-            self._faces = None  # the cone itself may have grown
+        if i == self._implied:  # the cone is unchanged: keep its description
+            z = self._tight.pop(i)
+            self._counts[z] -= 1
+            if not self._counts[z]:
+                del self._counts[z]
+        else:
+            self._tight = None  # the cone itself may have grown
         self._implied = None
 
 
@@ -71,16 +84,16 @@ def _combine(a: int, u: Row, b: int, v: Row) -> Row:
     return tuple(x // d for x in w) if d > 1 else tuple(w)
 
 
-def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row]]:
-    """Extreme rays and a lineality basis of {x in Z^dim : g . x >= 0 for g in rows}.
+def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row], list[int]]:
+    """Extreme rays, a lineality basis and each ray's zero set for {x in Z^dim : g . x >= 0}.
 
     Double description from the whole space: rows go in in the order
     given, which decides only the cost, and each ray carries the bitmask
-    of inserted rows it is tight on.  A row that is nonzero on the
-    lineality space turns one lineality vector into a ray; otherwise each
-    pair of rays on opposite sides gives a new ray iff they are adjacent,
-    which is decided combinatorially: no third ray is tight on every row
-    both are tight on.
+    of inserted rows it is tight on, bit k for ``rows[k]``: its zero set.
+    A row that is nonzero on the lineality space turns one lineality
+    vector into a ray; otherwise each pair of rays on opposite sides gives
+    a new ray iff they are adjacent, which is decided combinatorially: no
+    third ray is tight on every row both are tight on.
 
     That test is one integer subtraction per pair.  Before row ``bit``
     goes in, every mask uses rows 0..bit-1 only, so ray k's complement
@@ -135,43 +148,57 @@ def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row]]:
                         continue
                     new.append((_combine(values[p], rq, -values[q], rp), common | mask))
         rays = new
-    return [r for r, _ in rays], lineality
+    return [r for r, _ in rays], lineality, [z for _, z in rays]
 
 
-def _rays(rows: list[Row], dim: int) -> list[Row]:
-    """Extreme rays of the cone of ``rows``, inserted lexicographically decreasing.
+def _rays(rows: list[Row], dim: int) -> tuple[list[Row], list[int]]:
+    """Extreme rays of the cone of ``rows`` and each row's tight set over them.
 
-    That order keeps the intermediate descriptions of the Horn systems
-    small: the (3, 3) block system (92 rows, 25 rays) takes 30-45 ms,
-    against 85-110 ms by increasing coefficient weight (2-vCPU Xeon VM).
+    Rows go in lexicographically decreasing.  That order keeps the
+    intermediate descriptions of the Horn systems small: the (3, 3) block
+    system (92 rows, 25 rays) takes 30-45 ms, against 85-110 ms by
+    increasing coefficient weight (2-vCPU Xeon VM).  A row's tight set has
+    bit k set iff ray k is tight on it: the bit transpose of the rays' zero
+    sets, read column by column from their binary strings.
     """
-    return linprog(sorted(rows, reverse=True), dim)[0]
+    order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
+    rays, _, masks = linprog([rows[b] for b in order], dim)
+    width = len(rows)
+    tight = [0] * width
+    # character b of each string is bit b of a zero set, and ray k comes
+    # k-th from the end, so column b holds ray k at bit k
+    strings = [f"{z:0{width}b}"[::-1] for z in reversed(masks)]
+    for b, column in enumerate(zip(*strings)):
+        tight[order[b]] = int("".join(column), 2)
+    return rays, tight
 
 
 def is_implied(cone: Cone, i: int) -> bool:
-    """Exact decision: do the other active rows of the cone imply (active) row i?"""
+    """Exact decision: do the other active rows of the cone imply (active) row i?
+
+    The cone is described once per change of it.  Row i is then decided
+    by its tight set alone, and the facet test runs over the distinct
+    tight sets of the active rows with their counts, not over the rows.
+    """
     phi = cone.rows[i]
-    if cone._faces is None:
+    if cone._tight is None:
         active = [j for j, on in enumerate(cone.active) if on]
-        rays = _rays([cone.rows[j] for j in active], len(phi))
-        tight = {
-            j: sum(1 << k for k, r in enumerate(rays) if not _dot(cone.rows[j], r)) for j in active
-        }
-        cone._faces = tight, (1 << len(rays)) - 1
-    tight, every = cone._faces
+        rays, tight = _rays([cone.rows[j] for j in active], len(phi))
+        cone._tight, cone._counts = dict(zip(active, tight)), Counter(tight)
+        cone._every = (1 << len(rays)) - 1
+    tight, every, counts = cone._tight, cone._every, cone._counts
     zi = tight[i]
     if zi == every:
         # phi is an implicit equality: only the other implicit equalities can
         # imply it, and phi <= 0 on their cone (module docstring), so
         # nonnegative on its rays it is 0 on all of it, lineality included
-        equalities = [
-            cone.rows[j] for j, z in tight.items() if z == every and cone.active[j] and j != i
-        ]
-        implied = all(_dot(phi, r) >= 0 for r in _rays(equalities, len(phi)))
+        equalities = [cone.rows[j] for j, z in tight.items() if z == every and j != i]
+        implied = all(_dot(phi, r) >= 0 for r in _rays(equalities, len(phi))[0])
     else:
-        others = [z for j, z in tight.items() if cone.active[j] and j != i]
-        facet = not any(z != every and z != zi and z & zi == zi for z in others)
-        implied = not facet or zi in others
+        # a face strictly inside another proper face is no facet; a facet
+        # is implied iff another active row defines it too
+        facet = not any(z != every and z != zi and z & zi == zi for z in counts)
+        implied = not facet or counts[zi] > 1
     if implied:
         cone._implied = i
     return implied

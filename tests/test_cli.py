@@ -138,6 +138,14 @@ def test_horn_reduce_rejects_empty_block(run):
         assert err.strip() == "error: need s, t >= 1"
 
 
+def test_horn_triples_rejects_empty_block(run):
+    for st in ("0,3", "3,0"):
+        code, out, err = run("horn", "triples", "--n", "3", "--p", "1", "--st", st)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: need s, t >= 1"
+
+
 def test_verify_paper_lists_subcommand(run):
     code, out, _ = run("--json", "verify", "paper-lists")
     assert code == 0

@@ -196,6 +196,49 @@ def test_T_st_known_sizes():
     assert sizes == {1: 6, 2: 18, 3: 26, 4: 18, 5: 6, 6: 1}
 
 
+def _initial_above(I, s):
+    """Whether the part of I above s is an initial segment {s+1..s+alpha}."""
+    above = [i for i in I if i > s]
+    return above == list(range(s + 1, s + len(above) + 1))
+
+
+def filtered_T_st(s, t, p, mode):
+    """The block restriction by filtering all of T^{s+t}_p: the reference
+    for the direct builder in ``enumerate_T_st``."""
+    out = []
+    for tri in reference_T(s + t, p):
+        if not (_initial_above(tri.I, s) and _initial_above(tri.J, t)):
+            continue
+        if mode == "strict" and sum(i <= s for i in tri.I) + sum(j <= t for j in tri.J) != p:
+            continue
+        out.append(tri)
+    return tuple(out)
+
+
+def test_T_st_matches_filtered_T():
+    shared = HornTable()
+    for n in range(2, 8):
+        for s in range(1, n):
+            for p in range(1, n + 1):
+                for mode in ("tilde", "strict"):
+                    expected = filtered_T_st(s, n - s, p, mode)
+                    for table in (HornTable(), shared, None):
+                        got = enumerate_T_st(s, n - s, p, mode, table=table)
+                        assert got == expected, (s, n - s, p, mode, table)
+
+
+def test_T_st_guards():
+    for s, t in ((0, 3), (3, 0), (-1, 4), (0, 9)):
+        with pytest.raises(ValueError, match=r"^need s, t >= 1$"):
+            enumerate_T_st(s, t, 1)
+    with pytest.raises(ValueError, match="^n=8 exceeds desk scale 7; pass allow_large=True$"):
+        enumerate_T_st(4, 4, 1)
+    assert enumerate_T_st(4, 4, 1, allow_large=True)
+    for p in (0, 4):
+        with pytest.raises(ValueError, match=rf"^need 1 <= p <= n, got p={p}, n=3$"):
+            enumerate_T_st(2, 1, p)
+
+
 def test_lidskii_facts():
     # J = {1..p} forces I = K; J = {s+1..s+p} forces K = I + s
     for n in range(2, 7):

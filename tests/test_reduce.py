@@ -77,14 +77,15 @@ def test_double_description_with_lineality():
     # x1 >= x2 >= x3 in R^3: the line through (1, 1, 1) and two rays, each
     # tight on one of the two rows
     rows = [(1, -1, 0), (0, 1, -1)]
-    rays, lineality = linprog(rows, 3)
+    rays, lineality, masks = linprog(rows, 3)
     assert lineality in ([(1, 1, 1)], [(-1, -1, -1)])
     assert sorted(tuple(_dot(g, r) == 0 for g in rows) for r in rays) == [
         (False, True),
         (True, False),
     ]
     assert all(_dot(g, r) >= 0 for g in rows for r in rays)
-    assert linprog([], 2) == ([], [(1, 0), (0, 1)])
+    assert masks == _zero_sets(rows, rays)
+    assert linprog([], 2) == ([], [(1, 0), (0, 1)], [])
     # on that cone x1 >= 0 is not implied, x1 >= x3 is
     assert not is_implied(Cone([(1, 0, 0), *rows]), 0)
     assert is_implied(Cone([(1, 0, -1), *rows]), 0)
@@ -126,6 +127,11 @@ def _scan_linprog(rows, dim):
     return [r for r, _ in rays], lineality
 
 
+def _zero_sets(rows, rays):
+    """Per ray, the bitmask of the rows it is tight on, by dot products."""
+    return [sum(1 << k for k, g in enumerate(rows) if not _dot(g, r)) for r in rays]
+
+
 def test_packed_adjacency_matches_scan_on_block_systems(monkeypatch):
     # every double description a reduction runs: each block system's sorted
     # cone rows and each implicit-equality sub-system
@@ -143,7 +149,9 @@ def test_packed_adjacency_matches_scan_on_block_systems(monkeypatch):
                 reduce_system(s, n - s, scalar_b=scalar_b, table=HornTable())
     assert len(inputs) > 2 * 15  # one cone per system, plus the equality runs
     for rows, dim in inputs:
-        assert packed(rows, dim) == _scan_linprog(rows, dim), (rows, dim)
+        rays, lineality, masks = packed(rows, dim)
+        assert (rays, lineality) == _scan_linprog(rows, dim), (rows, dim)
+        assert masks == _zero_sets(rows, rays), (rows, dim)
 
 
 def test_packed_adjacency_matches_scan_on_random_cones():
@@ -155,9 +163,10 @@ def test_packed_adjacency_matches_scan_on_random_cones():
         if rng.random() < 0.5:  # a pointed cone: add x_i >= 0 for every coordinate
             rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
             rng.shuffle(rows)
-        rays, lineality = linprog(rows, dim)
+        rays, lineality, masks = linprog(rows, dim)
         with_lineality += bool(lineality)
         assert (rays, lineality) == _scan_linprog(rows, dim), (rows, dim)
+        assert masks == _zero_sets(rows, rays), (rows, dim)
     assert 100 < with_lineality < 1400
 
 
@@ -291,7 +300,9 @@ def test_full_mode_lr_rule_matches_double_description():
         cands = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
         rows = [_section(_functional(*tri, (n, n, n)), n) for tri in cands]
         base = [_section(r, n) for r in _base_rows((n, n, n), False)]
-        rays, lineality = linprog(sorted(base, reverse=True) + sorted(rows, reverse=True), 3 * n - 3)
+        rays, lineality, _ = linprog(
+            sorted(base, reverse=True) + sorted(rows, reverse=True), 3 * n - 3
+        )
         assert not lineality
         # extreme rays of a pointed cone: no ray's tight rows lie inside another's
         on = [frozenset(j for j, g in enumerate(rows + base) if not _dot(g, r)) for r in rays]
