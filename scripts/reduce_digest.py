@@ -17,6 +17,10 @@ and classify the same way:
 * ``classify q=5..9``: the same over q in {5, 7, 8, 9}, the first
   family with p = 5 or p = 7: 40,820 classes.
 
+The classify families hash ``repr(result.plan)``, so their digests change
+whenever the fields of ``DispatchPlan`` change, even when every group is
+the same; compare kinds, tags, groups and notices to tell the two apart.
+
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/reduce_digest.py``; point PYTHONPATH at another checkout's
 ``src`` to digest that one.

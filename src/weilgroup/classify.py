@@ -16,23 +16,24 @@ cyclic parts; P^2 Q, P (t +- sqrt q)^2 and Q^2 (t +- sqrt q)^2 are
 ``extensions`` of a submodule witness set by a quotient witness set.
 
 ``classify_all`` does not re-check separability or shape:
-``factor_weil`` and ``shape_of`` have settled those already.  It
-transforms each factor of its dispatch plan once per request, and
+``factor_weil`` and ``shape_of`` have settled those already, and the
+``DispatchPlan`` carries everything a route reads.  ``classify_all``
+transforms each of the plan's f-side factors once per request, and
 answers each prime l from a key that does not mention the polynomial:
 the route kind, the integer Newton hull (``weil.newton_hull``) at l of
-each operator-side factor, the integer b the route needs (the
-real-multiplier valuation, or v_l(Q(0)) for the cyclic-index route; a
-hull's width is its degree) and the route's r and s.  The answer per key
-is memoised in a bounded ``lru_cache`` (``_route_groups``); Fraction
-profiles are built, and the witness sets computed, only on a miss.
+each transformed factor, b = v_l of the plan's real eigenvalue
+1 -+ sqrt q (0 when the route has none) and the route's r and s.  Only
+``_route_groups`` switches on the kind; it reads each width off a hull
+and each multiplicity off r and s.  The answer per key is memoised in a
+bounded ``lru_cache`` (``_route_groups``); Fraction profiles are built,
+and the witness sets computed, only on a miss.
 
 ``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
-preconditions by construction.  Each operator factor is a monic int tuple
-(``transform_one_minus_t`` output, or (1, -2, 1 - q) for the cyclic-index
-route).  Its constant term is nonzero: it is +-P(1) for a factor P of f,
-and f(1) != 0 for every valid class, or 1 - q for the cyclic-index route.
-Each l is prime: it comes from ``_prime_factors`` or passes the ``only_l``
-check.
+preconditions by construction.  Each transformed factor is a monic int
+tuple (``transform_one_minus_t`` output).  Its constant term is nonzero:
+it is +-P(1) for a factor P of f, and f(1) != 0 for every valid class,
+or 1 - q for the cyclic-index factor t^2 - q.  Each l is prime: it comes
+from ``_prime_factors`` or passes the ``only_l`` check.
 """
 
 from __future__ import annotations
@@ -233,11 +234,12 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
             f"l = {weil.p} equals the residue characteristic; its entry is "
             "formal (the Tate module has rank 2g only for l != p)"
         )
-    ops = _operator_factors(plan, weil)
+    ops = tuple(map(transform_one_minus_t, plan.factors))
     groups: dict[int, GroupSet] = {}
     for l in primes:
         hulls = tuple(newton_hull(op, l) for op in ops)
-        groups[l] = _route_groups(plan.kind, hulls, _route_b(plan, weil, l), plan.r, plan.s)
+        b = valuation(plan.real_eigenvalue, l) if plan.real_eigenvalue else 0
+        groups[l] = _route_groups(plan.kind, hulls, b, plan.r, plan.s)
     return Classification(
         weil=weil,
         shape=shape,
@@ -247,45 +249,14 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     )
 
 
-def _operator_factors(plan: DispatchPlan, weil: WeilPolynomial) -> tuple[tuple[int, ...], ...]:
-    """The operator-side polynomials f(1 - t) whose Newton hulls key the route."""
-    if plan.kind == "separable":
-        return (transform_one_minus_t(weil.coeffs),)
-    if plan.kind in ("p_square", "p_realsq"):
-        return (transform_one_minus_t(plan.P),)
-    if plan.kind == "p2q":
-        return (transform_one_minus_t(plan.P), transform_one_minus_t(plan.Q))
-    if plan.kind == "q2_realsq":
-        return (transform_one_minus_t(plan.Q),)
-    if plan.kind == "cyclic_index":  # plan.P is on the operator side already
-        return (plan.P,)
-    return ()
-
-
-def _real_multiplier_valuation(sign: str, q: int, l: int) -> int:
-    """v_l(1 +- sqrt q): the action of 1 - Frobenius on the real part.
-
-    ``shape_of`` routes only square q >= 4 here, so 1 +- sqrt q != 0.
-    """
-    sq = math.isqrt(q)
-    return valuation(1 + sq if sign == "plus" else 1 - sq, l)
-
-
-def _route_b(plan: DispatchPlan, weil: WeilPolynomial, l: int) -> int:
-    """The integer besides the hulls that a route's answer at l depends on."""
-    if plan.kind in ("p_realsq", "q2_realsq", "scalar"):
-        return _real_multiplier_valuation(plan.sign, weil.q, l)
-    if plan.kind == "cyclic_index":
-        return valuation(plan.Q[1], l)
-    return 0
-
-
 @lru_cache(maxsize=ROUTE_MEMO_SIZE)
 def _route_groups(kind: str, hulls: tuple[Hull, ...], b: int, r: int, s: int) -> GroupSet:
     """The groups of one route at one prime, from its integer key.
 
     Each hull becomes its descending Fraction profile only here; the
-    scalar route has no hull.
+    scalar route has no hull.  Each width is a profile's length and each
+    multiplicity is r or s, so a new factor pattern on an existing
+    formula needs only its ``shape_of`` branch.
     """
     m, n = ([_slopes(hull)[::-1] for hull in hulls] + [(), ()])[:2]
     if kind == "separable":
@@ -293,9 +264,9 @@ def _route_groups(kind: str, hulls: tuple[Hull, ...], b: int, r: int, s: int) ->
     if kind in ("p_square", "scalar", "cyclic_index"):
         return direct_sums(m, r, b, s)
     if kind == "p2q":
-        return extensions(direct_sums(m, 2, 0, 0), admissible_exponents(n, 2))
+        return extensions(direct_sums(m, r, 0, 0), admissible_exponents(n, len(n)))
     if kind == "p_realsq":
-        return extensions(admissible_exponents(m, 4), ((b, b),))
+        return extensions(admissible_exponents(m, len(m)), ((b,) * s,))
     if kind == "q2_realsq":
-        return extensions(direct_sums(m, 2, 0, 0), ((b, b),))
+        return extensions(direct_sums(m, r, 0, 0), ((b,) * s,))
     raise UnsupportedShapeError(f"no classifier for plan {kind!r}")

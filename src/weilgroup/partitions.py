@@ -10,18 +10,34 @@ test of a linear system (see :func:`weilgroup.smith.enumerate_cokernels`).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 
+def as_integers(values: Iterable[int], error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """The values as a tuple of ints, through ``operator.index``.
+
+    Ints, bools and numpy integers pass; anything else (a float, a string)
+    raises ``error`` instead of being truncated.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise error(f"not all integers: {values!r}") from None
+
+
 def is_partition(parts: Sequence[int]) -> bool:
-    return all(isinstance(x, int) and x >= 0 for x in parts) and all(
+    return all(x >= 0 for x in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 
 
 def as_partition(parts: Iterable[int], length: int | None = None) -> tuple[int, ...]:
-    """Validate and freeze a partition, optionally enforcing an exact length."""
-    t = tuple(int(x) for x in parts)
+    """Validate and freeze a partition, optionally enforcing an exact length.
+
+    A part that is not an integer raises ValueError (see :func:`as_integers`).
+    """
+    t = as_integers(parts)
     if not is_partition(t):
         raise ValueError(f"not a weakly decreasing nonnegative tuple: {t}")
     if length is not None and len(t) != length:

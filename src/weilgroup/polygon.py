@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .partitions import as_integers
+
 
 class PolygonError(ValueError):
     """Invalid polygon construction or incompatible polygon operation."""
@@ -183,10 +185,11 @@ def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
     """Coefficients of (-1)^d * P(1-t) for monic integer P, highest degree first.
 
     The sign normalization keeps the result monic; applying the transform
-    twice returns the input.  With u = t - 1, (-1)^d P(1 - t) is
+    twice returns the input.  A non-integer coefficient raises
+    PolygonError.  With u = t - 1, (-1)^d P(1 - t) is
     sum_k (-1)^k c_k u^(d-k), evaluated by Horner's rule in u.
     """
-    coeffs = tuple(map(int, coeffs))
+    coeffs = as_integers(coeffs, PolygonError)
     if not coeffs or coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
     out: list[int] = []
@@ -228,10 +231,10 @@ def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
     """:func:`newton_hull` of a monic integer polynomial at the prime l,
     with its preconditions checked.
 
-    The constant term must be nonzero, else the final slope would be
-    infinite.
+    The coefficients must be integers.  The constant term must be nonzero,
+    else the final slope would be infinite.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = as_integers(coeffs, PolygonError)
     if not coeffs or all(c == 0 for c in coeffs):
         raise PolygonError("zero polynomial has no Newton polygon")
     if coeffs[0] != 1:
@@ -252,10 +255,11 @@ def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
 def hodge_polygon(c: Sequence[int], d: int) -> LatticePolygon:
     """Hodge polygon of the exponent tuple c padded with zeros to length d.
 
-    Lower hull of (i, sum of the i smallest exponents) for i = 0..d; since
-    the exponents are sorted this point set is already convex.
+    The exponents must be integers.  Lower hull of (i, sum of the i
+    smallest exponents) for i = 0..d; since the exponents are sorted this
+    point set is already convex.
     """
-    c = tuple(int(x) for x in c)
+    c = as_integers(c, PolygonError)
     if any(x < 0 for x in c):
         raise PolygonError("exponents must be nonnegative")
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):

@@ -32,7 +32,6 @@ which :mod:`weilgroup.verify` uses as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
@@ -147,27 +146,12 @@ def reduce_system(
     is identified to a single repeated value b_1 = ... = b_t (the case of a
     scalar second block); rows that become identical are merged, keeping
     the first representative.  Candidates are processed in canonical order;
-    orderings, nonnegativity and the trace are always kept.
+    orderings, nonnegativity and the trace are always kept.  ``table`` is
+    the Horn table to read (the shared one of :mod:`weilgroup.horn` when
+    None); the result itself is not memoised.
     """
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
-    if table is None:
-        return _reduce_system_cached(s, t, mode, scalar_b)
-    return _reduce_system_impl(s, t, mode, scalar_b, table)
-
-
-@lru_cache(maxsize=None)
-def _reduce_system_cached(s: int, t: int, mode: str, scalar_b: bool) -> ReducedSystem:
-    return _reduce_system_impl(s, t, mode, scalar_b, None)
-
-
-def _reduce_system_impl(
-    s: int,
-    t: int,
-    mode: str,
-    scalar_b: bool,
-    table: HornTable | None,
-) -> ReducedSystem:
     n = s + t
     if n > 6:
         raise ValueError(f"s+t={n} exceeds desk scale 6")
@@ -238,17 +222,4 @@ def redundant_members_full(n: int, *, table: HornTable | None = None) -> tuple[H
     These are the T^n_p rows whose LR coefficient exceeds 1 (see the module
     docstring); the answer does not depend on processing order.
     """
-    if table is None:
-        return _redundant_members_full_cached(n)
-    return _redundant_members_full_impl(n, table)
-
-
-@lru_cache(maxsize=None)
-def _redundant_members_full_cached(n: int) -> tuple[HornTriple, ...]:
-    return _redundant_members_full_impl(n, None)
-
-
-def _redundant_members_full_impl(
-    n: int, table: HornTable | None
-) -> tuple[HornTriple, ...]:
     return tuple(tri for tri in _full_candidates(n, table) if not _is_facet(tri))

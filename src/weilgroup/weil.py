@@ -18,6 +18,7 @@ from math import isqrt
 from operator import index
 from typing import Sequence
 
+from .partitions import as_integers
 from .polygon import _MR_BASES, PRIME_TEST_LIMIT, ValuationProfile, is_prime, valuation
 from .polygon import _slopes, newton_hull, newton_points  # noqa: F401  (newton_hull is re-exported)
 
@@ -123,10 +124,7 @@ def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
     and numpy integers pass, anything else (a float, a string) raises
     NotIntegralError for a coefficient and QNotPrimePowerError for q.
     """
-    try:
-        coeffs = tuple(map(index, coeffs))
-    except TypeError:
-        raise NotIntegralError(f"coefficients must be integers, got {coeffs!r}") from None
+    coeffs = as_integers(coeffs, NotIntegralError)
     try:
         q = index(q)
     except TypeError:
@@ -311,15 +309,21 @@ ROUTE_TAGS = {  # plan kind -> display name of the factor pattern
 
 @dataclass(frozen=True)
 class DispatchPlan:
-    """Which classification routine to run, with its arguments.
+    """Which classification routine to run, with everything it reads.
 
-    ``kind`` is one of the keys of ``ROUTE_TAGS``.
+    ``kind`` is one of the keys of ``ROUTE_TAGS``.  ``factors`` are the
+    f-side factors whose (1 - t)-transforms key the route, in route order:
+    f itself for a separable class, t^2 - q for the cyclic-index route,
+    none for a scalar class.  ``real_eigenvalue`` is the integer 1 -+ sqrt q
+    by which 1 - Frobenius acts on the real part, or 0 when the route has
+    none; the route's b at l is its l-adic valuation.  ``r`` and ``s`` are
+    the multiplicities the route's formula reads.
     """
 
     kind: str
-    P: tuple[int, ...] | None = None
-    Q: tuple[int, ...] | None = None
-    sign: str | None = None  # sign in (t +- sqrt q)
+    factors: tuple[tuple[int, ...], ...] = ()
+    real_eigenvalue: int = 0
+    sign: str | None = None  # sign in (t +- sqrt q), for the CLI's --sign check
     r: int = 0
     s: int = 0
 
@@ -328,8 +332,11 @@ def shape_of(shape: FactoredShape) -> DispatchPlan:
     """The classification route of a factored Weil polynomial, decided from
     its factor pattern, with the route's arguments.
 
-    Linear factors are always t -+ sqrt q at square q.  Patterns outside
-    the classified list give kind ``unsupported``.
+    The route key at a prime l is the kind, the Newton hulls at l of the
+    transformed ``factors``, b = v_l(``real_eigenvalue``) and r and s.
+    Linear factors are always t -+ sqrt q at square q; a factor t + c has
+    the real eigenvalue 1 + c.  Patterns outside the classified list give
+    kind ``unsupported``.
     """
     q = shape.weil.q
     sq = isqrt(q)
@@ -340,29 +347,26 @@ def shape_of(shape: FactoredShape) -> DispatchPlan:
         u = factors.get((1, -sq), 0)  # multiplicity of (t - sqrt q)
         w = factors.get((1, sq), 0)
         if u == 0 or w == 0:
-            return DispatchPlan(kind="scalar", sign="plus" if w else "minus", s=u + w)
+            return DispatchPlan(kind="scalar", real_eigenvalue=1 + sq if w else 1 - sq,
+                                sign="plus" if w else "minus", s=u + w)
         if squarefree:
-            return DispatchPlan(kind="separable")
-        # operator-side factors of f(1-t): P has roots 1 -+ sqrt(q)
-        if u >= w:
-            z = 1 - sq  # more copies of root sqrt(q): Q(t) = t - (1 - sqrt q)
-        else:
-            z = 1 + sq
-        return DispatchPlan(kind="cyclic_index", P=(1, -2, 1 - q), Q=(1, -z),
+            return DispatchPlan(kind="separable", factors=(shape.weil.coeffs,))
+        # the majority factor (t -+ sqrt q) gives the cyclic parts
+        return DispatchPlan(kind="cyclic_index", factors=((1, 0, -q),),
+                            real_eigenvalue=1 - sq if u >= w else 1 + sq,
                             r=min(u, w), s=abs(u - w))
     if squarefree:
-        return DispatchPlan(kind="separable")
+        return DispatchPlan(kind="separable", factors=(shape.weil.coeffs,))
 
     degree = shape.weil.degree
     quads = {f: m for f, m in factors.items() if len(f) == 3}
     linears = {f: m for f, m in factors.items() if len(f) == 2}
     if degree == 4 and not linears and list(quads.values()) == [2]:
-        (pf,) = quads
-        return DispatchPlan(kind="p_square", P=pf, r=2)
+        return DispatchPlan(kind="p_square", factors=tuple(quads), r=2)
     if degree == 6 and not linears and sorted(quads.values()) == [1, 2]:
         (pf,) = [f for f, m in quads.items() if m == 2]
         (qf,) = [f for f, m in quads.items() if m == 1]
-        return DispatchPlan(kind="p2q", P=pf, Q=qf)
+        return DispatchPlan(kind="p2q", factors=(pf, qf), r=2)
     if degree == 6 and list(linears.values()) == [2]:
         # f(0) = q^g > 0 rules out a lone odd-multiplicity real root, so a
         # single linear factor here always carries multiplicity 2
@@ -375,9 +379,11 @@ def shape_of(shape: FactoredShape) -> DispatchPlan:
             cofactor: tuple[int, ...] = (1,)
             for f in rest:
                 cofactor = poly_mul(cofactor, f)
-            return DispatchPlan(kind="p_realsq", P=cofactor, sign=sign, s=2)
+            return DispatchPlan(kind="p_realsq", factors=(cofactor,), real_eigenvalue=1 + lf[1],
+                                sign=sign, s=2)
         if len(rest) == 1:
             (qf, qm), = rest.items()
             if len(qf) == 3 and qm == 2:
-                return DispatchPlan(kind="q2_realsq", Q=qf, sign=sign, r=2, s=2)
+                return DispatchPlan(kind="q2_realsq", factors=(qf,), real_eigenvalue=1 + lf[1],
+                                    sign=sign, r=2, s=2)
     return DispatchPlan(kind="unsupported")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import comb, isqrt
 
 import pytest
@@ -327,28 +328,44 @@ def test_classify_all_p_realsq_dispatch():
         assert all(sum(c) == total for c in groups)
 
 
-def _reference_groups(plan, w, l):
-    """Memo-free groups of one class at l: checked profiles of the operator
-    factors, root_valuations(transform_one_minus_t(...)), dispatched from the plan."""
+def _reference_groups(result, l):
+    """Memo-free groups of one class at l: checked profiles of factors read
+    off the factorization and q alone, root_valuations(transform_one_minus_t(...)).
+
+    Only the route kind comes from the plan; P, Q, the real eigenvalue
+    1 + c of a factor t + c, and every width and multiplicity are derived
+    here."""
     def profile(f):
         return tuple(root_valuations(transform_one_minus_t(f), l))
 
-    sq = math.isqrt(w.q)
-    b = valuation(1 + sq if plan.sign == "plus" else 1 - sq, l) if plan.sign else 0
-    if plan.kind == "separable":
+    w, kind = result.weil, result.plan.kind
+    factors = dict(result.shape.factors)
+    linears = {f: m for f, m in factors.items() if len(f) == 2}
+    rest = [f for f in factors if len(f) > 2]
+    if kind == "separable":
         return admissible_exponents(profile(w.coeffs), w.degree)
-    if plan.kind == "p_square":
-        return direct_sums(profile(plan.P), 2, 0, 0)
-    if plan.kind == "p2q":
-        return extensions(direct_sums(profile(plan.P), 2, 0, 0), admissible_exponents(profile(plan.Q), 2))
-    if plan.kind == "p_realsq":
-        return extensions(admissible_exponents(profile(plan.P), 4), ((b, b),))
-    if plan.kind == "q2_realsq":
-        return extensions(direct_sums(profile(plan.Q), 2, 0, 0), ((b, b),))
-    if plan.kind == "scalar":
-        return ((b,) * plan.s,)
-    assert plan.kind == "cyclic_index"  # plan.P is on the operator side already
-    return direct_sums(tuple(root_valuations(plan.P, l)), plan.r, valuation(plan.Q[1], l), plan.s)
+    if kind == "p_square":
+        (P,) = rest
+        return direct_sums(profile(P), 2, 0, 0)
+    if kind == "p2q":
+        (P,) = [f for f in rest if factors[f] == 2]
+        (Q,) = [f for f in rest if factors[f] == 1]
+        return extensions(direct_sums(profile(P), 2, 0, 0), admissible_exponents(profile(Q), 2))
+    # the majority real factor t + c, with 1 - Frobenius acting by 1 + c
+    (c, u), *minority = sorted(((f[1], m) for f, m in linears.items()), key=lambda cm: -cm[1])
+    b = valuation(1 + c, l)
+    if kind == "p_realsq":
+        return extensions(admissible_exponents(profile(reduce(poly_mul, rest)), 4), ((b, b),))
+    if kind == "q2_realsq":
+        (Q,) = rest
+        return extensions(direct_sums(profile(Q), 2, 0, 0), ((b, b),))
+    if kind == "scalar":
+        return ((b,) * u,)
+    assert kind == "cyclic_index"
+    ((_, v),) = minority
+    sq = math.isqrt(w.q)  # 1 - t has the roots 1 -+ sqrt q on t^2 - q
+    ops = poly_mul((1, sq - 1), (1, -sq - 1))
+    return direct_sums(tuple(root_valuations(ops, l)), v, b, u - v)
 
 
 def _route_corpus():
@@ -391,7 +408,7 @@ def test_dispatch_matches_reference():
         w = parse_and_validate(coeffs, q)
         result = classify_all(w)
         for l, groups in result.groups.items():
-            assert groups == _reference_groups(result.plan, w, l), (coeffs, q, l)
+            assert groups == _reference_groups(result, l), (coeffs, q, l)
         seen.add((result.plan.kind, q if result.plan.kind.endswith("realsq") else None))
     assert {"separable", "p_square", "p2q", "scalar", "cyclic_index"} <= {
         kind for kind, _ in seen

@@ -57,12 +57,28 @@ def test_classify_domain_error_exit_code(run):
 
 
 def test_classify_sign_flag(run):
-    q9 = "1,12,72,270,648,972,729"  # (t^2+3t+9)^2 (t+3)^2, factored sign plus
-    code, _out, _ = run("classify", "--q", "9", "--poly", q9, "--sign", "plus")
-    assert code == 0
-    code, _out, err = run("classify", "--q", "9", "--poly", q9, "--sign", "minus")
-    assert code == 1
-    assert "sign" in err
+    """--sign is accepted exactly when it is the factored sign, on every
+    route with a real part, and the groups then read b off that sign."""
+    classes = [
+        # (t^2+3t+9)^2 (t+3)^2, q2_realsq: b = v_2(1 + 3) = 2
+        ("1,12,72,270,648,972,729", "plus", {"2": [[2, 2, 0, 0, 0, 0]], "13": [[1, 1, 0, 0, 0, 0]]}),
+        # (t^4+9t^2+81) (t-3)^2, p_realsq: b = v_2(1 - 3) = 1
+        ("1,-6,18,-54,162,-486,729", "minus",
+         {"2": [[1, 1, 0, 0, 0, 0]], "7": [[1, 0, 0, 0, 0, 0]], "13": [[1, 0, 0, 0, 0, 0]]}),
+        # (t+3)^6, scalar: b = v_2(1 + 3) = 2
+        ("1,18,135,540,1215,1458,729", "plus", {"2": [[2, 2, 2, 2, 2, 2]]}),
+        # (t-3)^6, scalar: b = v_2(1 - 3) = 1
+        ("1,-18,135,-540,1215,-1458,729", "minus", {"2": [[1, 1, 1, 1, 1, 1]]}),
+    ]
+    for poly, sign, groups in classes:
+        for given in ("plus", "minus"):
+            code, out, err = run("--json", "classify", "--q", "9", "--poly", poly, "--sign", given)
+            if given == sign:
+                assert code == 0, (poly, given)
+                assert json.loads(out)["groups"] == groups, poly
+            else:
+                assert code == 1, (poly, given)
+                assert "sign" in err
 
 
 def test_smith_check(run):

@@ -162,3 +162,11 @@ def test_operator_oracle_guards():
         operator_group_oracle((1, 2), 2, 6)  # sweep too large
     with pytest.raises(ValueError):
         operator_group_oracle((4, 1), 2, 4)  # total at precision
+
+
+@pytest.mark.parametrize("args", [((1.2,), (1,), (2,)), ((1,), ("1",), (2,)), ((1,), (1,), (2.0,))])
+def test_lr_coefficient_rejects_non_integers(args):
+    """A non-integer part raises instead of being truncated (1.2 is not 1)."""
+    with pytest.raises(ValueError, match="integers"):
+        lr_coefficient(*args)
+    assert lr_coefficient((True,), (1,), (2,)) == 1

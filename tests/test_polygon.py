@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,3 +196,21 @@ def test_is_prime():
     assert not is_prime((2**31 - 1) * (2**29 - 3))
     with pytest.raises(ValueError):
         is_prime(PRIME_TEST_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (newton_polygon, ([1, 2.5, 8], 2)),
+        (transform_one_minus_t, ((1, 0.5, 2),)),
+        (hodge_polygon, ((2.7,), 2)),
+        (hodge_polygon, (("2",), 2)),
+    ],
+    ids=["newton-float", "transform-float", "hodge-float", "hodge-str"],
+)
+def test_polygon_entry_points_reject_non_integers(func, args):
+    """A non-integer value raises PolygonError instead of being truncated."""
+    with pytest.raises(PolygonError, match="integers"):
+        func(*args)
+    assert transform_one_minus_t((True, np.int64(0), 2)) == transform_one_minus_t((1, 0, 2))
+    assert hodge_polygon((np.int32(2),), 2) == hodge_polygon((2,), 2)

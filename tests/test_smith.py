@@ -1,13 +1,14 @@
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import weilgroup.smith
 from weilgroup.horn import enumerate_T
 from weilgroup.oracle import lr_coefficient
-from weilgroup.partitions import merge_sorted, partitions_of, partitions_up_to
+from weilgroup.partitions import as_partition, merge_sorted, partitions_of, partitions_up_to
 from weilgroup.smith import enumerate_cokernels, feasible_triple, inequality_system
 
 
@@ -266,3 +267,21 @@ def test_box_removal_at_smith_level():
                         lr_coefficient(smaller_a, b, smaller_c) > 0
                         for smaller_c in _one_box_removals(c)
                     ), (a, b, c, smaller_a)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (enumerate_cokernels, ((1.9,), (1,))),
+        (feasible_triple, ((1.5,), (1,), (2, 0))),
+        (feasible_triple, ((1,), (1,), (2.0, 0))),
+        (as_partition, (("2", 1),)),
+    ],
+    ids=["cokernels-float-a", "feasible-float-a", "feasible-float-c", "as_partition-str"],
+)
+def test_partition_entry_points_reject_non_integers(func, args):
+    """A non-integer part raises instead of being truncated (1.9 is not 1)."""
+    with pytest.raises(ValueError, match="integers"):
+        func(*args)
+    assert as_partition((np.int64(2), True, 0)) == (2, 1, 0)
+    assert enumerate_cokernels((np.int64(1),), (True,)) == enumerate_cokernels((1,), (1,))

@@ -13,6 +13,7 @@ from weilgroup.polygon import (
     PolygonError,
     ValuationProfile,
     newton_polygon,
+    transform_one_minus_t,
     valuation,
 )
 from weilgroup.weil import (
@@ -164,8 +165,9 @@ def test_factor_cyclic_index():
     assert shape.tag == "CyclicIndexPRQS"
     plan = shape_of(shape)
     assert (plan.kind, plan.r, plan.s) == ("cyclic_index", 2, 2)
-    assert plan.P == (1, -2, -8)  # roots 1 -+ 3
-    assert plan.Q == (1, 2)  # the majority factor (t - 3) maps to t - (1 - 3)
+    assert plan.factors == ((1, 0, -9),)  # t^2 - q
+    assert transform_one_minus_t(plan.factors[0]) == (1, -2, -8)  # roots 1 -+ 3
+    assert plan.real_eigenvalue == -2  # the majority factor (t - 3): 1 - 3
 
 
 def test_factor_separable_and_p_square():
@@ -184,7 +186,8 @@ def test_factor_p_realsq():
     plan = shape_of(shape)
     assert plan.kind == "p_realsq"
     assert plan.sign == "minus"
-    assert plan.P == quartic
+    assert plan.factors == (quartic,)
+    assert plan.real_eigenvalue == -2  # (t - 3)^2: 1 - 3
 
 
 def test_unsupported_cube():
@@ -314,12 +317,14 @@ def test_group_order_valuation_additivity():
 def test_shape_of_examples():
     plan = shape_of(factor_weil(parse_and_validate(P2Q_COEFFS, 2)))
     assert plan.kind == "p2q"
-    assert plan.P == (1, -1, 2)
-    assert plan.Q == (1, 2, 2)
+    assert plan.factors == ((1, -1, 2), (1, 2, 2))  # P, then Q
+    assert (plan.real_eigenvalue, plan.r, plan.s) == (0, 2, 0)
     plan = shape_of(factor_weil(parse_and_validate(Q9_COEFFS, 9)))
     assert (plan.kind, plan.sign, plan.r, plan.s) == ("q2_realsq", "plus", 2, 2)
+    assert (plan.factors, plan.real_eigenvalue) == (((1, 3, 9),), 4)  # (t + 3)^2: 1 + 3
     plan = shape_of(factor_weil(parse_and_validate(scalar_power(-3, 6), 9)))
     assert (plan.kind, plan.sign, plan.s) == ("scalar", "plus", 6)
+    assert (plan.factors, plan.real_eigenvalue) == ((), 4)
 
 
 # ---------------------------------------------------------------------------
