@@ -7,6 +7,10 @@ independent brute-force oracles (tableau counting and exhaustive matrix
 sweeps) validating every step.
 """
 
+# The re-exports are eager on purpose: nothing in the package needs them,
+# but they make ``import weilgroup`` load classify, weil and smith, so a
+# service that imports the package at start-up does not pay that import
+# inside its first request.
 from .classify import Classification, classify_all
 from .horn import (
     HornTriple,
@@ -25,7 +29,6 @@ from .oracle import (
 )
 from .polygon import (
     LatticePolygon,
-    ValuationProfile,
     hodge_polygon,
     newton_polygon,
     np_dominates_hp,
@@ -51,7 +54,6 @@ __all__ = [
     "FactoredShape",
     "HornTriple",
     "LatticePolygon",
-    "ValuationProfile",
     "WeilPolynomial",
     "classify_all",
     "complement_triple",

@@ -10,7 +10,7 @@ quotient module, of the block triangular feasibility decided in
 are generated from the Horn tables each time.
 
 Every route is one witness set, or ``extensions`` of two: a separable
-class is ``admissible_exponents`` of its profile; P^2, (t +- sqrt q)^s and
+class is ``admissible_exponents`` of its Newton hull; P^2, (t +- sqrt q)^s and
 the cyclic-index pattern are ``direct_sums`` of admissible pairs and
 cyclic parts; P^2 Q, P (t +- sqrt q)^2 and Q^2 (t +- sqrt q)^2 are
 ``extensions`` of a submodule witness set by a quotient witness set.
@@ -20,13 +20,13 @@ cyclic parts; P^2 Q, P (t +- sqrt q)^2 and Q^2 (t +- sqrt q)^2 are
 ``DispatchPlan`` carries everything a route reads.  ``classify_all``
 transforms each of the plan's f-side factors once per request, and
 answers each prime l from a key that does not mention the polynomial:
-the route kind, the integer Newton hull (``weil.newton_hull``) at l of
+the route kind, the integer Newton hull (``polygon.newton_hull``) at l of
 each transformed factor, b = v_l of the plan's real eigenvalue
 1 -+ sqrt q (0 when the route has none) and the route's r and s.  Only
 ``_route_groups`` switches on the kind; it reads each width off a hull
 and each multiplicity off r and s.  The answer per key is memoised in a
-bounded ``lru_cache`` (``_route_groups``); Fraction profiles are built,
-and the witness sets computed, only on a miss.
+bounded ``lru_cache`` (``_route_groups``); the witness sets are computed,
+straight from the hulls of the key, only on a miss.
 
 ``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
 preconditions by construction.  Each transformed factor is a monic int
@@ -40,12 +40,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .polygon import PRIME_TEST_LIMIT, _slopes, is_prime, transform_one_minus_t, valuation
+from .polygon import (
+    PRIME_TEST_LIMIT,
+    Hull,
+    as_prime,
+    floor_heights,
+    is_prime,
+    newton_hull,
+    transform_one_minus_t,
+    valuation,
+)
 from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
@@ -56,14 +64,12 @@ from .weil import (
     WeilPolynomial,
     factor_weil,
     group_order,
-    newton_hull,
     shape_of,
 )
 from .weil import root_valuations  # noqa: F401  (perfbench --trace 1 wraps this name by getattr)
 
 GroupTuple = tuple[int, ...]
 GroupSet = tuple[GroupTuple, ...]
-Hull = tuple[tuple[int, int], ...]
 
 ROUTE_MEMO_SIZE = 1024  # route keys; a classify workload meets a few hundred
 
@@ -72,37 +78,29 @@ def _sorted_groups(groups: Iterable[GroupTuple]) -> GroupSet:
     return tuple(sorted(set(groups), reverse=True))
 
 
-def admissible_exponents(
-    profile: Sequence[Fraction | int], length: int
-) -> GroupSet:
-    """All integer exponent tuples dominating the valuation profile.
+def admissible_exponents(hull: Hull) -> GroupSet:
+    """All integer exponent tuples dominating the integer Newton hull.
 
     Dominance: equal totals and every top-k partial sum of the exponents
     at least the top-k partial sum of the (descending) valuations; this is
-    the polygon condition in partial-sum form.
+    the polygon condition in partial-sum form.  The top k valuations sum
+    to total - height(width - k), and an integer is at least that exactly
+    when it is at least total - floor(height(width - k)).
     """
-    vals = sorted((Fraction(v) for v in profile), reverse=True)
-    if len(vals) > length:
-        raise ValueError(f"profile longer than ambient length {length}")
-    vals += [Fraction(0)] * (length - len(vals))
-    total_f = sum(vals, Fraction(0))
-    if total_f.denominator != 1:
-        raise ValueError(f"profile total {total_f} is not an integer")
-    total = int(total_f)
-    # an integer partial sum is at least a prefix sum iff it is at least its ceiling
-    ceilings = [math.ceil(acc) for acc in accumulate(vals)]
+    width, total = hull[-1]
+    need = [total - h for h in reversed(floor_heights(hull))]  # need[k] for the top k
 
     out: list[GroupTuple] = []
 
     def rec(k: int, remaining: int, bound: int, acc_sum: int, chosen: list[int]):
-        if k == length:
+        if k == width:
             if remaining == 0:
                 out.append(tuple(chosen))
             return
-        lo = -(-remaining // (length - k))  # ceil to keep room for the rest
+        lo = -(-remaining // (width - k))  # ceil to keep room for the rest
         for x in range(min(bound, remaining), lo - 1, -1):
             new_sum = acc_sum + x
-            if new_sum < ceilings[k]:
+            if new_sum < need[k + 1]:
                 break  # x decreasing: smaller x only gets worse
             chosen.append(x)
             rec(k + 1, remaining - x, x, new_sum, chosen)
@@ -112,10 +110,10 @@ def admissible_exponents(
     return _sorted_groups(out)
 
 
-def direct_sums(profile: Sequence[Fraction | int], r: int, v: int, s: int) -> GroupSet:
-    """Direct sums of r admissible pairs for the quadratic profile plus s
-    cyclic parts of exponent v."""
-    pairs = admissible_exponents(profile, 2)
+def direct_sums(hull: Hull, r: int, v: int, s: int) -> GroupSet:
+    """Direct sums of r admissible pairs for the quadratic Newton hull plus
+    s cyclic parts of exponent v; with r = 0 the hull is not read."""
+    pairs = admissible_exponents(hull) if r else ()
     return _sorted_groups(
         merge_sorted(*combo, (v,) * s) for combo in combinations_with_replacement(pairs, r)
     )
@@ -223,9 +221,7 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
         )
     order = group_order(weil)
     if only_l is not None:
-        if not is_prime(only_l):
-            raise ValueError(f"l={only_l} is not prime")
-        primes = [only_l]
+        primes = [as_prime(only_l)]
     else:
         primes = _prime_factors(order)
     notices = []
@@ -253,20 +249,19 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
 def _route_groups(kind: str, hulls: tuple[Hull, ...], b: int, r: int, s: int) -> GroupSet:
     """The groups of one route at one prime, from its integer key.
 
-    Each hull becomes its descending Fraction profile only here; the
-    scalar route has no hull.  Each width is a profile's length and each
+    The scalar route has no hull.  Each width is a hull's and each
     multiplicity is r or s, so a new factor pattern on an existing
     formula needs only its ``shape_of`` branch.
     """
-    m, n = ([_slopes(hull)[::-1] for hull in hulls] + [(), ()])[:2]
+    m, n = (hulls + ((), ()))[:2]
     if kind == "separable":
-        return admissible_exponents(m, len(m))
+        return admissible_exponents(m)
     if kind in ("p_square", "scalar", "cyclic_index"):
         return direct_sums(m, r, b, s)
     if kind == "p2q":
-        return extensions(direct_sums(m, r, 0, 0), admissible_exponents(n, len(n)))
+        return extensions(direct_sums(m, r, 0, 0), admissible_exponents(n))
     if kind == "p_realsq":
-        return extensions(admissible_exponents(m, len(m)), ((b,) * s,))
+        return extensions(admissible_exponents(m), ((b,) * s,))
     if kind == "q2_realsq":
         return extensions(direct_sums(m, r, 0, 0), ((b,) * s,))
     raise UnsupportedShapeError(f"no classifier for plan {kind!r}")

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import as_partition
-from .polygon import is_prime, valuation
+from .partitions import as_integers, as_partition
+from .polygon import as_prime, valuation
 
 MAX_SWEEP_MATRICES = 1 << 20  # operator_group_oracle refuses larger sweeps
 
@@ -158,14 +158,14 @@ def smith_invariants(
     ``precision`` marks entries as representatives mod l**precision; the
     result is then the invariant tuple of the underlying l-adic matrix,
     valid only while v_l(det) stays below the precision (else
-    :class:`PrecisionExhausted` is raised).
+    :class:`PrecisionExhausted` is raised).  The entries and l are taken
+    through ``operator.index``: a float raises ValueError, not a truncation.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    if not is_prime(l):
-        raise ValueError(f"l={l} is not prime")
-    diag = _diagonalize([list(map(int, row)) for row in matrix])
+    l = as_prime(l)
+    diag = _diagonalize([list(as_integers(row)) for row in matrix])
     if any(d == 0 for d in diag):
         if precision is not None:
             raise PrecisionExhausted(
@@ -217,8 +217,7 @@ def matrix_cokernel_oracle(
     """
     a = as_partition(a)
     b = as_partition(b)
-    if not is_prime(l):
-        raise ValueError(f"l={l} is not prime")
+    l = as_prime(l)
     s, t = len(a), len(b)
     min_precision = sum(a) + sum(b) + 1
     if precision is None:
@@ -314,8 +313,7 @@ def operator_group_oracle(
     matrices mod l**precision and is refused above MAX_SWEEP_MATRICES; it
     explodes combinatorially for operators beyond 2x2, which are not swept.
     """
-    if not is_prime(l):
-        raise ValueError(f"l={l} is not prime")
+    l = as_prime(l)
     key = tuple(sorted(Fraction(s) for s in slopes))
     if len(key) != 2:
         raise ValueError("a 2x2 operator has exactly two slopes")

@@ -1,10 +1,10 @@
 """Exact Newton and Hodge polygons.
 
-Both polygons are lower convex hulls of plane point sets with integer
-x-coordinates and exact rational heights.  Read left to right, the slopes
-of the Newton polygon of a monic polynomial are the l-adic valuations of
-its roots in increasing order; the Hodge polygon of an exponent tuple
-c_1 >= ... >= c_d is built from the partial sums of the smallest exponents.
+Both polygons are lower convex hulls with integer vertices.  Read left to
+right, the slopes of the Newton polygon of a monic polynomial are the
+l-adic valuations of its roots in increasing order; the Hodge polygon of an
+exponent tuple c_1 >= ... >= c_d is built from the partial sums of the
+smallest exponents.
 
 The dominance test compares the two: a group type is admissible for a
 polynomial exactly when the Newton polygon lies on or above the Hodge
@@ -13,18 +13,25 @@ descending, every top-k partial sum of the exponents must be at least the
 top-k partial sum of the valuations, with equal totals.  (Several published
 displays of this chain are transposed; the orientation used here is the one
 confirmed by the exhaustive matrix oracle in :mod:`weilgroup.oracle`.)
+Both forms compare integers with the Newton heights at integer x, so both
+read :func:`floor_heights`: an integer is at least a height exactly when it
+is at least the height's floor.
 
-Polygon heights are :class:`fractions.Fraction`; valuations of roots of
-l-irreducible quadratics are genuine half-integers and are never rounded.
+Vertices are ints.  Only the slopes are :class:`fractions.Fraction`:
+valuations of roots of l-irreducible quadratics are genuine half-integers
+and are never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from .partitions import as_integers
+
+Hull = tuple[tuple[int, int], ...]
 
 
 class PolygonError(ValueError):
@@ -51,7 +58,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < PRIME_TEST_LIMIT; larger n raise ValueError."""
+    """Deterministic primality for n < PRIME_TEST_LIMIT; larger n raise ValueError.
+
+    n is taken through ``operator.index``: a float or a string is not prime.
+    """
+    try:
+        n = index(n)
+    except TypeError:
+        return False
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -69,13 +83,21 @@ def is_prime(n: int) -> bool:
     )
 
 
-def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int, Fraction | int], ...]:
+def as_prime(l: int, error: type[ValueError] = ValueError) -> int:
+    """l as an int, through ``operator.index``, if it is prime; else
+    ``error("l=... is not prime")``, also for a float or a string."""
+    if not is_prime(l):
+        raise error(f"l={l} is not prime")
+    return index(l)
+
+
+def _lower_hull(points: Sequence[tuple[int, int]]) -> Hull:
     """Lower convex hull of points with strictly increasing x.
 
     Collinear interior points are dropped, so consecutive hull slopes are
-    strictly increasing.  Integer heights stay integers.
+    strictly increasing.
     """
-    hull: list[tuple[int, Fraction | int]] = []
+    hull: list[tuple[int, int]] = []
     for p in points:
         x, y = p
         while len(hull) >= 2:
@@ -89,7 +111,7 @@ def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> tuple[tuple[int
     return tuple(hull)
 
 
-def _slopes(hull: Sequence[tuple[int, Fraction | int]]) -> tuple[Fraction, ...]:
+def _slopes(hull: Hull) -> tuple[Fraction, ...]:
     """One slope per unit of width between consecutive hull vertices."""
     out: list[Fraction] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
@@ -97,88 +119,51 @@ def _slopes(hull: Sequence[tuple[int, Fraction | int]]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def floor_heights(hull: Hull) -> list[int]:
+    """The floor of the polygon's height at x = 0, 1, ..., width, from its
+    integer vertices, the first of which is (0, 0)."""
+    out = [0]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        dx, dy = x2 - x1, y2 - y1
+        out += [y1 + dy * k // dx for k in range(1, dx + 1)]
+    return out
+
+
 @dataclass(frozen=True)
 class LatticePolygon:
     """Lower-convex piecewise linear function on [0, width].
 
-    ``vertices`` are the corner points only: x strictly increasing starting
-    at (0, 0), slopes strictly increasing between consecutive segments.
+    ``vertices`` are the corner points only, as ints: x strictly increasing
+    starting at (0, 0), slopes strictly increasing between consecutive
+    segments.
     """
 
-    vertices: tuple[tuple[int, Fraction], ...]
+    vertices: Hull
 
     def __post_init__(self) -> None:
-        vs = self.vertices
+        vs = tuple(as_integers(v, PolygonError) for v in self.vertices)
+        object.__setattr__(self, "vertices", vs)
         if not vs:
             raise PolygonError("polygon needs at least one vertex")
-        if vs[0] != (0, Fraction(0)):
+        if vs[0] != (0, 0):
             raise PolygonError(f"polygon must start at (0, 0), got {vs[0]}")
         for (x1, _), (x2, _) in zip(vs, vs[1:]):
             if x2 <= x1:
                 raise PolygonError("vertex x-coordinates must strictly increase")
-        slopes = [
-            Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(vs, vs[1:])
-        ]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if s2 <= s1:
-                raise PolygonError("segment slopes must strictly increase")
-
-    @classmethod
-    def from_points(cls, points: Sequence[tuple[int, Fraction | int]]) -> "LatticePolygon":
-        pts = sorted((int(x), Fraction(y)) for x, y in points)
-        xs = [x for x, _ in pts]
-        if len(set(xs)) != len(xs):
-            raise PolygonError("duplicate x-coordinates")
-        return cls(_lower_hull(pts))
+        if _lower_hull(vs) != vs:
+            raise PolygonError("segment slopes must strictly increase")
 
     @property
     def width(self) -> int:
         return self.vertices[-1][0]
 
     @property
-    def total(self) -> Fraction:
-        return self.vertices[-1][1]
-
-    def value_at(self, x: int | Fraction) -> Fraction:
-        x = Fraction(x)
-        if not 0 <= x <= self.width:
-            raise PolygonError(f"x={x} outside [0, {self.width}]")
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            if x <= x2:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    def total(self) -> int:
         return self.vertices[-1][1]
 
     def slopes(self) -> tuple[Fraction, ...]:
         """One slope per unit of width, weakly increasing."""
         return _slopes(self.vertices)
-
-
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Root valuations sorted descending; exact rationals >= 0."""
-
-    vals: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        vs = self.vals
-        if any(v < 0 for v in vs):
-            raise ValueError("valuations must be nonnegative")
-        if any(vs[i] < vs[i + 1] for i in range(len(vs) - 1)):
-            raise ValueError("valuations must be weakly decreasing")
-
-    @classmethod
-    def from_polygon(cls, polygon: LatticePolygon) -> "ValuationProfile":
-        return cls(tuple(reversed(polygon.slopes())))
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.vals, Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-    def __iter__(self):
-        return iter(self.vals)
 
 
 def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -204,7 +189,7 @@ def transform_one_minus_t(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def newton_hull(coeffs: tuple[int, ...], l: int) -> tuple[tuple[int, int], ...]:
+def newton_hull(coeffs: tuple[int, ...], l: int) -> Hull:
     """The integer vertices of the l-adic Newton polygon, left to right: the
     lower hull of the points (i, v_l(f_i)) of the nonzero coefficients,
     where f_0 = 1 is the leading coefficient.
@@ -213,7 +198,7 @@ def newton_hull(coeffs: tuple[int, ...], l: int) -> tuple[tuple[int, int], ...]:
     valuations have the same hull: it is a canonical, hashable integer form
     of the valuation profile.  Unchecked: ``coeffs`` must be a tuple of
     ints, monic with a nonzero constant term, and l prime.  Entry points
-    that take outside input check these first (:func:`newton_points`);
+    that take outside input check these first (:func:`newton_polygon`);
     ``classify.classify_all`` holds them by construction, so each v_l(f_i)
     is counted inline, without :func:`valuation`'s guards.
     """
@@ -227,9 +212,9 @@ def newton_hull(coeffs: tuple[int, ...], l: int) -> tuple[tuple[int, int], ...]:
     return _lower_hull(points)
 
 
-def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
-    """:func:`newton_hull` of a monic integer polynomial at the prime l,
-    with its preconditions checked.
+def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
+    """Newton polygon of a monic integer polynomial at the prime l: the
+    :func:`newton_hull` of the checked input.
 
     The coefficients must be integers.  The constant term must be nonzero,
     else the final slope would be infinite.
@@ -239,17 +224,10 @@ def newton_points(coeffs: Sequence[int], l: int) -> tuple[tuple[int, int], ...]:
         raise PolygonError("zero polynomial has no Newton polygon")
     if coeffs[0] != 1:
         raise PolygonError("polynomial must be monic")
-    if not is_prime(l):
-        raise PolygonError(f"l={l} is not prime")
+    l = as_prime(l, PolygonError)
     if coeffs[-1] == 0:
         raise PolygonError("zero constant term: root valuation would be infinite")
-    return newton_hull(coeffs, l)
-
-
-def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:
-    """Newton polygon of a monic integer polynomial at the prime l, from the
-    checked vertices of :func:`newton_points`."""
-    return LatticePolygon.from_points(newton_points(coeffs, l))
+    return LatticePolygon(newton_hull(coeffs, l))
 
 
 def hodge_polygon(c: Sequence[int], d: int) -> LatticePolygon:
@@ -266,14 +244,10 @@ def hodge_polygon(c: Sequence[int], d: int) -> LatticePolygon:
         raise PolygonError("exponents must be weakly decreasing")
     if len(c) > d:
         raise PolygonError(f"{len(c)} exponents exceed width {d}")
-    full = list(c) + [0] * (d - len(c))
-    increasing = list(reversed(full))
-    points = [(0, Fraction(0))]
-    s = 0
-    for i, e in enumerate(increasing, start=1):
-        s += e
-        points.append((i, Fraction(s)))
-    return LatticePolygon.from_points(points)
+    heights = [0]
+    for e in reversed(list(c) + [0] * (d - len(c))):
+        heights.append(heights[-1] + e)
+    return LatticePolygon(_lower_hull(list(enumerate(heights))))
 
 
 def np_dominates_hp(np_poly: LatticePolygon, hp_poly: LatticePolygon) -> bool:
@@ -281,15 +255,17 @@ def np_dominates_hp(np_poly: LatticePolygon, hp_poly: LatticePolygon) -> bool:
 
     With both polygons built from sums of smallest values this says: for
     every k the sum of the k largest exponents is at least the sum of the
-    k largest valuations, and the totals agree.
+    k largest valuations, and the totals agree.  hp must have integer
+    slopes, as every Hodge polygon does, so that its heights at integer x
+    are integers and equal to their floors.
     """
     if np_poly.width != hp_poly.width:
         raise PolygonError(
             f"width mismatch: {np_poly.width} vs {hp_poly.width}"
         )
+    hp = hp_poly.vertices
+    if any((y2 - y1) % (x2 - x1) for (x1, y1), (x2, y2) in zip(hp, hp[1:])):
+        raise PolygonError(f"{hp} has a non-integer slope: not a Hodge polygon")
     if np_poly.total != hp_poly.total:
         return False
-    return all(
-        np_poly.value_at(x) >= hp_poly.value_at(x)
-        for x in range(np_poly.width + 1)
-    )
+    return all(n >= h for n, h in zip(floor_heights(np_poly.vertices), floor_heights(hp)))

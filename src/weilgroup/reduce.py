@@ -37,7 +37,7 @@ from typing import Literal, Sequence
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
-from .smith import SmithInequality, _restricted
+from .smith import DESK_SCALE_TOTAL, SmithInequality, _restricted
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def reduce_system(
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
     n = s + t
-    if n > 6:
-        raise ValueError(f"s+t={n} exceeds desk scale 6")
+    if n > DESK_SCALE_TOTAL:
+        raise ValueError(f"s+t={n} exceeds desk scale {DESK_SCALE_TOTAL}")
     if mode == "smith":
         cands: list[SmithInequality] = []
         structural: list[SmithInequality] = []

@@ -33,6 +33,7 @@ from .horn import HornTriple, enumerate_T_st, is_strict
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .partitions import partitions_of
+from .polygon import hodge_polygon
 from .reduce import (
     ReducedSystem,
     _base_rows,
@@ -744,12 +745,10 @@ def _row_distance(z1: tuple[int, ...], z2: tuple[int, ...]) -> int:
 
 
 def _published_case1_set(
-    rows: Sequence[PublishedRow], m, n
+    rows: Sequence[PublishedRow], a_wit, b_wit
 ) -> set[tuple[int, ...]]:
     """Classified set per a printed list: union over witnesses of the c
     satisfying every row (plus the trace equality)."""
-    a_wit = direct_sums(m, 2, 0, 0)
-    b_wit = admissible_exponents(n, 2)
     total = sum(a_wit[0]) + sum(b_wit[0])
     out = set()
     for c in partitions_of(total, 6):
@@ -768,12 +767,16 @@ def _row_holds(row: PublishedRow, a, b, cc) -> bool:
     return lhs >= rhs if row.sense == ">=" else lhs <= rhs
 
 
-def _grid_profiles(max_total: int):
+def _grid_witnesses(max_total: int):
+    """The P^2 Q witness sets (a, b) of every integer pair profile m of P and
+    n of Q of total <= max_total.  The Newton polygon of an integer profile
+    is its Hodge polygon."""
     for m_tot in range(max_total + 1):
         for m in partitions_of(m_tot, 2):
             for n_tot in range(max_total + 1):
                 for n in partitions_of(n_tot, 2):
-                    yield m, n
+                    yield (direct_sums(hodge_polygon(m, 2).vertices, 2, 0, 0),
+                           admissible_exponents(hodge_polygon(n, 2).vertices))
 
 
 def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
@@ -812,13 +815,11 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
     omission_changes = False
     corrected_matches = True
     machine_matches_lr = True
-    for m, n in _grid_profiles(4):
-        a_wit = direct_sums(m, 2, 0, 0)
-        b_wit = admissible_exponents(n, 2)
+    for a_wit, b_wit in _grid_witnesses(4):
         machine_set = set(extensions(a_wit, b_wit))
-        if _published_case1_set(corrected_rows, m, n) != machine_set:
+        if _published_case1_set(corrected_rows, a_wit, b_wit) != machine_set:
             omission_changes = True
-        if _published_case1_set(corrected_rows + [phi_row], m, n) != machine_set:
+        if _published_case1_set(corrected_rows + [phi_row], a_wit, b_wit) != machine_set:
             corrected_matches = False
         total = sum(a_wit[0]) + sum(b_wit[0])
         oracle_set = {

@@ -13,14 +13,14 @@ and lifts its factors, in integer arithmetic only.  q must be below
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import index
 from typing import Sequence
 
 from .partitions import as_integers
-from .polygon import _MR_BASES, PRIME_TEST_LIMIT, ValuationProfile, is_prime, valuation
-from .polygon import _slopes, newton_hull, newton_points  # noqa: F401  (newton_hull is re-exported)
+from .polygon import _MR_BASES, PRIME_TEST_LIMIT, is_prime, newton_polygon, valuation
 
 
 class WeilError(ValueError):
@@ -277,14 +277,10 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
     return FactoredShape(weil=weil, factors=ordered)
 
 
-def root_valuations(coeffs: Sequence[int], l: int) -> ValuationProfile:
-    """Descending l-adic valuations of the roots: the slopes of the Newton
-    polygon, from the checked :func:`polygon.newton_points`.
-
-    ``newton_hull`` (the unchecked kernel, imported from :mod:`.polygon`)
-    gives the same vertices when its preconditions hold.
-    """
-    return ValuationProfile(_slopes(newton_points(coeffs, l))[::-1])
+def root_valuations(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
+    """Descending l-adic valuations of the roots: the slopes of the checked
+    :func:`polygon.newton_polygon`, right to left."""
+    return newton_polygon(coeffs, l).slopes()[::-1]
 
 
 def group_order(weil: WeilPolynomial) -> int:

@@ -154,16 +154,15 @@ def test_criterion_6_orientation_pinning():
         (half, half), (3 * half, 3 * half),
     }
     for slopes in polygons:
-        total = slopes[0] + slopes[1]
-        verts = [(0, Fraction(0)), (1, slopes[0]), (2, total)]
-        npoly = LatticePolygon.from_points(
-            verts if slopes[0] != slopes[1] else [verts[0], verts[2]]
+        total = int(slopes[0] + slopes[1])
+        npoly = LatticePolygon(
+            ((0, 0), (1, int(slopes[0])), (2, total)) if slopes[0] != slopes[1] else ((0, 0), (2, total))
         )
         predicted = {
-            c for c in admissible_exponents(slopes, 2)
+            c for c in admissible_exponents(npoly.vertices)
             if np_dominates_hp(npoly, hodge_polygon(c, 2))
         }
-        assert predicted == set(admissible_exponents(slopes, 2))
+        assert predicted == set(admissible_exponents(npoly.vertices))
         assert set(operator_group_oracle(slopes, 2, 4)) == predicted, slopes
     assert operator_group_oracle((1, 2), 2, 4) == frozenset({(3, 0), (2, 1)})
     assert operator_group_oracle((0, 3), 2, 4) == frozenset({(3, 0)})
@@ -262,17 +261,17 @@ def test_criterion_9_degeneration_consistency():
     start = time.time()
     for total in range(5):
         for m in partitions_of(total, 4):
-            got = extensions(admissible_exponents(m, 4), ((0, 0),))
+            got = extensions(admissible_exponents(hodge_polygon(m, 4).vertices), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in admissible_exponents(m, 4)},
+                {c + (0, 0) for c in admissible_exponents(hodge_polygon(m, 4).vertices)},
                 reverse=True,
             ))
             assert got == want, m
     for total in range(5):
         for m in partitions_of(total, 2):
-            got = extensions(direct_sums(m, 2, 0, 0), ((0, 0),))
+            got = extensions(direct_sums(hodge_polygon(m, 2).vertices, 2, 0, 0), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in direct_sums(m, 2, 0, 0)},
+                {c + (0, 0) for c in direct_sums(hodge_polygon(m, 2).vertices, 2, 0, 0)},
                 reverse=True,
             ))
             assert got == want, m

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, isqrt
 
+import numpy as np
 import pytest
 
 from weilgroup.classify import (
@@ -16,12 +18,16 @@ from weilgroup.classify import (
     direct_sums,
     extensions,
 )
-from weilgroup.oracle import lr_coefficient, operator_group_oracle
+from weilgroup.oracle import lr_coefficient, operator_group_oracle, smith_invariants
 from weilgroup.partitions import merge_sorted, partitions_of
 from weilgroup.polygon import (
     PRIME_TEST_LIMIT,
+    LatticePolygon,
     PolygonError,
+    _lower_hull,
+    floor_heights,
     hodge_polygon,
+    is_prime,
     newton_polygon,
     np_dominates_hp,
     valuation,
@@ -34,9 +40,16 @@ from weilgroup.weil import (
     group_order,
     parse_and_validate,
     poly_mul,
-    root_valuations,
     shape_of,
 )
+
+
+def hull(profile):
+    """The integer Newton hull whose slopes are the valuations in ``profile``."""
+    heights = [0, *accumulate(sorted(map(Fraction, profile)))]
+    vertices = _lower_hull(list(enumerate(heights)))
+    assert all(y.denominator == 1 for _, y in vertices), profile
+    return tuple((x, int(y)) for x, y in vertices)
 
 
 def test_prime_factors():
@@ -89,10 +102,10 @@ Q9_COEFFS = poly_mul(poly_mul((1, 3, 9), (1, 3, 9)), poly_mul((1, 3), (1, 3)))
 
 
 def test_admissible_exponents_examples():
-    assert admissible_exponents((2, 1, 0, 0), 4) == ((3, 0, 0, 0), (2, 1, 0, 0))
-    assert admissible_exponents((0, 0), 2) == ((0, 0),)
+    assert admissible_exponents(hull((2, 1, 0, 0))) == ((3, 0, 0, 0), (2, 1, 0, 0))
+    assert admissible_exponents(hull((0, 0))) == ((0, 0),)
     half = Fraction(1, 2)
-    assert admissible_exponents((half, half), 2) == ((1, 0),)
+    assert admissible_exponents(hull((half, half))) == ((1, 0),)
 
 
 def test_admissible_matches_operator_oracle():
@@ -100,7 +113,7 @@ def test_admissible_matches_operator_oracle():
     for slopes in ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
                    (Fraction(1, 2), Fraction(1, 2)),
                    (Fraction(3, 2), Fraction(3, 2))):
-        expected = set(admissible_exponents(slopes, 2))
+        expected = set(admissible_exponents(hull(slopes)))
         assert set(operator_group_oracle(slopes, 2, 4)) == expected
 
 
@@ -117,12 +130,12 @@ def test_groups_separable_examples():
 
 
 def test_p_square_profiles():
-    assert direct_sums((1, 1), 2, 0, 0) == (
+    assert direct_sums(hull((1, 1)), 2, 0, 0) == (
         (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)
     )
-    assert direct_sums((1, 0), 2, 0, 0) == ((1, 1, 0, 0),)
+    assert direct_sums(hull((1, 0)), 2, 0, 0) == ((1, 1, 0, 0),)
     half = Fraction(1, 2)
-    assert direct_sums((half, half), 2, 0, 0) == ((1, 1, 0, 0),)
+    assert direct_sums(hull((half, half)), 2, 0, 0) == ((1, 1, 0, 0),)
 
 
 def test_groups_p_square_polynomial():
@@ -132,8 +145,9 @@ def test_groups_p_square_polynomial():
 
 
 def test_cyclic_index_profiles():
-    assert direct_sums((1, 0), 2, 1, 2) == ((1, 1, 1, 1, 0, 0),)
-    assert direct_sums((1, 0), 0, 2, 3) == ((2, 2, 2),)
+    assert direct_sums(hull((1, 0)), 2, 1, 2) == ((1, 1, 1, 1, 0, 0),)
+    assert direct_sums(hull((1, 0)), 0, 2, 3) == ((2, 2, 2),)
+    assert direct_sums((), 0, 2, 3) == ((2, 2, 2),)  # the scalar route has no hull
 
 
 def test_groups_cyclic_index_polynomial():
@@ -160,11 +174,11 @@ def test_case1_worked_example():
 
 
 def test_case1_contains_direct_sums():
-    m, n = (2, 1), (1, 1)
-    out = set(extensions(direct_sums(m, 2, 0, 0), admissible_exponents(n, 2)))
-    for p1 in admissible_exponents(m, 2):
-        for p2 in admissible_exponents(m, 2):
-            for b in admissible_exponents(n, 2):
+    m, n = hull((2, 1)), hull((1, 1))
+    out = set(extensions(direct_sums(m, 2, 0, 0), admissible_exponents(n)))
+    for p1 in admissible_exponents(m):
+        for p2 in admissible_exponents(m):
+            for b in admissible_exponents(n):
                 assert merge_sorted(p1, p2, b) in out
 
 
@@ -175,14 +189,14 @@ def test_case3_worked_example():
 def test_case2_case3_contain_direct_sums():
     for m in ((2, 1, 1, 0), (1, 1, 0, 0)):
         for b in (0, 1, 2):
-            out = set(extensions(admissible_exponents(m, 4), ((b, b),)))
+            out = set(extensions(admissible_exponents(hull(m)), ((b, b),)))
             for a in (m,):  # the profile itself is always a witness
                 assert merge_sorted(a, (b, b)) in out
     for m in ((1, 1), (2, 0)):
         for b in (0, 1, 2):
-            out = set(extensions(direct_sums(m, 2, 0, 0), ((b, b),)))
-            for p1 in admissible_exponents(m, 2):
-                for p2 in admissible_exponents(m, 2):
+            out = set(extensions(direct_sums(hull(m), 2, 0, 0), ((b, b),)))
+            for p1 in admissible_exponents(hull(m)):
+                for p2 in admissible_exponents(hull(m)):
                     assert merge_sorted(p1, p2, (b, b)) in out
 
 
@@ -219,16 +233,16 @@ def test_groups_wrappers_reject_non_prime_l(coeffs, kind, l):
 
 
 def test_case2_trivial_profiles():
-    assert extensions(admissible_exponents((0, 0, 0, 0), 4), ((0, 0),)) == ((0,) * 6,)
-    assert extensions(admissible_exponents((0, 0, 0, 0), 4), ((2, 2),)) == ((2, 2, 0, 0, 0, 0),)
+    assert extensions(admissible_exponents(hull((0, 0, 0, 0))), ((0, 0),)) == ((0,) * 6,)
+    assert extensions(admissible_exponents(hull((0, 0, 0, 0))), ((2, 2),)) == ((2, 2, 0, 0, 0, 0),)
 
 
 def test_degeneration_case2_to_separable():
     for total in range(5):
         for m in partitions_of(total, 4):
-            got = extensions(admissible_exponents(m, 4), ((0, 0),))
+            got = extensions(admissible_exponents(hull(m)), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in admissible_exponents(m, 4)},
+                {c + (0, 0) for c in admissible_exponents(hull(m))},
                 reverse=True,
             ))
             assert got == want, m
@@ -237,9 +251,9 @@ def test_degeneration_case2_to_separable():
 def test_degeneration_case3_to_p_square():
     for total in range(5):
         for m in partitions_of(total, 2):
-            got = extensions(direct_sums(m, 2, 0, 0), ((0, 0),))
+            got = extensions(direct_sums(hull(m), 2, 0, 0), ((0, 0),))
             want = tuple(sorted(
-                {c + (0, 0) for c in direct_sums(m, 2, 0, 0)},
+                {c + (0, 0) for c in direct_sums(hull(m), 2, 0, 0)},
                 reverse=True,
             ))
             assert got == want, m
@@ -250,12 +264,12 @@ def test_case1_matches_tableau_oracle_on_grid():
         for m in partitions_of(m_tot, 2):
             for n_tot in range(4):
                 for n in partitions_of(n_tot, 2):
-                    b_wit = admissible_exponents(n, 2)
-                    machine = set(extensions(direct_sums(m, 2, 0, 0), b_wit))
+                    b_wit = admissible_exponents(hull(n))
+                    machine = set(extensions(direct_sums(hull(m), 2, 0, 0), b_wit))
                     a_wit = {
                         merge_sorted(p1, p2)
-                        for p1 in admissible_exponents(m, 2)
-                        for p2 in admissible_exponents(m, 2)
+                        for p1 in admissible_exponents(hull(m))
+                        for p2 in admissible_exponents(hull(m))
                     }
                     total = 2 * sum(m) + sum(n)
                     oracle = {
@@ -329,33 +343,33 @@ def test_classify_all_p_realsq_dispatch():
 
 
 def _reference_groups(result, l):
-    """Memo-free groups of one class at l: checked profiles of factors read
-    off the factorization and q alone, root_valuations(transform_one_minus_t(...)).
+    """Memo-free groups of one class at l: checked Newton hulls of factors read
+    off the factorization and q alone, newton_polygon(transform_one_minus_t(...)).
 
     Only the route kind comes from the plan; P, Q, the real eigenvalue
     1 + c of a factor t + c, and every width and multiplicity are derived
     here."""
     def profile(f):
-        return tuple(root_valuations(transform_one_minus_t(f), l))
+        return newton_polygon(transform_one_minus_t(f), l).vertices
 
     w, kind = result.weil, result.plan.kind
     factors = dict(result.shape.factors)
     linears = {f: m for f, m in factors.items() if len(f) == 2}
     rest = [f for f in factors if len(f) > 2]
     if kind == "separable":
-        return admissible_exponents(profile(w.coeffs), w.degree)
+        return admissible_exponents(profile(w.coeffs))
     if kind == "p_square":
         (P,) = rest
         return direct_sums(profile(P), 2, 0, 0)
     if kind == "p2q":
         (P,) = [f for f in rest if factors[f] == 2]
         (Q,) = [f for f in rest if factors[f] == 1]
-        return extensions(direct_sums(profile(P), 2, 0, 0), admissible_exponents(profile(Q), 2))
+        return extensions(direct_sums(profile(P), 2, 0, 0), admissible_exponents(profile(Q)))
     # the majority real factor t + c, with 1 - Frobenius acting by 1 + c
     (c, u), *minority = sorted(((f[1], m) for f, m in linears.items()), key=lambda cm: -cm[1])
     b = valuation(1 + c, l)
     if kind == "p_realsq":
-        return extensions(admissible_exponents(profile(reduce(poly_mul, rest)), 4), ((b, b),))
+        return extensions(admissible_exponents(profile(reduce(poly_mul, rest))), ((b, b),))
     if kind == "q2_realsq":
         (Q,) = rest
         return extensions(direct_sums(profile(Q), 2, 0, 0), ((b, b),))
@@ -365,7 +379,7 @@ def _reference_groups(result, l):
     ((_, v),) = minority
     sq = math.isqrt(w.q)  # 1 - t has the roots 1 -+ sqrt q on t^2 - q
     ops = poly_mul((1, sq - 1), (1, -sq - 1))
-    return direct_sums(tuple(root_valuations(ops, l)), v, b, u - v)
+    return direct_sums(newton_polygon(ops, l).vertices, v, b, u - v)
 
 
 def _route_corpus():
@@ -484,3 +498,109 @@ def test_sextic_corpus_script_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "shape=" in out.stdout
+
+
+def _fraction_admissible_exponents(profile, length):
+    """``admissible_exponents`` as it was written on a descending Fraction
+    profile, with the ceilings of its prefix sums: the reference for the
+    integer version on hulls."""
+    vals = sorted((Fraction(v) for v in profile), reverse=True)
+    if len(vals) > length:
+        raise ValueError(f"profile longer than ambient length {length}")
+    vals += [Fraction(0)] * (length - len(vals))
+    total_f = sum(vals, Fraction(0))
+    if total_f.denominator != 1:
+        raise ValueError(f"profile total {total_f} is not an integer")
+    total = int(total_f)
+    # an integer partial sum is at least a prefix sum iff it is at least its ceiling
+    ceilings = [math.ceil(acc) for acc in accumulate(vals)]
+
+    out = []
+
+    def rec(k, remaining, bound, acc_sum, chosen):
+        if k == length:
+            if remaining == 0:
+                out.append(tuple(chosen))
+            return
+        lo = -(-remaining // (length - k))  # ceil to keep room for the rest
+        for x in range(min(bound, remaining), lo - 1, -1):
+            new_sum = acc_sum + x
+            if new_sum < ceilings[k]:
+                break  # x decreasing: smaller x only gets worse
+            chosen.append(x)
+            rec(k + 1, remaining - x, x, new_sum, chosen)
+            chosen.pop()
+
+    rec(0, total, total, 0, [])
+    return tuple(sorted(set(out), reverse=True))
+
+
+def _value_at(poly, x):
+    """The exact Fraction height of ``poly`` at x."""
+    for (x1, y1), (x2, y2) in zip(poly.vertices, poly.vertices[1:]):
+        if x <= x2:
+            return y1 + Fraction(y2 - y1) * (x - x1) / (x2 - x1)
+    return Fraction(poly.vertices[-1][1])
+
+
+def _value_at_dominates(np_poly, hp_poly):
+    """``np_dominates_hp`` as it was written: equal totals and the exact
+    heights of np at or above those of hp at every integer x."""
+    return np_poly.total == hp_poly.total and all(
+        _value_at(np_poly, x) >= _value_at(hp_poly, x) for x in range(np_poly.width + 1)
+    )
+
+
+def _integer_hulls(max_width, max_total):
+    """Every integer lower hull from (0, 0) of width <= max_width and total
+    <= max_total with slopes >= 0: every Newton hull of that size."""
+    def extend(vertices):
+        yield vertices
+        x, y = vertices[-1]
+        x0, y0 = vertices[-2] if len(vertices) > 1 else (x - 1, y + 1)  # slope -1 bounds nothing
+        for x2 in range(x + 1, max_width + 1):
+            for y2 in range(y, max_total + 1):
+                if (y2 - y) * (x - x0) > (y - y0) * (x2 - x):  # slopes strictly increase
+                    yield from extend(vertices + ((x2, y2),))
+    return extend(((0, 0),))
+
+
+def test_integer_dominance_matches_fraction_reference():
+    """On every integer Newton hull of width <= 6 and total <= 6, the one
+    floor routine gives the floors of the exact heights, and both integer
+    verdicts match their Fraction references: ``admissible_exponents``
+    against the profile's prefix-sum ceilings, ``np_dominates_hp`` against
+    the exact heights, on every Hodge polygon of matching width and total."""
+    count = 0
+    for vertices in _integer_hulls(6, 6):
+        npoly = LatticePolygon(vertices)
+        width, total = npoly.width, npoly.total
+        assert floor_heights(vertices) == [math.floor(_value_at(npoly, x)) for x in range(width + 1)]
+        admissible = admissible_exponents(vertices)
+        assert admissible == _fraction_admissible_exponents(npoly.slopes(), width), vertices
+        for c in partitions_of(total, width):
+            hp = hodge_polygon(c, width)
+            verdict = np_dominates_hp(npoly, hp)
+            assert verdict == _value_at_dominates(npoly, hp) == (c in admissible), (vertices, c)
+        count += 1
+    assert count == 429  # as many as the distinct lower hulls of all height tuples in [0, 6]
+
+
+@pytest.mark.parametrize("l", [2.0, 3.0, 7.0, "2", Fraction(2)])
+def test_non_integer_l_is_not_prime(l):
+    """A non-integer l is refused as not prime at every entry point that
+    takes one, instead of answering under a float key or dividing the
+    coefficients by a float; numpy integers pass as ints."""
+    assert not is_prime(l)
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    with pytest.raises(ValueError, match=f"^l={l} is not prime$"):
+        classify_all(w, only_l=l)
+    with pytest.raises(PolygonError, match=f"^l={l} is not prime$"):
+        newton_polygon([1, 0, 2 * 3**40 + 1], l)
+    with pytest.raises(ValueError, match=f"^l={l} is not prime$"):
+        smith_invariants([[1, 0], [0, 4]], l)
+    with pytest.raises(ValueError, match="integers"):
+        smith_invariants([[1.5, 0], [0, 4]], 2)
+    groups = classify_all(w, only_l=np.int64(2)).groups
+    assert groups == {2: ((1, 1, 0, 0, 0, 0),)} and type(next(iter(groups))) is int
+    assert newton_polygon([1, 0, 2 * 3**40 + 1], np.int64(3)).total == 0

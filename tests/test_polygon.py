@@ -10,7 +10,6 @@ from weilgroup.polygon import (
     PRIME_TEST_LIMIT,
     LatticePolygon,
     PolygonError,
-    ValuationProfile,
     hodge_polygon,
     is_prime,
     newton_polygon,
@@ -159,18 +158,14 @@ def test_cyclic_group_always_admissible(tail):
     assert np_dominates_hp(npoly, cyclic)
 
 
-def test_valuation_profile_from_polygon():
-    prof = ValuationProfile.from_polygon(newton_polygon([1, 2, 8], 2))
-    assert prof.vals == (Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
-        ValuationProfile((Fraction(0), Fraction(1)))
-
-
 def test_polygon_invariants_enforced():
     with pytest.raises(PolygonError):
-        LatticePolygon(((0, Fraction(1)), (1, Fraction(2))))
+        LatticePolygon(((0, 1), (1, 2)))
     with pytest.raises(PolygonError):
-        LatticePolygon(((0, Fraction(0)), (1, Fraction(0)), (2, Fraction(0))))
+        LatticePolygon(((0, 0), (1, 0), (2, 0)))
+    with pytest.raises(PolygonError, match="integers"):
+        LatticePolygon(((0, 0), (2, Fraction(1))))
+    assert LatticePolygon(((0, 0), (np.int64(2), True))).vertices == ((0, 0), (2, 1))
 
 
 def test_valuation():
@@ -214,3 +209,11 @@ def test_polygon_entry_points_reject_non_integers(func, args):
         func(*args)
     assert transform_one_minus_t((True, np.int64(0), 2)) == transform_one_minus_t((1, 0, 2))
     assert hodge_polygon((np.int32(2),), 2) == hodge_polygon((2,), 2)
+
+
+def test_dominance_needs_integer_hodge_heights():
+    """np_dominates_hp compares floors of the Newton heights with the Hodge
+    heights, so a second polygon with a half-integer height is refused."""
+    np24 = newton_polygon([1, 2, 8], 2)
+    with pytest.raises(PolygonError, match="not a Hodge polygon"):
+        np_dominates_hp(np24, LatticePolygon(((0, 0), (2, 3))))
