@@ -7,10 +7,12 @@ independent brute-force oracles (tableau counting and exhaustive matrix
 sweeps) validating every step.
 """
 
-# The re-exports are eager on purpose: nothing in the package needs them,
-# but they make ``import weilgroup`` load classify, weil and smith, so a
-# service that imports the package at start-up does not pay that import
-# inside its first request.
+# The re-exports load classify, weil, smith, reduce, horn, polygon and
+# oracle eagerly on purpose: nothing in the package needs them, but a
+# service that imports the package at start-up then does not pay those
+# imports inside its first request.  No request path uses ``verify`` (the
+# paper-table verification, the heaviest module), so ``verify_paper_lists``
+# loads it on first use through the module ``__getattr__`` below.
 from .classify import Classification, classify_all
 from .horn import (
     HornTriple,
@@ -36,7 +38,6 @@ from .polygon import (
 )
 from .reduce import reduce_system
 from .smith import enumerate_cokernels, feasible_triple, inequality_system
-from .verify import verify_paper_lists
 from .weil import (
     FactoredShape,
     WeilPolynomial,
@@ -48,6 +49,15 @@ from .weil import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "verify_paper_lists":
+        from .verify import verify_paper_lists
+
+        return verify_paper_lists
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Classification",

@@ -39,10 +39,9 @@ from ``_prime_factors`` or passes the ``only_l`` check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polygon import (
     PRIME_TEST_LIMIT,
@@ -129,8 +128,7 @@ def extensions(A: Sequence[GroupTuple], B: Sequence[GroupTuple]) -> GroupSet:
 # per-class dispatch
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Admissible group types per prime, plus advisory notices."""
 
     weil: WeilPolynomial

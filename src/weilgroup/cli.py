@@ -31,7 +31,6 @@ from .classify import classify_all
 from .oracle import lr_coefficient, matrix_cokernel_oracle, operator_group_oracle
 from .reduce import reduce_system
 from .smith import enumerate_cokernels, feasible_triple
-from .verify import verify_paper_lists
 from .weil import WeilError, parse_and_validate
 
 
@@ -241,6 +240,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_paper_lists  # loaded on demand, like weilgroup.verify_paper_lists
+
     report = verify_paper_lists()
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))

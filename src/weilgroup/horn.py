@@ -32,6 +32,8 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .partitions import as_size
+
 DESK_SCALE_N = 7
 
 
@@ -54,6 +56,7 @@ class ComplementTriple(NamedTuple):
 
 def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
     """All of U^n_p in lexicographic order on (I, J, K)."""
+    n, p = as_size(n, "n"), as_size(p, "p")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
     subsets = list(combinations(range(1, n + 1), p))
@@ -98,6 +101,7 @@ class HornTable:
         self._tables: dict[tuple[int, int], tuple[HornTriple, ...]] = {}
 
     def T(self, n: int, p: int) -> tuple[HornTriple, ...]:
+        n, p = as_size(n, "n"), as_size(p, "p")
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
         return self._compute(n, p)
@@ -171,6 +175,7 @@ def enumerate_T(
 
     Guarded at desk scale (n <= 7); pass ``allow_large=True`` beyond that.
     """
+    n = as_size(n, "n")
     _check_desk_scale(n, allow_large)
     tab = table if table is not None else _DEFAULT_TABLE
     return tab.T(n, p)
@@ -265,6 +270,7 @@ def enumerate_T_st(
     """
     if mode not in ("tilde", "strict"):
         raise ValueError(f"mode must be 'tilde' or 'strict', got {mode!r}")
+    s, t, p = as_size(s, "s"), as_size(t, "t"), as_size(p, "p")
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
     n = s + t

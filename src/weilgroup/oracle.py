@@ -12,10 +12,9 @@ arbitrate the combinatorial machinery elsewhere in the package:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import as_integers, as_partition
 from .polygon import as_prime, valuation
@@ -184,8 +183,7 @@ def smith_invariants(
 # Block triangular sweep
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Invariant tuples observed in a sweep; ``complete`` marks exhaustion."""
 
     invariants: frozenset[tuple[int, ...]]

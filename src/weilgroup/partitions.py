@@ -26,6 +26,15 @@ def as_integers(values: Iterable[int], error: type[ValueError] = ValueError) -> 
         raise error(f"not all integers: {values!r}") from None
 
 
+def as_size(value: int, name: str) -> int:
+    """A size or count as an int, through ``operator.index``; a float or a
+    string raises ValueError naming the argument."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
 def is_partition(parts: Sequence[int]) -> bool:
     return all(x >= 0 for x in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)

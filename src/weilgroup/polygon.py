@@ -24,10 +24,9 @@ and are never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import as_integers
 
@@ -85,8 +84,14 @@ def is_prime(n: int) -> bool:
 
 def as_prime(l: int, error: type[ValueError] = ValueError) -> int:
     """l as an int, through ``operator.index``, if it is prime; else
-    ``error("l=... is not prime")``, also for a float or a string."""
-    if not is_prime(l):
+    ``error("l=... is not prime")``, also for a float or a string.  An l
+    at or above PRIME_TEST_LIMIT that :func:`is_prime` cannot decide raises
+    ``error`` too, naming the limit."""
+    try:
+        prime = is_prime(l)
+    except ValueError:
+        raise error(f"l={l} is not below the primality limit {PRIME_TEST_LIMIT}") from None
+    if not prime:
         raise error(f"l={l} is not prime")
     return index(l)
 
@@ -129,20 +134,23 @@ def floor_heights(hull: Hull) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class _Vertices(NamedTuple):
+    vertices: Hull
+
+
+class LatticePolygon(_Vertices):
     """Lower-convex piecewise linear function on [0, width].
 
     ``vertices`` are the corner points only, as ints: x strictly increasing
     starting at (0, 0), slopes strictly increasing between consecutive
-    segments.
+    segments.  Every construction is checked, ``_replace`` and unpickling
+    included.
     """
 
-    vertices: Hull
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vs = tuple(as_integers(v, PolygonError) for v in self.vertices)
-        object.__setattr__(self, "vertices", vs)
+    def __new__(cls, vertices: Hull) -> LatticePolygon:
+        vs = tuple(as_integers(v, PolygonError) for v in vertices)
         if not vs:
             raise PolygonError("polygon needs at least one vertex")
         if vs[0] != (0, 0):
@@ -152,6 +160,11 @@ class LatticePolygon:
                 raise PolygonError("vertex x-coordinates must strictly increase")
         if _lower_hull(vs) != vs:
             raise PolygonError("segment slopes must strictly increase")
+        return super().__new__(cls, vs)
+
+    @classmethod
+    def _make(cls, iterable) -> LatticePolygon:
+        return cls(*iterable)
 
     @property
     def width(self) -> int:

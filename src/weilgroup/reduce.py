@@ -31,17 +31,16 @@ which :mod:`weilgroup.verify` uses as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
+from .partitions import as_size
 from .smith import DESK_SCALE_TOTAL, SmithInequality, _restricted
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     s: int
     t: int
     mode: str
@@ -150,6 +149,7 @@ def reduce_system(
     the Horn table to read (the shared one of :mod:`weilgroup.horn` when
     None); the result itself is not memoised.
     """
+    s, t = as_size(s, "s"), as_size(t, "t")
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
     n = s + t
@@ -222,4 +222,5 @@ def redundant_members_full(n: int, *, table: HornTable | None = None) -> tuple[H
     These are the T^n_p rows whose LR coefficient exceeds 1 (see the module
     docstring); the answer does not depend on processing order.
     """
+    n = as_size(n, "n")
     return tuple(tri for tri in _full_candidates(n, table) if not _is_facet(tri))

@@ -23,20 +23,18 @@ enforced exactly and callers pad explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .horn import HornTriple, enumerate_T_st
-from .partitions import as_partition, partitions_of
+from .partitions import as_partition, as_size, partitions_of
 
 DESK_SCALE_TOTAL = 6
 COKERNEL_MEMO_SIZE = 1024  # (a, b) pairs; a classify workload meets a few hundred
 
 
-@dataclass(frozen=True)
-class SmithInequality:
+class SmithInequality(NamedTuple):
     """One inequality sum_{a_idx} a + sum_{b_idx} b >= sum_{c_idx} c.
 
     Indices are 1-based; ``a_idx`` lives in M_s, ``b_idx`` in M_t and
@@ -85,8 +83,7 @@ def format_inequality(
     return f"{'+'.join(lhs) or '0'} {sense} {'+'.join(rhs) or '0'}"
 
 
-@dataclass(frozen=True)
-class SmithSystem:
+class SmithSystem(NamedTuple):
     s: int
     t: int
     inequalities: tuple[SmithInequality, ...]
@@ -108,6 +105,7 @@ def inequality_system(s: int, t: int) -> SmithSystem:
     One inequality per block-restricted triple with 1 <= p <= s+t-1; the
     p = s+t triple restates the trace equality and is omitted.
     """
+    s, t = as_size(s, "s"), as_size(t, "t")
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
     if s + t > DESK_SCALE_TOTAL:

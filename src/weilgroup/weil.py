@@ -12,12 +12,11 @@ and lifts its factors, in integer arithmetic only.  q must be below
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import as_integers
 from .polygon import _MR_BASES, PRIME_TEST_LIMIT, is_prime, newton_polygon, valuation
@@ -96,8 +95,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
     raise QNotPrimePowerError(f"q={q} is not a prime power")
 
 
-@dataclass(frozen=True)
-class WeilPolynomial:
+class WeilPolynomial(NamedTuple):
     """Validated Weil polynomial; coefficients highest degree first."""
 
     coeffs: tuple[int, ...]
@@ -226,8 +224,7 @@ def _integer_root(h: Sequence[int], bound: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class FactoredShape:
+class FactoredShape(NamedTuple):
     """Complete factorization into monic integer irreducibles, with
     multiplicities; ``shape_of`` reads the classification route off it."""
 
@@ -303,8 +300,7 @@ ROUTE_TAGS = {  # plan kind -> display name of the factor pattern
 }
 
 
-@dataclass(frozen=True)
-class DispatchPlan:
+class DispatchPlan(NamedTuple):
     """Which classification routine to run, with everything it reads.
 
     ``kind`` is one of the keys of ``ROUTE_TAGS``.  ``factors`` are the

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weilgroup.classify import classify_all
+from weilgroup.oracle import smith_invariants
 from weilgroup.polygon import (
     PRIME_TEST_LIMIT,
     LatticePolygon,
@@ -17,6 +19,7 @@ from weilgroup.polygon import (
     transform_one_minus_t,
     valuation,
 )
+from weilgroup.weil import parse_and_validate
 
 
 def verts(poly):
@@ -159,13 +162,23 @@ def test_cyclic_group_always_admissible(tail):
 
 
 def test_polygon_invariants_enforced():
-    with pytest.raises(PolygonError):
-        LatticePolygon(((0, 1), (1, 2)))
-    with pytest.raises(PolygonError):
-        LatticePolygon(((0, 0), (1, 0), (2, 0)))
+    bad = [
+        (),  # no vertex
+        ((0, 1), (1, 2)),  # does not start at (0, 0)
+        ((0, 0), (1, 0), (1, 1)),  # x does not strictly increase
+        ((0, 0), (1, 1), (2, 1)),  # slopes decrease
+        ((0, 0), (1, 0), (2, 0)),  # collinear middle vertex
+    ]
+    for vertices in bad:
+        with pytest.raises(PolygonError):
+            LatticePolygon(vertices)
+        with pytest.raises(PolygonError):  # _replace is checked too
+            LatticePolygon(((0, 0), (1, 1)))._replace(vertices=vertices)
     with pytest.raises(PolygonError, match="integers"):
         LatticePolygon(((0, 0), (2, Fraction(1))))
-    assert LatticePolygon(((0, 0), (np.int64(2), True))).vertices == ((0, 0), (2, 1))
+    poly = LatticePolygon(((0, 0), (np.int64(2), True)))
+    assert poly.vertices == ((0, 0), (2, 1))
+    assert all(type(x) is int for v in poly.vertices for x in v)
 
 
 def test_valuation():
@@ -217,3 +230,22 @@ def test_dominance_needs_integer_hodge_heights():
     np24 = newton_polygon([1, 2, 8], 2)
     with pytest.raises(PolygonError, match="not a Hodge polygon"):
         np_dominates_hp(np24, LatticePolygon(((0, 0), (2, 3))))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda l: newton_polygon((1, 1), l), PolygonError),
+        (lambda l: classify_all(parse_and_validate([1, 0, 2], 2), only_l=l), ValueError),
+        (lambda l: smith_invariants([[1, 0], [0, 4]], l), ValueError),
+    ],
+    ids=["newton_polygon", "classify_all", "smith_invariants"],
+)
+def test_prime_at_test_limit_raises_named_error(call, error):
+    """An l that ``is_prime`` cannot decide raises the entry point's own
+    error, naming the limit; ``is_prime`` itself still raises ValueError."""
+    assert all(PRIME_TEST_LIMIT % p for p in range(2, 42))  # no small factor decides it
+    with pytest.raises(error, match=f"l={PRIME_TEST_LIMIT} is not below the primality limit"):
+        call(PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError, match="primality limit"):
+        is_prime(PRIME_TEST_LIMIT)

@@ -11,7 +11,7 @@ import pytest
 
 import weilgroup.linprog
 import weilgroup.reduce
-from weilgroup.horn import HornTable, enumerate_T
+from weilgroup.horn import HornTable, enumerate_T, enumerate_T_st, enumerate_U
 from weilgroup.linprog import Cone, _combine, is_implied, linprog
 from weilgroup.reduce import (
     _base_rows,
@@ -21,6 +21,7 @@ from weilgroup.reduce import (
     reduce_system,
     redundant_members_full,
 )
+from weilgroup.smith import inequality_system
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
@@ -441,3 +442,26 @@ def test_scalar_b_small():
     result = reduce_system(2, 1, "smith", scalar_b=True)
     assert result.mode == "smith+scalar_b"
     assert all("b2" not in iq.pretty_scalar_b() for iq in result.kept)
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (reduce_system, (2.0, 1), "s=2.0"),
+        (reduce_system, (1, "2"), "t='2'"),
+        (redundant_members_full, (3.0,), "n=3.0"),
+        (lambda n, p: HornTable().T(n, p), (3.0, 1), "n=3.0"),
+        (enumerate_T, (3, 1.0), "p=1.0"),
+        (enumerate_T_st, (2.0, 1, 1), "s=2.0"),
+        (enumerate_T_st, (2, 1, Fraction(1)), "p=Fraction(1, 1)"),
+        (enumerate_U, (3.0, 1), "n=3.0"),
+        (inequality_system, (2.0, 1), "s=2.0"),
+        (inequality_system, (3, 1.0), "t=1.0"),
+    ],
+)
+def test_sizes_are_integers(func, args, message):
+    """A float, string or Fraction size raises ValueError naming it, not a
+    TypeError from ``range``."""
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert str(info.value) == f"{message} is not an integer"
