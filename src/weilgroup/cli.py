@@ -7,14 +7,15 @@ Subcommands:
     smith check --a A --b B --c C
     smith enumerate --a A --b B
     oracle lr --mu MU --nu NU --lambda LAM
-    oracle matrix --a A --b B --l L [--prec N] [--budget M]
+    oracle matrix --a A --b B --l L
     oracle operator --slopes S1,S2 --l L --prec N
     classify --q Q --poly C0,..,Cn [--l L] [--sign plus|minus]
     verify paper-lists
 
 Partitions and polynomial coefficients are comma-separated integers,
-polynomials highest degree first.  Global flags: --json for machine
-output, --seed for sampling fallbacks.
+polynomials highest degree first.  Global flag: --json for machine
+output.  The oracle sweeps print one invariant tuple per line (a JSON
+list of lists under --json) and refuse a sweep above their limit (exit 1).
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -57,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="groups of rational points on abelian varieties of dimension <= 3",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling fallbacks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     horn_p = sub.add_parser("horn", help="Horn triple sets and reductions")
@@ -70,12 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     triples.add_argument("--mode", choices=("tilde", "strict"), default="strict")
     triples.add_argument("--allow-large", action="store_true",
                          help="lift the desk-scale guard on n")
+    triples.set_defaults(run=_cmd_horn_triples)
     red = horn_sub.add_parser("reduce", help="minimal inequality system")
     red.add_argument("--s", type=int, required=True)
     red.add_argument("--t", type=int, required=True)
     red.add_argument("--mode", choices=("smith", "full"), default="smith")
     red.add_argument("--scalar-b", action="store_true",
                      help="identify all b's (scalar second block)")
+    red.set_defaults(run=_cmd_horn_reduce)
 
     smith_p = sub.add_parser("smith", help="Smith invariant feasibility")
     smith_sub = smith_p.add_subparsers(dest="smith_command", required=True)
@@ -83,9 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--a", type=_ints, required=True)
     check.add_argument("--b", type=_ints, required=True)
     check.add_argument("--c", type=_ints, required=True)
+    check.set_defaults(run=_cmd_smith_check)
     enum = smith_sub.add_parser("enumerate", help="all feasible c for (a, b)")
     enum.add_argument("--a", type=_ints, required=True)
     enum.add_argument("--b", type=_ints, required=True)
+    enum.set_defaults(run=_cmd_smith_enumerate)
 
     oracle_p = sub.add_parser("oracle", help="brute-force oracles")
     oracle_sub = oracle_p.add_subparsers(dest="oracle_command", required=True)
@@ -93,16 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     lr.add_argument("--mu", type=_ints, required=True)
     lr.add_argument("--nu", type=_ints, required=True)
     lr.add_argument("--lambda", dest="lam", type=_ints, required=True)
+    lr.set_defaults(run=_cmd_oracle_lr)
     mat = oracle_sub.add_parser("matrix", help="block triangular sweep")
     mat.add_argument("--a", type=_ints, required=True)
     mat.add_argument("--b", type=_ints, required=True)
     mat.add_argument("--l", type=int, required=True)
-    mat.add_argument("--prec", type=int, default=None)
-    mat.add_argument("--budget", type=int, default=200_000)
+    mat.set_defaults(run=_cmd_oracle_matrix)
     op = oracle_sub.add_parser("operator", help="2x2 operator sweep by polygon")
     op.add_argument("--slopes", type=_fractions, required=True, metavar="S1,S2")
     op.add_argument("--l", type=int, required=True)
     op.add_argument("--prec", type=int, required=True)
+    op.set_defaults(run=_cmd_oracle_operator)
 
     cls = sub.add_parser("classify", help="admissible group types per prime")
     cls.add_argument("--q", type=int, required=True)
@@ -111,10 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--l", type=int, default=None)
     cls.add_argument("--sign", choices=("plus", "minus"), default=None,
                      help="expected sign in (t +- sqrt q); checked against the factorization")
+    cls.set_defaults(run=_cmd_classify)
 
     ver = sub.add_parser("verify", help="verification harnesses")
     ver_sub = ver.add_subparsers(dest="verify_command", required=True)
-    ver_sub.add_parser("paper-lists", help="re-derive the published inequality tables")
+    ver_sub.add_parser(
+        "paper-lists", help="re-derive the published inequality tables"
+    ).set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -131,82 +139,71 @@ def _triple_json(t: horn.HornTriple) -> list[list[int]]:
     return [list(t.I), list(t.J), list(t.K)]
 
 
-def _cmd_horn(args) -> int:
-    if args.horn_command == "triples":
-        if args.st is not None:
-            if len(args.st) != 2:
-                raise ValueError("--st wants two sizes, e.g. --st 4,2")
-            s, t = args.st
-            if s + t != args.n:
-                raise ValueError(f"--st {s},{t} does not match --n {args.n}")
-            triples = horn.enumerate_T_st(
-                s, t, args.p, args.mode, allow_large=args.allow_large
-            )
-        else:
-            triples = horn.enumerate_T(args.n, args.p, allow_large=args.allow_large)
-        _emit(
-            args,
-            [_triple_json(t) for t in triples],
-            [f"I={t.I} J={t.J} K={t.K}" for t in triples]
-            + [f"total: {len(triples)}"],
+def _emit_tuples(args, tuples) -> None:
+    _emit(args, [list(c) for c in tuples], [",".join(map(str, c)) for c in tuples])
+
+
+def _cmd_horn_triples(args) -> int:
+    if args.st is not None:
+        if len(args.st) != 2:
+            raise ValueError("--st wants two sizes, e.g. --st 4,2")
+        s, t = args.st
+        if s + t != args.n:
+            raise ValueError(f"--st {s},{t} does not match --n {args.n}")
+        triples = horn.enumerate_T_st(
+            s, t, args.p, args.mode, allow_large=args.allow_large
         )
-        return 0
-    if args.horn_command == "reduce":
-        result = reduce_system(args.s, args.t, args.mode, scalar_b=args.scalar_b)
-        scalar = args.scalar_b
-        pretty = (lambda iq: iq.pretty_scalar_b()) if scalar else (lambda iq: iq.pretty())
-        payload = {
-            "mode": result.mode,
-            "kept": [pretty(iq) for iq in result.kept],
-            "removed_structural": [pretty(iq) for iq in result.removed_structural],
-            "removed_implied": [pretty(iq) for iq in result.removed_implied],
-        }
-        _emit(args, payload, result.pretty_lines())
-        return 0
-    raise ValueError(f"unknown horn subcommand {args.horn_command!r}")
+    else:
+        triples = horn.enumerate_T(args.n, args.p, allow_large=args.allow_large)
+    _emit(
+        args,
+        [_triple_json(t) for t in triples],
+        [f"I={t.I} J={t.J} K={t.K}" for t in triples]
+        + [f"total: {len(triples)}"],
+    )
+    return 0
 
 
-def _cmd_smith(args) -> int:
-    if args.smith_command == "check":
-        ok = feasible_triple(args.a, args.b, args.c)
-        _emit(args, {"feasible": ok}, ["feasible" if ok else "infeasible"])
-        return 0
-    if args.smith_command == "enumerate":
-        out = enumerate_cokernels(args.a, args.b)
-        _emit(args, [list(c) for c in out], [",".join(map(str, c)) for c in out])
-        return 0
-    raise ValueError(f"unknown smith subcommand {args.smith_command!r}")
+def _cmd_horn_reduce(args) -> int:
+    result = reduce_system(args.s, args.t, args.mode, scalar_b=args.scalar_b)
+    pretty = (lambda iq: iq.pretty_scalar_b()) if args.scalar_b else (lambda iq: iq.pretty())
+    payload = {
+        "mode": result.mode,
+        "kept": [pretty(iq) for iq in result.kept],
+        "removed_structural": [pretty(iq) for iq in result.removed_structural],
+        "removed_implied": [pretty(iq) for iq in result.removed_implied],
+    }
+    _emit(args, payload, result.pretty_lines())
+    return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle_command == "lr":
-        coeff = lr_coefficient(args.mu, args.nu, args.lam)
-        _emit(args, {"coefficient": coeff}, [str(coeff)])
-        return 0
-    if args.oracle_command == "matrix":
-        result = matrix_cokernel_oracle(
-            args.a, args.b, args.l, args.prec, budget=args.budget, seed=args.seed
-        )
-        payload = {
-            "invariants": [list(c) for c in result.sorted()],
-            "complete": result.complete,
-            "space": result.space,
-            "samples": result.samples,
-        }
-        lines = [",".join(map(str, c)) for c in result.sorted()]
-        lines.append(
-            f"{'complete' if result.complete else 'sampled'} sweep over "
-            f"{result.space} classes"
-            + (f" ({result.samples} samples)" if result.samples else "")
-        )
-        _emit(args, payload, lines)
-        return 0
-    if args.oracle_command == "operator":
-        found = operator_group_oracle(args.slopes, args.l, args.prec)
-        out = sorted(found, reverse=True)
-        _emit(args, [list(c) for c in out], [",".join(map(str, c)) for c in out])
-        return 0
-    raise ValueError(f"unknown oracle subcommand {args.oracle_command!r}")
+def _cmd_smith_check(args) -> int:
+    ok = feasible_triple(args.a, args.b, args.c)
+    _emit(args, {"feasible": ok}, ["feasible" if ok else "infeasible"])
+    return 0
+
+
+def _cmd_smith_enumerate(args) -> int:
+    _emit_tuples(args, enumerate_cokernels(args.a, args.b))
+    return 0
+
+
+def _cmd_oracle_lr(args) -> int:
+    coeff = lr_coefficient(args.mu, args.nu, args.lam)
+    _emit(args, {"coefficient": coeff}, [str(coeff)])
+    return 0
+
+
+def _cmd_oracle_matrix(args) -> int:
+    found = matrix_cokernel_oracle(args.a, args.b, args.l)
+    _emit_tuples(args, sorted(found, reverse=True))
+    return 0
+
+
+def _cmd_oracle_operator(args) -> int:
+    found = operator_group_oracle(args.slopes, args.l, args.prec)
+    _emit_tuples(args, sorted(found, reverse=True))
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -251,27 +248,15 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "horn":
-            return _cmd_horn(args)
-        if args.command == "smith":
-            return _cmd_smith(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except WeilError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

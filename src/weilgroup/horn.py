@@ -190,6 +190,12 @@ def lambda_of(I: Sequence[int], p: int | None = None) -> tuple[int, ...]:
     return tuple(I[p - 1 - a] - (p - a) for a in range(p))
 
 
+def _check_indices(triple: HornTriple, n: int) -> None:
+    for idx in (*triple.I, *triple.J, *triple.K):
+        if not 1 <= idx <= n:
+            raise ValueError(f"index {idx} is outside 1..{n}")
+
+
 def eval_inequality(
     triple: HornTriple,
     a: Sequence[int],
@@ -200,10 +206,8 @@ def eval_inequality(
     n = len(a)
     if len(b) != n or len(c) != n:
         raise ValueError("a, b, c must have equal length n")
+    _check_indices(triple, n)
     I, J, K = triple
-    for idx in (*I, *J, *K):
-        if idx > n:
-            raise ValueError(f"index {idx} exceeds length {n}")
     return (
         sum(a[i - 1] for i in I) + sum(b[j - 1] for j in J)
         >= sum(c[k - 1] for k in K)
@@ -223,6 +227,7 @@ def complement_triple(
         inner = complement_triple(triple.triple, n)
         assert isinstance(inner, ComplementTriple)
         return inner.triple
+    _check_indices(triple, n)
     I, J, K = triple
     if len(I) >= n:
         raise ValueError("complement of a full-size triple is empty")

@@ -7,18 +7,22 @@ arbitrate the combinatorial machinery elsewhere in the package:
 * Smith invariants of integer matrices by exact gcd elimination;
 * exhaustive sweeps over block triangular matrices [[A, X], [0, B]];
 * exhaustive sweeps over all 2x2 operators grouped by Newton polygon.
+
+Each sweep is exhaustive, or refused with a ValueError before it starts
+when its size exceeds its module constant below; nothing is sampled.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from itertools import product
+from typing import Sequence
 
-from .partitions import as_integers, as_partition
+from .partitions import as_integers, as_partition, as_size
 from .polygon import as_prime, valuation
 
+MAX_BLOCK_SWEEP = 200_000  # matrix_cokernel_oracle refuses larger sweeps (~10 s, 2-core Xeon)
 MAX_SWEEP_MATRICES = 1 << 20  # operator_group_oracle refuses larger sweeps
 
 
@@ -183,85 +187,42 @@ def smith_invariants(
 # Block triangular sweep
 
 
-class SweepResult(NamedTuple):
-    """Invariant tuples observed in a sweep; ``complete`` marks exhaustion."""
+def _refuse_large_sweep(l: int, exponent: int, limit: int, name: str) -> None:
+    """Refuse a sweep over l**exponent matrices when it exceeds ``limit``.
 
-    invariants: frozenset[tuple[int, ...]]
-    complete: bool
-    space: int
-    samples: int | None = None
-
-    def sorted(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.invariants, reverse=True))
+    Decided from the exponent first (l >= 2, so l**exponent > limit once
+    exponent reaches limit.bit_length()): no large power of l is built.
+    """
+    if exponent >= limit.bit_length() or l**exponent > limit:
+        raise ValueError(f"sweep size l^{exponent} exceeds {name}={limit}")
 
 
 def matrix_cokernel_oracle(
-    a: Sequence[int],
-    b: Sequence[int],
-    l: int,
-    precision: int | None = None,
-    *,
-    budget: int = 200_000,
-    seed: int = 0,
-) -> SweepResult:
+    a: Sequence[int], b: Sequence[int], l: int
+) -> frozenset[tuple[int, ...]]:
     """Invariants of C = [[A, X], [0, B]] over all X, A = diag(l^a), B = diag(l^b).
 
     Fixing A and B diagonal loses nothing: unimodular changes on either
     block absorb into X.  Adding A V + W B to X does not change the
     cokernel either, so entry (i, j) of X only matters modulo
-    l^min(a_i, b_j); the sweep runs over that quotient and is therefore
-    complete whenever its size fits the budget, else it samples uniformly
-    with a fixed seed.
+    l^min(a_i, b_j).  The sweep runs over all of that quotient and is
+    refused when its size exceeds MAX_BLOCK_SWEEP.
     """
     a = as_partition(a)
     b = as_partition(b)
     l = as_prime(l)
     s, t = len(a), len(b)
-    min_precision = sum(a) + sum(b) + 1
-    if precision is None:
-        precision = min_precision
-    if precision < min_precision:
-        raise ValueError(
-            f"precision {precision} < {min_precision} = sum(a)+sum(b)+1"
-        )
-    moduli = [[l ** min(a[i], b[j]) for j in range(t)] for i in range(s)]
-    space = 1
-    for row in moduli:
-        for m in row:
-            space *= m
-
-    def invariants_for(flat: Sequence[int]) -> tuple[int, ...]:
-        n = s + t
-        mat = [[0] * n for _ in range(n)]
-        for i in range(s):
-            mat[i][i] = l ** a[i]
-        for j in range(t):
-            mat[s + j][s + j] = l ** b[j]
-        it = iter(flat)
-        for i in range(s):
-            for j in range(t):
-                mat[i][s + j] = next(it)
-        return smith_invariants(mat, l)
-
-    found: set[tuple[int, ...]] = set()
-    if space <= budget:
-        def rec(idx: int, flat: list[int]):
-            if idx == s * t:
-                found.add(invariants_for(flat))
-                return
-            i, j = divmod(idx, t)
-            for v in range(moduli[i][j]):
-                flat.append(v)
-                rec(idx + 1, flat)
-                flat.pop()
-        rec(0, [])
-        return SweepResult(frozenset(found), complete=True, space=space)
-    rng = random.Random(seed)
-    flat_moduli = [moduli[i][j] for i in range(s) for j in range(t)]
-    for _ in range(budget):
-        flat = [rng.randrange(m) for m in flat_moduli]
-        found.add(invariants_for(flat))
-    return SweepResult(frozenset(found), complete=False, space=space, samples=budget)
+    exponents = [min(ai, bj) for ai in a for bj in b]
+    _refuse_large_sweep(l, sum(exponents), MAX_BLOCK_SWEEP, "MAX_BLOCK_SWEEP")
+    mat = [[0] * (s + t) for _ in range(s + t)]
+    for k, e in enumerate(a + b):
+        mat[k][k] = l**e
+    found = set()
+    for xs in product(*(range(l**e) for e in exponents)):
+        for k, x in enumerate(xs):
+            mat[k // t][s + k % t] = x
+        found.add(smith_invariants(mat, l))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +273,7 @@ def operator_group_oracle(
     explodes combinatorially for operators beyond 2x2, which are not swept.
     """
     l = as_prime(l)
+    precision = as_size(precision, "precision")
     key = tuple(sorted(Fraction(s) for s in slopes))
     if len(key) != 2:
         raise ValueError("a 2x2 operator has exactly two slopes")
@@ -320,9 +282,6 @@ def operator_group_oracle(
         raise ValueError(
             f"slope total {total} must be an integer below precision {precision}"
         )
-    if l ** (4 * precision) > MAX_SWEEP_MATRICES:
-        raise ValueError(
-            f"sweep size l^{4 * precision} exceeds MAX_SWEEP_MATRICES={MAX_SWEEP_MATRICES}"
-        )
+    _refuse_large_sweep(l, 4 * precision, MAX_SWEEP_MATRICES, "MAX_SWEEP_MATRICES")
     table = _operator_sweep(l, precision)
     return table.get(key, frozenset())

@@ -130,9 +130,9 @@ def test_criterion_5_matrix_oracle_agreement():
             for t in (1, 2):
                 for a in partitions_up_to(2 * s, s, 2):
                     for b in partitions_up_to(2 * t, t, 2):
+                        # a returned sweep is exhaustive; a refused one raises
                         sweep = matrix_cokernel_oracle(a, b, l)
-                        assert sweep.complete, (a, b, l)
-                        assert set(sweep.invariants) == set(
+                        assert set(sweep) == set(
                             enumerate_cokernels(a, b)
                         ), (a, b, l)
                         checked += 1

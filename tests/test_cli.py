@@ -3,6 +3,7 @@ import json
 import pytest
 
 from weilgroup.cli import main
+from weilgroup.verify import verify_paper_lists
 
 
 @pytest.fixture()
@@ -106,13 +107,22 @@ def test_oracle_lr(run):
 
 def test_oracle_matrix(run):
     code, out, _ = run(
-        "--json", "oracle", "matrix", "--a", "1", "--b", "1", "--l", "2",
-        "--prec", "3"
+        "--json", "oracle", "matrix", "--a", "1", "--b", "1", "--l", "2"
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["complete"] is True
-    assert payload["invariants"] == [[2, 0], [1, 1]]
+    assert json.loads(out) == [[2, 0], [1, 1]]
+    code, out, _ = run("oracle", "matrix", "--a", "1", "--b", "1", "--l", "2")
+    assert code == 0
+    assert out == "2,0\n1,1\n"
+
+
+def test_oracle_matrix_refuses_large_sweep(run):
+    code, out, err = run(
+        "oracle", "matrix", "--a", "100000", "--b", "100000", "--l", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: sweep size l^100000 exceeds MAX_BLOCK_SWEEP=200000\n"
 
 
 def test_oracle_operator(run):
@@ -168,3 +178,4 @@ def test_verify_paper_lists_subcommand(run):
     payload = json.loads(out)
     assert payload["rows_checked"] == 101
     assert payload["scalar_prune_confirmed"] is True
+    assert payload == json.loads(json.dumps(verify_paper_lists().to_json()))

@@ -160,6 +160,17 @@ def test_complement_triple_examples():
         complement_triple(HornTriple((1, 2), (1, 2), (1, 2)), 2)
 
 
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_indices_outside_one_to_n_raise(index):
+    """An index outside 1..n is refused, not read as a[-1] or kept in a
+    complement whose sets have unequal sizes."""
+    triple = HornTriple((index,), (1,), (1,))
+    with pytest.raises(ValueError, match=f"index {index} is outside 1..2"):
+        eval_inequality(triple, (5, 1), (0, 0), (1, 0))
+    with pytest.raises(ValueError, match=f"index {index} is outside 1..2"):
+        complement_triple(triple, 2)
+
+
 def test_complement_family_gives_reversed_size_one():
     # complements of the top-size triples give a_i + b_j <= c_{i+j-n}
     n = 6

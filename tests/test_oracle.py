@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from weilgroup import oracle
 from weilgroup.oracle import (
     PrecisionExhausted,
     lr_coefficient,
@@ -113,15 +115,8 @@ def test_smith_invariants_unimodular_invariance(seed):
 
 
 def test_matrix_oracle_examples():
-    r = matrix_cokernel_oracle((1,), (1,), 2, 3)
-    assert r.complete and r.sorted() == ((2, 0), (1, 1))
-    r = matrix_cokernel_oracle((1,), (0,), 2)
-    assert r.complete and r.sorted() == ((1, 0),)
-
-
-def test_matrix_oracle_precision_guard():
-    with pytest.raises(ValueError):
-        matrix_cokernel_oracle((1,), (1,), 2, 2)
+    assert matrix_cokernel_oracle((1,), (1,), 2) == frozenset({(2, 0), (1, 1)})
+    assert matrix_cokernel_oracle((1,), (0,), 2) == frozenset({(1, 0)})
 
 
 def test_matrix_oracle_reduced_sweep_equals_full_sweep():
@@ -133,18 +128,38 @@ def test_matrix_oracle_reduced_sweep_equals_full_sweep():
         full = set()
         for x in range(l**n_prec):
             full.add(inv([[l ** a[0], x], [0, l ** b[0]]], l))
-        reduced = matrix_cokernel_oracle(a, b, l, n_prec)
-        assert reduced.complete
-        assert set(reduced.invariants) == full
+        assert matrix_cokernel_oracle(a, b, l) == full
 
 
-def test_matrix_oracle_sampling_reports():
-    r = matrix_cokernel_oracle((2, 2), (2, 2), 3, budget=10, seed=1)
-    assert not r.complete
-    assert r.samples == 10
-    assert r.space == 3**8
-    r2 = matrix_cokernel_oracle((2, 2), (2, 2), 3, budget=10, seed=1)
-    assert r.invariants == r2.invariants  # fixed seed reproducibility
+def test_matrix_oracle_refuses_large_sweeps():
+    # 3^8 = 6561 classes fit MAX_BLOCK_SWEEP; the refusal names the limit
+    assert (2, 2, 2, 2) in matrix_cokernel_oracle((2, 2), (2, 2), 3)
+    with pytest.raises(ValueError, match=r"sweep size l\^12 exceeds MAX_BLOCK_SWEEP=200000"):
+        matrix_cokernel_oracle((3, 3), (3, 3), 3)
+
+
+def test_matrix_oracle_refusal_boundary(monkeypatch):
+    """A sweep is answered up to the limit and refused one step above it."""
+    monkeypatch.setattr(oracle, "MAX_BLOCK_SWEEP", 4)
+    assert matrix_cokernel_oracle((2,), (2,), 2) == frozenset({(4, 0), (3, 1), (2, 2)})
+    with pytest.raises(ValueError, match=r"l\^3 exceeds MAX_BLOCK_SWEEP=4"):
+        matrix_cokernel_oracle((3,), (3,), 2)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: matrix_cokernel_oracle((10**5,), (10**5,), 3),
+        lambda: operator_group_oracle((1, 2), 3, 3 * 10**6),
+    ],
+    ids=["matrix", "operator"],
+)
+def test_huge_sweeps_refused_at_once(sweep):
+    """The refusal is decided from the exponent: no huge power is built."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds MAX_"):
+        sweep()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_operator_oracle_examples():
@@ -162,6 +177,8 @@ def test_operator_oracle_guards():
         operator_group_oracle((1, 2), 2, 6)  # sweep too large
     with pytest.raises(ValueError):
         operator_group_oracle((4, 1), 2, 4)  # total at precision
+    with pytest.raises(ValueError, match="precision=4.0 is not an integer"):
+        operator_group_oracle((1, 2), 2, 4.0)
 
 
 @pytest.mark.parametrize("args", [((1.2,), (1,), (2,)), ((1,), ("1",), (2,)), ((1,), (1,), (2.0,))])

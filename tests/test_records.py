@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from weilgroup.classify import Classification, classify_all
-from weilgroup.oracle import SweepResult, matrix_cokernel_oracle
 from weilgroup.polygon import newton_polygon
 from weilgroup.reduce import reduce_system
 from weilgroup.smith import SmithInequality, inequality_system
@@ -32,10 +31,6 @@ RECORDS = {  # name -> (record, its fields in order)
     "ReducedSystem": (
         reduce_system(1, 2),
         ("s", "t", "mode", "kept", "removed_structural", "removed_implied"),
-    ),
-    "SweepResult": (
-        matrix_cokernel_oracle((1,), (1,), 2),
-        ("invariants", "complete", "space", "samples"),
     ),
 }
 
@@ -62,6 +57,5 @@ def test_record_contract(name):
 def test_record_defaults():
     assert DispatchPlan("scalar") == DispatchPlan("scalar", (), 0, None, 0, 0)
     assert SmithInequality((1,), (), (1,)).triple is None
-    assert SweepResult(frozenset(), True, 1).samples is None
     shape = factor_weil(_WEIL)
     assert Classification(_WEIL, shape, shape_of(shape), {}).notices == ()

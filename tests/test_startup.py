@@ -21,12 +21,13 @@ def _fresh(*args):
 def test_import_contract():
     """``import weilgroup`` loads the request path eagerly, so no import moves
     into a first request, and leaves ``dataclasses`` and the paper
-    verification unloaded until they are used."""
+    verification unloaded until they are used.  No sweep samples, so
+    ``random`` is not loaded at all."""
     script = (
         "import sys, weilgroup\n"
         "mods = ('classify', 'weil', 'smith', 'reduce')\n"
         "print(all('weilgroup.' + m in sys.modules for m in mods))\n"
-        "print(sorted({'dataclasses', 'weilgroup.verify'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'random', 'weilgroup.verify'} & set(sys.modules)))\n"
         "print(callable(weilgroup.verify_paper_lists), 'weilgroup.verify' in sys.modules)\n"
         "ns = {}\n"
         "exec('from weilgroup import *', ns)\n"
@@ -36,7 +37,9 @@ def test_import_contract():
         "except AttributeError as exc:\n"
         "    print(exc)\n"
     )
-    out = _fresh("-c", script)
+    # -S: no site start-up, whose .pth hooks can load modules (random among
+    # them) before any package code runs; PYTHONPATH still finds everything
+    out = _fresh("-S", "-c", script)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "True",

@@ -6,9 +6,6 @@ acceptance suite through the module-level cache.
 """
 
 import json
-import runpy
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -126,17 +123,6 @@ def test_report_serializes(report):
     payload = json.loads(json.dumps(report.to_json()))
     assert payload["rows_checked"] == 101
     assert payload["summary_list_analysis"]["lr_count"] == 1
-
-
-def test_verification_script_prints_the_report(report, monkeypatch, capsys):
-    # the fixture has filled the per-process cache, so the script reuses it
-    script = Path(__file__).parents[1] / "scripts" / "run_paper_verification.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--json"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exit_info.value.code == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed == json.loads(json.dumps(report.to_json()))
 
 
 def test_transcription_shapes():
