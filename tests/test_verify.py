@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from weilgroup.cli import main
 from weilgroup.horn import HornTriple
 from weilgroup.verify import (
     published_rows_p2q,
@@ -123,6 +124,13 @@ def test_report_serializes(report):
     payload = json.loads(json.dumps(report.to_json()))
     assert payload["rows_checked"] == 101
     assert payload["summary_list_analysis"]["lr_count"] == 1
+
+
+def test_verification_script_prints_the_report(report, capsys):
+    # the fixture has filled the per-process cache, so the CLI reuses it;
+    # the --json form is checked in tests/test_cli.py
+    assert main(["verify", "paper-lists"]) == 0
+    assert capsys.readouterr().out == report.to_text() + "\n"
 
 
 def test_transcription_shapes():
