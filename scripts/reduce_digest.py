@@ -120,18 +120,21 @@ def _classify_answers(qs):
                 yield repr((weil.coeffs, q, result.plan, sorted(result.groups.items()), result.notices))
 
 
+# family name -> a function giving the lines it hashes, in printing order
+FAMILIES = {
+    "smith": lambda: (repr(reduce_system(s, t)) for s, t in BLOCKS),
+    "smith+scalar_b": lambda: (repr(reduce_system(s, t, scalar_b=True)) for s, t in BLOCKS),
+    "full": lambda: (repr(reduce_system(s, t, "full")) for s, t in BLOCKS),
+    "redundant_members_full": lambda: (repr(redundant_members_full(n)) for n in range(1, 7)),
+    "paper-lists": lambda: [_cli("verify", "paper-lists")],
+    "paper-lists --json": lambda: [_cli("--json", "verify", "paper-lists")],
+    "classify": lambda: _classify_answers((2, 3, 4)),
+    "classify q=5..9": lambda: _classify_answers((5, 7, 8, 9)),
+}
+
+
 def main() -> int:
-    families = {
-        "smith": lambda: (repr(reduce_system(s, t)) for s, t in BLOCKS),
-        "smith+scalar_b": lambda: (repr(reduce_system(s, t, scalar_b=True)) for s, t in BLOCKS),
-        "full": lambda: (repr(reduce_system(s, t, "full")) for s, t in BLOCKS),
-        "redundant_members_full": lambda: (repr(redundant_members_full(n)) for n in range(1, 7)),
-        "paper-lists": lambda: [_cli("verify", "paper-lists")],
-        "paper-lists --json": lambda: [_cli("--json", "verify", "paper-lists")],
-        "classify": lambda: _classify_answers((2, 3, 4)),
-        "classify q=5..9": lambda: _classify_answers((5, 7, 8, 9)),
-    }
-    for name, parts in families.items():
+    for name, parts in FAMILIES.items():
         print(f"{_digest(parts())}  {name}")
     return 0
 

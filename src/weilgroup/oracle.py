@@ -267,16 +267,21 @@ def operator_group_oracle(
 ) -> frozenset[tuple[int, ...]]:
     """Cokernel invariant pairs of all 2x2 operators with the given Newton polygon.
 
-    ``slopes`` are the polygon's slopes (any order); their total must be an
-    integer below the precision.  The sweep runs over all l**(4 * precision)
-    matrices mod l**precision and is refused above MAX_SWEEP_MATRICES; it
-    explodes combinatorially for operators beyond 2x2, which are not swept.
+    ``slopes`` are the polygon's slopes (any order), nonnegative; their
+    total must be an integer below the precision, which is at least 1.
+    The sweep runs over all l**(4 * precision) matrices mod l**precision
+    and is refused above MAX_SWEEP_MATRICES; it explodes combinatorially
+    for operators beyond 2x2, which are not swept.
     """
     l = as_prime(l)
     precision = as_size(precision, "precision")
+    if precision < 1:
+        raise ValueError(f"precision={precision} must be at least 1")
     key = tuple(sorted(Fraction(s) for s in slopes))
     if len(key) != 2:
         raise ValueError("a 2x2 operator has exactly two slopes")
+    if key[0] < 0:
+        raise ValueError(f"slope {key[0]} is negative: Newton slopes are nonnegative")
     total = key[0] + key[1]
     if total.denominator != 1 or total >= precision:
         raise ValueError(

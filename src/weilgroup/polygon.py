@@ -38,15 +38,36 @@ class PolygonError(ValueError):
 
 
 def valuation(x: int, l: int) -> int:
-    """l-adic valuation of a nonzero integer at l >= 2."""
+    """l-adic valuation of a nonzero integer at l >= 2.
+
+    Up to eight factors of l come off one division each: one modulo when
+    l does not divide x, and no overhead on the small valuations that the
+    classify path meets.  Beyond eight, x is divided by l, l^2, l^4, ...
+    while they divide, which leaves a valuation below the first power that
+    did not, and then by the same powers back down, each at most once:
+    O(log v) big-integer divisions in all, not v.
+    """
     if x == 0:
         raise ValueError("valuation of zero is infinite")
     if l < 2:
         raise ValueError(f"valuation needs l >= 2, got l={l}")
     v = 0
-    while x % l == 0:
+    while v < 8 and x % l == 0:
         x //= l
         v += 1
+    if v < 8:
+        return v
+    powers = []
+    power = l
+    while x % power == 0:
+        x //= power
+        powers.append(power)
+        power *= power
+    v += (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if x % powers[k] == 0:
+            x //= powers[k]
+            v += 1 << k
     return v
 
 

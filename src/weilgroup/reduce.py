@@ -9,7 +9,9 @@ Two settings:
   provably subsumed and are pruned structurally first.  The rest go through
   one :class:`~weilgroup.linprog.Cone` per system, a double description
   decided in integers: each candidate in turn is tested against the other
-  active rows, and a removed candidate is dropped from the cone.
+  active rows, and a removed candidate is dropped from the cone.  The cone
+  carries the direct sum of :func:`_direct_sum_point`, which orders the
+  rows of the double description (rows tight there first).
 
 * ``full`` mode: the eigenvalue system at ambient n = s+t.  Variables are
   three weakly decreasing real n-tuples (no nonnegativity) with the trace
@@ -25,8 +27,8 @@ Two settings:
 The trace equality is eliminated by substituting the last c variable, so a
 row and its complement collapse to the same functional.  The coordinate
 layout (a, then b, then every c but the last) and that substitution live
-only in :func:`_functional`, :func:`_base_rows` and :func:`_scalar_base`,
-which :mod:`weilgroup.verify` uses as well.
+only in :func:`_functional`, :func:`_base_rows`, :func:`_scalar_base` and
+:func:`_direct_sum_point`, which :mod:`weilgroup.verify` uses as well.
 """
 
 from __future__ import annotations
@@ -118,6 +120,19 @@ def _base_rows(sizes: tuple[int, int, int], nonnegative: bool) -> list[tuple[int
     return [_eliminate_trace(raw, *sizes[:2]) for raw in rows]
 
 
+def _direct_sum_point(s: int, t: int, scalar_b: bool) -> tuple[int, ...]:
+    """The direct sum a = (s, ..., 1), b = (t, ..., 1), c = a and b merged descending.
+
+    A point of the block cone in the coordinates of :func:`_functional`:
+    the last c is dropped.  Under ``scalar_b`` every b part is 1 and so is
+    the single b coordinate.
+    """
+    a = tuple(range(s, 0, -1))
+    b = (1,) * t if scalar_b else tuple(range(t, 0, -1))
+    c = sorted(a + b, reverse=True)[:-1]
+    return a + (b[:1] if scalar_b else b) + tuple(c)
+
+
 def _scalarize_b(row: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
     """Collapse the b-block of a smith-mode row to a single coordinate."""
     b_total = sum(row[s : s + t])
@@ -178,7 +193,7 @@ def reduce_system(
                     seen[rows[iq]] = iq
                     merged.append(iq)
             cands = merged
-        cone = Cone([rows[iq] for iq in cands] + base)
+        cone = Cone([rows[iq] for iq in cands] + base, _direct_sum_point(s, t, scalar_b))
         kept: list[SmithInequality] = []
         removed: list[SmithInequality] = []
         for k, iq in enumerate(cands):

@@ -37,6 +37,7 @@ from .polygon import hodge_polygon
 from .reduce import (
     ReducedSystem,
     _base_rows,
+    _direct_sum_point,
     _functional,
     _scalar_base,
     _scalarize_b,
@@ -597,11 +598,12 @@ def verify_paper_lists() -> VerifyReport:
         ]
         implications.append(
             (f"[7](single)+[8] imply [0] at i={i}",
-             is_implied(Cone([target, *prem, *base]), 0))
+             is_implied(Cone([target, *prem, *base], _direct_sum_point(*SIZES[:2], False)), 0))
         )
     for rid in tilde_only:
         row = by_id[rid]
-        implied = is_implied(Cone([_published_functional(row), *strict_system[row.scalar_b]]), 0)
+        rows = [_published_functional(row), *strict_system[row.scalar_b]]
+        implied = is_implied(Cone(rows, _direct_sum_point(*SIZES[:2], row.scalar_b)), 0)
         implications.append((f"{rid} implied by the strict system", implied))
 
     redundant = redundant_members_full(6)

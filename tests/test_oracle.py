@@ -117,6 +117,8 @@ def test_smith_invariants_unimodular_invariance(seed):
 def test_matrix_oracle_examples():
     assert matrix_cokernel_oracle((1,), (1,), 2) == frozenset({(2, 0), (1, 1)})
     assert matrix_cokernel_oracle((1,), (0,), 2) == frozenset({(1, 0)})
+    # one matrix, but its entry l^(10^5) needs a valuation in few divisions
+    assert matrix_cokernel_oracle((10**5,), (0,), 3) == frozenset({(100000, 0)})
 
 
 def test_matrix_oracle_reduced_sweep_equals_full_sweep():
@@ -179,6 +181,12 @@ def test_operator_oracle_guards():
         operator_group_oracle((4, 1), 2, 4)  # total at precision
     with pytest.raises(ValueError, match="precision=4.0 is not an integer"):
         operator_group_oracle((1, 2), 2, 4.0)
+    with pytest.raises(ValueError, match="precision=-1 must be at least 1"):
+        operator_group_oracle((-1, -1), 2, -1)
+    with pytest.raises(ValueError, match="precision=0 must be at least 1"):
+        operator_group_oracle((-1, -1), 2, 0)
+    with pytest.raises(ValueError, match="slope -1 is negative"):
+        operator_group_oracle((-1, -1), 2, 1)
 
 
 @pytest.mark.parametrize("args", [((1.2,), (1,), (2,)), ((1,), ("1",), (2,)), ((1,), (1,), (2.0,))])

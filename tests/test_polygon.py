@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -186,6 +187,18 @@ def test_valuation():
     assert valuation(-9, 3) == 2
     with pytest.raises(ValueError):
         valuation(0, 2)
+
+
+def test_valuation_by_repeated_squaring():
+    """Every exponent up to 129 at units prime to l, and one huge exponent."""
+    for l in (2, 3, 10):
+        for e in range(130):
+            for unit in (1, -7, 11):
+                assert valuation(unit * l**e, l) == e, (unit, l, e)
+    x = 2 * 3**200_000
+    start = time.perf_counter()
+    assert valuation(x, 3) == 200_000
+    assert time.perf_counter() - start < 5  # one division per factor: ~15 s
 
 
 def test_is_prime():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,10 @@ import pytest
 import weilgroup.linprog
 import weilgroup.reduce
 from weilgroup.horn import HornTable, enumerate_T, enumerate_T_st, enumerate_U
-from weilgroup.linprog import Cone, _combine, is_implied, linprog
+from weilgroup.linprog import Cone, _combine, _rays, is_implied, linprog
 from weilgroup.reduce import (
     _base_rows,
+    _direct_sum_point,
     _functional,
     _scalar_base,
     _scalarize_b,
@@ -25,6 +28,7 @@ from weilgroup.smith import inequality_system
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
+REDUCE_DIGEST = Path(__file__).parents[1] / "scripts" / "reduce_digest.py"
 
 
 def _verdict_cases():
@@ -205,20 +209,77 @@ def _others(cone, i):
     return [r for j, r in enumerate(cone.rows) if cone.active[j] and j != i]
 
 
+def _random_rows(rng):
+    """A small random system, often lower-dimensional or with a lineality space."""
+    dim = rng.randint(1, 4)
+    rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+    rows += rng.choices(rows, k=rng.randint(0, 2))  # repeated rows
+    return rows, dim
+
+
 def test_sequential_verdicts_match_farkas_on_random_cones():
-    # small random systems, many of them lower-dimensional or with a
-    # lineality space, reduced as reduce_system does
+    # random systems reduced as reduce_system does
     rng = random.Random(11)
     for _ in range(300):
-        dim = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
-        rows += rng.choices(rows, k=rng.randint(0, 2))  # repeated rows
+        rows, dim = _random_rows(rng)
         cone = Cone(rows)
         for k in range(len(rows)):
             implied = is_implied(cone, k)
             assert implied == _in_cone(rows[k], _others(cone, k)), (rows, k)
             if implied or rng.random() < 0.3:
                 cone.drop(k)
+
+
+def _verdicts_and_rays(rows, dim, point):
+    """Each row's verdict in a sequential reduction that drops every implied
+    row, as reduce_system does, and the sorted extreme rays of all rows."""
+    cone = Cone(rows, point)
+    verdicts = []
+    for k in range(len(rows)):
+        verdicts.append(is_implied(cone, k))
+        if verdicts[-1]:
+            cone.drop(k)
+    return verdicts, sorted(_rays(rows, dim, point)[0])
+
+
+def test_reference_point_decides_only_the_cost(monkeypatch):
+    """Verdicts and rays are the same at the direct-sum point, at the
+    all-ones default (None) and at a random integer point."""
+    rng, points = random.Random(11), random.Random(5)
+    for _ in range(300):
+        rows, dim = _random_rows(rng)
+        random_point = [points.randint(-5, 5) for _ in range(dim)]
+        assert _verdicts_and_rays(rows, dim, None) == _verdicts_and_rays(rows, dim, random_point), rows
+    systems = []  # the rows of each cone reduce_system builds
+    monkeypatch.setattr(weilgroup.reduce, "Cone", lambda rows, point: systems.append(rows) or Cone(rows))
+    for s, t in [(s, n - s) for n in range(2, 7) for s in range(1, n)]:
+        for scalar_b in (False, True):
+            reduce_system(s, t, scalar_b=scalar_b)
+            rows, dim = systems[-1], len(systems[-1][0])
+            direct_sum = _direct_sum_point(s, t, scalar_b)
+            assert all(sum(map(mul, row, direct_sum)) >= 0 for row in rows), (s, t, scalar_b)
+            random_point = [points.randint(-9, 9) for _ in range(dim)]
+            answers = [
+                _verdicts_and_rays(rows, dim, point) for point in (direct_sum, None, random_point)
+            ]
+            assert answers[0] == answers[1] == answers[2], (s, t, scalar_b)
+
+
+def test_reduction_digests_are_pinned():
+    """Every minimal system with s + t <= 6 in each mode, and every
+    redundant full-mode member up to n = 6, hash to the digests that
+    scripts/reduce_digest.py printed when the double description took rows
+    lexicographically decreasing: insertion order decides no verdict."""
+    spec = importlib.util.spec_from_file_location("reduce_digest", REDUCE_DIGEST)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = {
+        "smith": "815a162addfdcd717c268d26fa87e372d63152aa2f659cd1260b56e038806385",
+        "smith+scalar_b": "ecad80b88ccbf2c233126b3a00a5766740c0fd3c85b55d56dad7fc1e34210e2e",
+        "full": "da770638e80d10bb3a8ad17350969fa2996c65591425edd27be4e43cc0d87410",
+        "redundant_members_full": "12a546547f1f8380e8df2baeb0024f38ba37b95c4b2d9b2dcc703e9e3860361a",
+    }
+    assert {name: script._digest(script.FAMILIES[name]()) for name in expected} == expected
 
 
 def test_derivation_set_matches_expected_counts():
