@@ -4,8 +4,10 @@ A partition here is a tuple of weakly decreasing nonnegative integers.
 Trailing zeros are meaningful: they fix the ambient length (the size of
 the matrix or the number of group generators), so callers pad explicitly.
 
-:func:`partitions_of` can prune its depth-first walk by a packed integer
-test of a linear system (see :func:`weilgroup.smith.enumerate_cokernels`).
+:func:`partitions_of` walks the partitions depth first in one loop over an
+explicit stack.  It can bound each part from below by a floor, and prune
+the walk by a packed integer test of a linear system; the cokernel walk of
+:func:`weilgroup.smith.enumerate_cokernels` uses both.
 """
 
 from __future__ import annotations
@@ -65,33 +67,71 @@ def merge_sorted(*parts: Sequence[int]) -> tuple[int, ...]:
 def partitions_of(
     total: int, max_len: int, max_part: int | None = None, *,
     within: tuple[int, Sequence[int], int] | None = None,
+    floor: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` into at most ``max_len`` parts, padded
     with zeros to exactly ``max_len`` parts, in descending lex order.
+
+    ``floor`` (nonnegative, padded with zeros to ``max_len`` parts; zeros
+    by default) keeps only the c with c_k >= floor[k] for every k.  Part k
+    runs from min(c_(k-1), remaining - sum_{j>k} floor[j]) down to
+    max(floor[k], ceil(remaining / parts left)): a larger value leaves too
+    little for the floors after it, a smaller one too much for weakly
+    decreasing parts.  So the last part is the remainder, and with a
+    weakly decreasing floor every value in range has a completion.
 
     ``within=(start, coeffs, high)`` keeps only the c with (start - sum_k
     c_k coeffs[k]) & high == high, tested as each part is fixed: a failing
     part value is skipped with its subtree.  That is exact when every
     ``coeffs[k]`` is fieldwise nonnegative and no prefix makes a field
     borrow.  Without ``within`` the packed value and mask are 0.
+
+    The walk is one loop over an explicit stack, not one generator per
+    part, so a result is yielded once, not passed up through every level.
     """
     if max_part is None:
         max_part = total
     start, coeffs, high = within or (0, (0,) * max_len, 0)
-    def rec(remaining: int, k: int, bound: int, packed: int) -> Iterator[tuple[int, ...]]:
-        if k == max_len:
-            if remaining == 0:
-                yield ()
-            return
-        coeff = coeffs[k]
-        lo = -(-remaining // (max_len - k))  # ceil: keep weakly decreasing feasible
-        for first in range(min(bound, remaining), lo - 1, -1):
-            left = packed - first * coeff
-            if left & high != high:
-                continue
-            for rest in rec(remaining - first, k + 1, first, left):
-                yield (first,) + rest
-    yield from rec(total, 0, max_part, start)
+    floor = tuple(floor or ())
+    floor += (0,) * (max_len - len(floor))
+    if max_len == 0:
+        if total == 0:
+            yield ()
+        return
+    if max_len == 1:
+        if floor[0] <= total <= max_part and (start - total * coeffs[0]) & high == high:
+            yield (total,)
+        return
+    after = [0] * (max_len + 1)  # after[k] = sum of the floors of parts k, k + 1, ...
+    for k in reversed(range(max_len)):
+        after[k] = after[k + 1] + floor[k]
+    last = max_len - 1
+    parts = [0] * max_len
+    remaining, packed, low = [total] * last, [start] * last, [0] * last
+    k, low[0] = 0, max(floor[0], -(-total // max_len))
+    x = min(max_part, total - after[1]) + 1
+    while True:
+        x -= 1
+        if x < low[k]:  # part k is exhausted: back to the part before
+            if not k:
+                return
+            k -= 1
+            x = parts[k]
+            continue
+        left = packed[k] - x * coeffs[k]
+        if left & high != high:
+            continue
+        parts[k] = x
+        rest = remaining[k] - x
+        if k + 1 == last:  # the last part is the rest, in range by the bounds on x
+            if (left - rest * coeffs[last]) & high == high:
+                parts[last] = rest
+                yield tuple(parts)
+            continue
+        k += 1
+        remaining[k], packed[k] = rest, left
+        low[k] = max(floor[k], -(-rest // (max_len - k)))
+        x = min(parts[k - 1], rest - after[k + 1]) + 1
 
 
 def partitions_up_to(max_total: int, max_len: int, max_part: int) -> Iterator[tuple[int, ...]]:

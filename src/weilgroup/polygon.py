@@ -40,17 +40,23 @@ class PolygonError(ValueError):
 def valuation(x: int, l: int) -> int:
     """l-adic valuation of a nonzero integer at l >= 2.
 
-    Up to eight factors of l come off one division each: one modulo when
-    l does not divide x, and no overhead on the small valuations that the
-    classify path meets.  Beyond eight, x is divided by l, l^2, l^4, ...
-    while they divide, which leaves a valuation below the first power that
-    did not, and then by the same powers back down, each at most once:
-    O(log v) big-integer divisions in all, not v.
+    x and l are taken through ``operator.index``; zero, an l below 2 and a
+    value that is not an integer raise PolygonError.  Up to eight factors
+    of l come off one division each: one modulo when l does not divide x,
+    and no overhead on the small valuations that the classify path meets.
+    Beyond eight, x is divided by l, l^2, l^4, ... while they divide, which
+    leaves a valuation below the first power that did not, and then by the
+    same powers back down, each at most once: O(log v) big-integer
+    divisions in all, not v.
     """
+    try:
+        x, l = index(x), index(l)
+    except TypeError:
+        raise PolygonError(f"valuation needs integers, got x={x!r}, l={l!r}") from None
     if x == 0:
-        raise ValueError("valuation of zero is infinite")
+        raise PolygonError("valuation of zero is infinite")
     if l < 2:
-        raise ValueError(f"valuation needs l >= 2, got l={l}")
+        raise PolygonError(f"valuation needs l >= 2, got l={l}")
     v = 0
     while v < 8 and x % l == 0:
         x //= l
@@ -78,7 +84,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < PRIME_TEST_LIMIT; larger n raise ValueError.
+    """Deterministic primality for n < PRIME_TEST_LIMIT; larger n raise
+    PolygonError naming the limit.
 
     n is taken through ``operator.index``: a float or a string is not prime.
     """
@@ -94,7 +101,7 @@ def is_prime(n: int) -> bool:
     if n < 43 * 43:
         return True
     if n >= PRIME_TEST_LIMIT:
-        raise ValueError(f"n={n} is not below the primality limit {PRIME_TEST_LIMIT}")
+        raise PolygonError(f"n={n} is not below the primality limit {PRIME_TEST_LIMIT}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     return all(
@@ -233,17 +240,34 @@ def newton_hull(coeffs: tuple[int, ...], l: int) -> Hull:
     of the valuation profile.  Unchecked: ``coeffs`` must be a tuple of
     ints, monic with a nonzero constant term, and l prime.  Entry points
     that take outside input check these first (:func:`newton_polygon`);
-    ``classify.classify_all`` holds them by construction, so each v_l(f_i)
-    is counted inline, without :func:`valuation`'s guards.
+    ``classify.classify_all`` holds them by construction.
+
+    Only the points right of the last unit coefficient are valued.  Let j
+    be the largest i with l not dividing f_i; there is one, as f_0 = 1.
+    Every point has height >= 0, (0, 0) and (j, 0) have height 0, and
+    every point right of j has height >= 1.  So the polygon is flat on
+    [0, j], with vertices (0, 0) and (j, 0), and only the points right of
+    j go into the hull; one such point alone ends the polygon as it is.
+    The commonest hulls cost one or two modulo operations: j = d gives
+    ((0, 0), (d, 0)), and j = d - 1 gives ((0, 0), (d - 1, 0), (d, v)).  A
+    zero coefficient is passed over, never divided.
     """
-    points = []
-    for i, c in enumerate(coeffs):
+    j = d = len(coeffs) - 1
+    while coeffs[j] % l == 0:  # passes over a zero coefficient too
+        j -= 1
+    flat = ((0, 0), (j, 0)) if j else ((0, 0),)
+    if j == d:
+        return flat
+    rising = []
+    for i in range(j + 1, d + 1):
+        c = coeffs[i]
         if c:
-            v = 0
-            while not c % l:
+            v = 1
+            c //= l
+            while c % l == 0:
                 c, v = c // l, v + 1
-            points.append((i, v))
-    return _lower_hull(points)
+            rising.append((i, v))
+    return flat + tuple(rising) if len(rising) < 2 else _lower_hull(flat + tuple(rising))
 
 
 def newton_polygon(coeffs: Sequence[int], l: int) -> LatticePolygon:

@@ -15,7 +15,8 @@ suffices, and it is the only one used here; the tilde restriction lives in
 :mod:`weilgroup.horn`, for :mod:`weilgroup.reduce` and :mod:`weilgroup.verify`.
 
 :func:`enumerate_cokernels` lists every c for one (a, b) in a single pruned
-walk over c that tests all rows at once in a packed integer.
+walk over the c with c_k >= max(a_k, b_k) that tests all rows at once in a
+packed integer.
 
 Zero parts are meaningful (they fix the ambient sizes), so lengths are
 enforced exactly and callers pad explicitly.
@@ -24,6 +25,7 @@ enforced exactly and callers pad explicitly.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -143,10 +145,15 @@ def feasible_triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> boo
 def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All c realizable from (a, b), in descending lexicographic order.
 
-    Search space: partitions of sum(a)+sum(b) into s+t parts, pruned by
-    c_1 <= a_1 + b_1 (a valid consequence of the size-one inequalities).
-    The walk over c tests every row of the strict system as each part is
-    fixed and drops whole subtrees; see ``_cokernels_cached``.  The result
+    Search space: partitions of sum(a)+sum(b) into s+t parts with
+    max(a_k, b_k) <= c_k (a and b padded with zeros) and c_1 <= a_1 + b_1,
+    a valid consequence of the size-one inequalities.  The floor holds
+    because 0 -> coker A -> coker C -> coker B -> 0 is exact for a block
+    triangular C with finite cokernel, and the type of a subgroup or of a
+    quotient lies inside the type of the group (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, ch. II).  The walk over c tests every
+    row of the strict system as each part is fixed and drops whole
+    subtrees; see ``_cokernels_cached``.  The result
     is memoised on (a, b): classification calls this only on a miss of its
     route memo (``classify._route_groups``), and distinct route keys still
     meet the same few witness pairs.
@@ -193,4 +200,5 @@ def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int
     (A, B, C), high = _packed_rows(system.s, system.t, total.bit_length() + 1)
     start = high + sum(map(mul, a, A)) + sum(map(mul, b, B))
     top = min(total, a[0] + b[0])
-    return tuple(partitions_of(total, len(a) + len(b), top, within=(start, C, high)))
+    floor = [max(x, y) for x, y in zip_longest(a, b, fillvalue=0)]
+    return tuple(partitions_of(total, len(C), top, within=(start, C, high), floor=floor))

@@ -193,33 +193,43 @@ def _roots_real_within(h: Sequence[int], q: int) -> bool:
 
 
 def _integer_root(h: Sequence[int], bound: int) -> int | None:
-    """An integer root in [-bound, bound] of the monic h of degree 2 or 3,
-    whose roots are all real and in [-bound, bound], or None.
+    """The smallest integer root in [-bound, bound] of the monic h of
+    degree 2 or 3, whose roots are all real and in [-bound, bound], or None.
 
     A quadratic x^2 + bx + c has an integer root exactly when its
     discriminant b^2 - 4c (>= 0, since h is real-rooted) is a square s^2;
     then s and b have the same parity, as b^2 - 4c = b^2 (mod 4), so the
     smaller root (-b - s) / 2 is an exact integer division.  A cubic is
-    bisected on each piece [lo, floor(c1)], [floor(c1) + 1, ...] between
-    the critical points c1 <= c2, where it is monotone.
+    monotone on each piece [-bound, floor(c1)], [floor(c1) + 1, floor(c2)],
+    [floor(c2) + 1, bound] between its critical points c1 <= c2.  A piece
+    whose end values are both > 0 or both < 0 holds no root and is
+    skipped.  On any other, bisection finds in O(log bound) steps the
+    smallest x at which h has reached 0 in the direction the piece runs,
+    and x is a root iff h(x) = 0.  The pieces go left to right, so the
+    first root found is the smallest.
     """
     if len(h) == 3:
         disc = h[1] ** 2 - 4 * h[2]
         s = isqrt(disc)
         return (-h[1] - s) // 2 if s * s == disc else None
+    _, b, c, d = h
     # h' = 3x^2 + 2bx + c is real-rooted because h is
-    disc = h[1] ** 2 - 3 * h[2]
+    disc = b * b - 3 * c
     s = isqrt(disc)
-    cuts = [(-h[1] - s - (s * s != disc)) // 3, (-h[1] + s) // 3]
-    for lo, hi in zip([-bound] + [cut + 1 for cut in cuts], cuts + [bound]):
-        sign = 1 if poly_eval(h, hi) >= poly_eval(h, lo) else -1
+    cut1, cut2 = (-b - s - (s * s != disc)) // 3, (-b + s) // 3
+    for lo, hi in ((-bound, cut1), (cut1 + 1, cut2), (cut2 + 1, bound)):
+        at_lo = ((lo + b) * lo + c) * lo + d
+        at_hi = ((hi + b) * hi + c) * hi + d
+        if at_lo * at_hi > 0:  # one strict sign at both ends: no root
+            continue
+        sign = 1 if at_hi >= at_lo else -1
         while lo < hi:  # smallest x in the piece with sign * h(x) >= 0
             mid = (lo + hi) // 2
-            if sign * poly_eval(h, mid) >= 0:
+            if sign * (((mid + b) * mid + c) * mid + d) >= 0:
                 hi = mid
             else:
                 lo = mid + 1
-        if poly_eval(h, lo) == 0:
+        if ((lo + b) * lo + c) * lo + d == 0:
             return lo
     return None
 

@@ -604,3 +604,12 @@ def test_non_integer_l_is_not_prime(l):
     groups = classify_all(w, only_l=np.int64(2)).groups
     assert groups == {2: ((1, 1, 0, 0, 0, 0),)} and type(next(iter(groups))) is int
     assert newton_polygon([1, 0, 2 * 3**40 + 1], np.int64(3)).total == 0
+
+
+def test_classify_answers_are_pinned(reduce_digest):
+    """The plan, groups and notices (or error code) of every q-Weil class at
+    q <= 4, g <= 3 (2,753 classes, through every Newton hull, cubic root
+    and cokernel kernel) hash to the ``classify`` digest of
+    scripts/reduce_digest.py."""
+    digest = reduce_digest._digest(reduce_digest.FAMILIES["classify"]())
+    assert digest == "c5704ffc9823e18fb03b78ec646e1d05dc3e1c2fa8aae4642ac3a3efd69c8e1d"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -13,8 +14,10 @@ from weilgroup.polygon import (
     PRIME_TEST_LIMIT,
     LatticePolygon,
     PolygonError,
+    _lower_hull,
     hodge_polygon,
     is_prime,
+    newton_hull,
     newton_polygon,
     np_dominates_hp,
     transform_one_minus_t,
@@ -261,4 +264,54 @@ def test_prime_at_test_limit_raises_named_error(call, error):
     with pytest.raises(error, match=f"l={PRIME_TEST_LIMIT} is not below the primality limit"):
         call(PRIME_TEST_LIMIT)
     with pytest.raises(ValueError, match="primality limit"):
+        is_prime(PRIME_TEST_LIMIT)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 2**61 - 1])
+def test_newton_hull_from_the_last_unit_coefficient(l):
+    """newton_hull is the lower hull of every nonzero point, for d = 0..6
+    and every position j of the last coefficient prime to l: each
+    coefficient left of j is 0, a unit or l times one, each right of j is
+    0 (but the constant term) or l or l^2 times a unit."""
+    rng = random.Random(l)
+
+    def unit():
+        return rng.choice((1, -1)) * (rng.randrange(1, min(l, 50)) + l * rng.randrange(3))
+
+    for d in range(7):
+        for j in range(d + 1):
+            slots = [(None, 0, 1)] * max(j - 1, 0) + [(0,)] * (j > 0)
+            slots += [(None, 1, 2)] * max(d - j - 1, 0) + [(1, 2)] * (j < d)
+            for vs in itertools.product(*slots):
+                coeffs = (1, *(0 if v is None else unit() * l**v for v in vs))
+                points = [(i, valuation(c, l)) for i, c in enumerate(coeffs) if c]
+                assert newton_hull(coeffs, l) == _lower_hull(points), (coeffs, l)
+    assert newton_hull((1,), l) == ((0, 0),)
+    assert newton_hull((1, l, 0), l) == ((0, 0), (1, 1))  # a zero constant term ends
+
+
+@pytest.mark.parametrize(
+    "x, l, message",
+    [
+        (0, 2, "valuation of zero"),
+        (12, 1, "l >= 2"),
+        (12, -3, "l >= 2"),
+        (8.5, 2, "integers"),
+        (12, 2.0, "integers"),
+        ("8", 2, "integers"),
+    ],
+    ids=["zero", "l-one", "l-negative", "float-x", "float-l", "str-x"],
+)
+def test_valuation_raises_polygon_error(x, l, message):
+    with pytest.raises(PolygonError, match=message):
+        valuation(x, l)
+
+
+def test_valuation_takes_integers_through_index():
+    assert valuation(np.int64(24), np.int64(2)) == 3
+    assert valuation(-9, np.int32(3)) == 2
+
+
+def test_is_prime_at_the_limit_raises_polygon_error():
+    with pytest.raises(PolygonError, match=f"not below the primality limit {PRIME_TEST_LIMIT}"):
         is_prime(PRIME_TEST_LIMIT)

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import random
@@ -28,7 +27,6 @@ from weilgroup.smith import inequality_system
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
-REDUCE_DIGEST = Path(__file__).parents[1] / "scripts" / "reduce_digest.py"
 
 
 def _verdict_cases():
@@ -265,21 +263,20 @@ def test_reference_point_decides_only_the_cost(monkeypatch):
             assert answers[0] == answers[1] == answers[2], (s, t, scalar_b)
 
 
-def test_reduction_digests_are_pinned():
+def test_reduction_digests_are_pinned(reduce_digest):
     """Every minimal system with s + t <= 6 in each mode, and every
     redundant full-mode member up to n = 6, hash to the digests that
     scripts/reduce_digest.py printed when the double description took rows
     lexicographically decreasing: insertion order decides no verdict."""
-    spec = importlib.util.spec_from_file_location("reduce_digest", REDUCE_DIGEST)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     expected = {
         "smith": "815a162addfdcd717c268d26fa87e372d63152aa2f659cd1260b56e038806385",
         "smith+scalar_b": "ecad80b88ccbf2c233126b3a00a5766740c0fd3c85b55d56dad7fc1e34210e2e",
         "full": "da770638e80d10bb3a8ad17350969fa2996c65591425edd27be4e43cc0d87410",
         "redundant_members_full": "12a546547f1f8380e8df2baeb0024f38ba37b95c4b2d9b2dcc703e9e3860361a",
     }
-    assert {name: script._digest(script.FAMILIES[name]()) for name in expected} == expected
+    assert {
+        name: reduce_digest._digest(reduce_digest.FAMILIES[name]()) for name in expected
+    } == expected
 
 
 def test_derivation_set_matches_expected_counts():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 
 import numpy as np
 import pytest
@@ -83,6 +83,22 @@ def test_memoised_cokernels_match_rowwise_reference():
                     assert enumerate_cokernels(a, b) is memoised
                     assert type(memoised) is tuple
                     assert all(type(c) is tuple for c in memoised)
+                    pairs += 1
+    assert pairs == 1145
+
+
+def test_cokernels_contain_a_and_b():
+    """The floor of the cokernel walk: every c of the unpruned row-wise
+    reference has c_k >= max(a_k, b_k), over the pairs of the memo test,
+    as coker A is a subgroup and coker B a quotient of coker C."""
+    pairs = 0
+    for s in range(1, 6):
+        for t in range(1, 7 - s):
+            for a in partitions_up_to(6, s, 6):
+                for b in partitions_up_to(6 - sum(a), t, 6):
+                    floor = [max(x, y) for x, y in zip_longest(a, b, fillvalue=0)]
+                    for c in _rowwise_cokernels(a, b):
+                        assert all(x >= m for x, m in zip(c, floor)), (a, b, c)
                     pairs += 1
     assert pairs == 1145
 
@@ -188,6 +204,35 @@ def test_partitions_of_within_filters_by_packed_rows():
         plain = partitions_of(total, max_len, max_part)
         pruned = partitions_of(total, max_len, max_part, within=(start, coeffs, high))
         assert list(pruned) == [c for c in plain if passes(c)]
+
+
+def test_partitions_of_floor_filters_the_walk():
+    """Seeded floors, with and without packed rows: the floored walk equals
+    the unfloored one filtered by c_k >= floor[k], for every total <= 12
+    and every max_len <= 6; a floor may be shorter than max_len."""
+    rng = random.Random(29)
+    for total in range(13):
+        for max_len in range(7):
+            for trial in range(6):
+                floor = [rng.randint(0, 3) for _ in range(rng.randint(0, max_len))]
+                if trial % 2:  # the cokernel walk's floors are partitions
+                    floor.sort(reverse=True)
+                width = total.bit_length() + 1
+                start = high = 0
+                coeffs = [0] * max_len
+                for r in range(rng.randint(0, 4) if max_len else 0):
+                    low = 1 << (r * width)
+                    high |= low << (width - 1)
+                    start += (low << (width - 1)) + low * rng.randint(0, total)
+                    for k in rng.sample(range(max_len), rng.randint(1, max_len)):
+                        coeffs[k] += low
+                within = (start, coeffs, high)
+                max_part = rng.randint(0, total)
+                plain = partitions_of(total, max_len, max_part, within=within)
+                floored = partitions_of(total, max_len, max_part, within=within, floor=floor)
+                assert list(floored) == [
+                    c for c in plain if all(x >= m for x, m in zip(c, floor))
+                ], (total, max_len, max_part, floor, within)
 
 
 def test_enumerate_descending_lex_and_pruned():

@@ -30,6 +30,7 @@ from weilgroup.weil import (
     factor_weil,
     group_order,
     parse_and_validate,
+    poly_eval,
     poly_mul,
     root_valuations,
     shape_of,
@@ -528,3 +529,32 @@ def test_exhaustive_small_q_agreement():
             assert dict(factor_weil(weil).factors) == _reference_factors(coeffs, q), coeffs
             valid += 1
     assert valid == 435
+
+
+def _smallest_root_by_scan(h, bound):
+    return next((x for x in range(-bound, bound + 1) if poly_eval(h, x) == 0), None)
+
+
+def test_cubic_integer_root_on_the_census(reduce_digest):
+    """The smallest integer root of every real-rooted cubic h of the q <= 4
+    census (the cubic tails of scripts/reduce_digest.py that pass
+    ``_roots_real_within``), against a scan of [-isqrt(4q), isqrt(4q)]."""
+    cubics = 0
+    for q in (2, 3, 4):
+        bound = isqrt(4 * q)
+        for tail in reduce_digest._real_weil_tails(q):
+            h = (1, *tail)
+            if len(tail) == 3 and _roots_real_within(h, q):
+                assert _integer_root(h, bound) == _smallest_root_by_scan(h, bound), (h, q)
+                cubics += 1
+    assert cubics == 2533
+
+
+def test_cubic_integer_root_with_three_integer_roots():
+    """Every cubic (x - r1)(x - r2)(x - r3) with r1 <= r2 <= r3 in
+    [-bound, bound], for the bounds isqrt(4q) of q <= 27 and q = 243: the
+    roots sit at piece ends, on the critical points and at +-bound."""
+    for bound in sorted({isqrt(4 * q) for q in range(2, 28)} | {isqrt(4 * 243)}):
+        for roots in itertools.combinations_with_replacement(range(-bound, bound + 1), 3):
+            h = poly_mul(poly_mul((1, -roots[0]), (1, -roots[1])), (1, -roots[2]))
+            assert _integer_root(h, bound) == roots[0], (roots, bound)
