@@ -7,12 +7,11 @@ independent brute-force oracles (tableau counting and exhaustive matrix
 sweeps) validating every step.
 """
 
-# The re-exports load classify, weil, smith, reduce, horn, polygon and
-# oracle eagerly on purpose: nothing in the package needs them, but a
-# service that imports the package at start-up then does not pay those
-# imports inside its first request.  No request path uses ``verify`` (the
-# paper-table verification, the heaviest module), so ``verify_paper_lists``
-# loads it on first use through the module ``__getattr__`` below.
+# The eager imports are exactly what a classify request executes (classify,
+# weil, polygon, smith, horn, partitions), so a service that imports the
+# package at start-up does not pay them inside its first request.  No request
+# runs reduce, linprog, oracle or verify: their names load on first use
+# through the module ``__getattr__`` below, once per name.
 from .classify import Classification, classify_all
 from .horn import (
     HornTriple,
@@ -23,12 +22,6 @@ from .horn import (
     eval_inequality,
     lambda_of,
 )
-from .oracle import (
-    lr_coefficient,
-    matrix_cokernel_oracle,
-    operator_group_oracle,
-    smith_invariants,
-)
 from .polygon import (
     LatticePolygon,
     hodge_polygon,
@@ -36,7 +29,6 @@ from .polygon import (
     np_dominates_hp,
     transform_one_minus_t,
 )
-from .reduce import reduce_system
 from .smith import enumerate_cokernels, feasible_triple, inequality_system
 from .weil import (
     FactoredShape,
@@ -51,12 +43,26 @@ from .weil import (
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    if name == "verify_paper_lists":
-        from .verify import verify_paper_lists
+_LAZY = {
+    "reduce_system": "reduce",
+    "lr_coefficient": "oracle",
+    "matrix_cokernel_oracle": "oracle",
+    "operator_group_oracle": "oracle",
+    "smith_invariants": "oracle",
+    "verify_paper_lists": "verify",
+}
 
-        return verify_paper_lists
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return globals().setdefault(name, getattr(import_module(f".{_LAZY[name]}", __name__), name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

@@ -29,8 +29,6 @@ from fractions import Fraction
 
 from . import horn
 from .classify import classify_all
-from .oracle import lr_coefficient, matrix_cokernel_oracle, operator_group_oracle
-from .reduce import reduce_system
 from .smith import enumerate_cokernels, feasible_triple
 from .weil import WeilError, parse_and_validate
 
@@ -165,6 +163,7 @@ def _cmd_horn_triples(args) -> int:
 
 
 def _cmd_horn_reduce(args) -> int:
+    from .reduce import reduce_system  # loaded on demand, like the oracles and verify
     result = reduce_system(args.s, args.t, args.mode, scalar_b=args.scalar_b)
     pretty = (lambda iq: iq.pretty_scalar_b()) if args.scalar_b else (lambda iq: iq.pretty())
     payload = {
@@ -189,18 +188,21 @@ def _cmd_smith_enumerate(args) -> int:
 
 
 def _cmd_oracle_lr(args) -> int:
+    from .oracle import lr_coefficient
     coeff = lr_coefficient(args.mu, args.nu, args.lam)
     _emit(args, {"coefficient": coeff}, [str(coeff)])
     return 0
 
 
 def _cmd_oracle_matrix(args) -> int:
+    from .oracle import matrix_cokernel_oracle
     found = matrix_cokernel_oracle(args.a, args.b, args.l)
     _emit_tuples(args, sorted(found, reverse=True))
     return 0
 
 
 def _cmd_oracle_operator(args) -> int:
+    from .oracle import operator_group_oracle
     found = operator_group_oracle(args.slopes, args.l, args.prec)
     _emit_tuples(args, sorted(found, reverse=True))
     return 0

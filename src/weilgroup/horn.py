@@ -32,7 +32,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .partitions import as_size
+from .partitions import as_integers, as_size
 
 DESK_SCALE_N = 7
 
@@ -182,10 +182,12 @@ def enumerate_T(
 
 
 def lambda_of(I: Sequence[int], p: int | None = None) -> tuple[int, ...]:
-    """Partition (i_p - p >= ... >= i_1 - 1) attached to an index set."""
-    I = tuple(I)
-    if p is not None and len(I) != p:
+    """Partition (i_p - p >= ... >= i_1 - 1) of an index set 1 <= i_1 < ... < i_p."""
+    I = as_integers(I)
+    if p is not None and len(I) != as_size(p, "p"):
         raise ValueError(f"expected {p} indices, got {len(I)}")
+    if not all(a < b for a, b in zip((0, *I), I)):
+        raise ValueError(f"indices must increase strictly from 1: {I}")
     p = len(I)
     return tuple(I[p - 1 - a] - (p - a) for a in range(p))
 

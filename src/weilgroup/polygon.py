@@ -24,7 +24,6 @@ and are never rounded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -146,6 +145,8 @@ def _lower_hull(points: Sequence[tuple[int, int]]) -> Hull:
 
 def _slopes(hull: Hull) -> tuple[Fraction, ...]:
     """One slope per unit of width between consecutive hull vertices."""
+    from fractions import Fraction  # only here: no classify request reads slopes
+
     out: list[Fraction] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         out.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))

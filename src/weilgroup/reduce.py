@@ -33,6 +33,7 @@ only in :func:`_functional`, :func:`_base_rows`, :func:`_scalar_base` and
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Literal, NamedTuple, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
@@ -207,9 +208,9 @@ def reduce_system(
             raise ValueError("scalar_b applies to smith mode only")
         structural = []
         kept, removed = [], []
-        for tri in _full_candidates(n, table):
+        for tri, facet in _full_rows(n, table):
             iq = SmithInequality(tri.I, tri.J, tri.K, triple=tri)
-            (kept if _is_facet(tri) else removed).append(iq)
+            (kept if facet else removed).append(iq)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ReducedSystem(
@@ -222,13 +223,12 @@ def reduce_system(
     )
 
 
-def _full_candidates(n: int, table: HornTable | None) -> list[HornTriple]:
-    return [tri for p in range(1, n) for tri in enumerate_T(n, p, table=table)]
-
-
-def _is_facet(tri: HornTriple) -> bool:
-    """Whether a Horn row is irredundant in the full system: its LR coefficient is 1."""
-    return lr_coefficient(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) == 1
+def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]:
+    """Each T^n_p row, p < n, with whether it is irredundant in the full system:
+    its LR coefficient is 1.  Each index set's partition is built once."""
+    lam = {I: lambda_of(I) for p in range(1, n) for I in combinations(range(1, n + 1), p)}
+    rows = [tri for p in range(1, n) for tri in enumerate_T(n, p, table=table)]
+    return [(tri, lr_coefficient(lam[tri.I], lam[tri.J], lam[tri.K]) == 1) for tri in rows]
 
 
 def redundant_members_full(n: int, *, table: HornTable | None = None) -> tuple[HornTriple, ...]:
@@ -238,4 +238,4 @@ def redundant_members_full(n: int, *, table: HornTable | None = None) -> tuple[H
     docstring); the answer does not depend on processing order.
     """
     n = as_size(n, "n")
-    return tuple(tri for tri in _full_candidates(n, table) if not _is_facet(tri))
+    return tuple(tri for tri, facet in _full_rows(n, table) if not facet)

@@ -12,7 +12,6 @@ and lifts its factors, in integer arithmetic only.  q must be below
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import index

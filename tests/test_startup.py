@@ -18,17 +18,47 @@ def _fresh(*args):
     )
 
 
+# what a classify request executes, and all that ``import weilgroup`` loads
+EAGER = [
+    "weilgroup",
+    "weilgroup.classify",
+    "weilgroup.horn",
+    "weilgroup.partitions",
+    "weilgroup.polygon",
+    "weilgroup.smith",
+    "weilgroup.weil",
+]
+LAZY = {
+    "reduce_system": "reduce",
+    "lr_coefficient": "oracle",
+    "matrix_cokernel_oracle": "oracle",
+    "operator_group_oracle": "oracle",
+    "smith_invariants": "oracle",
+    "verify_paper_lists": "verify",
+}
+# one (q, coefficients) input per route kind of classify_all
+ROUTES = {
+    "separable": (2, [1, -1, 2]),
+    "p_square": (2, [1, -2, 5, -4, 4]),
+    "p2q": (2, [1, 0, 3, 2, 6, 0, 8]),
+    "p_realsq": (9, [1, -6, 18, -54, 162, -486, 729]),
+    "q2_realsq": (9, [1, 12, 72, 270, 648, 972, 729]),
+    "scalar": (9, [1, 18, 135, 540, 1215, 1458, 729]),
+    "cyclic_index": (9, [1, -6, -9, 108, -81, -486, 729]),
+}
+LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'weilgroup')"
+
+
 def test_import_contract():
-    """``import weilgroup`` loads the request path eagerly, so no import moves
-    into a first request, and leaves ``dataclasses`` and the paper
-    verification unloaded until they are used.  No sweep samples, so
-    ``random`` is not loaded at all."""
+    """``import weilgroup`` loads exactly what a classify request executes, so
+    no import moves into a first request, and nothing else: not the
+    reductions, the LP, the oracles or the paper verification, nor
+    ``dataclasses``, ``fractions`` or ``random``."""
     script = (
         "import sys, weilgroup\n"
-        "mods = ('classify', 'weil', 'smith', 'reduce')\n"
-        "print(all('weilgroup.' + m in sys.modules for m in mods))\n"
-        "print(sorted({'dataclasses', 'random', 'weilgroup.verify'} & set(sys.modules)))\n"
-        "print(callable(weilgroup.verify_paper_lists), 'weilgroup.verify' in sys.modules)\n"
+        f"print({LOADED})\n"
+        "print(sorted({'dataclasses', 'fractions', 'random'} & set(sys.modules)))\n"
+        "print(sorted(set(weilgroup.__all__) - set(dir(weilgroup))))\n"
         "ns = {}\n"
         "exec('from weilgroup import *', ns)\n"
         "print(sorted(set(weilgroup.__all__) - set(ns)))\n"
@@ -42,12 +72,63 @@ def test_import_contract():
     out = _fresh("-S", "-c", script)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "True",
+        str(EAGER),
         "[]",
-        "True True",
+        "[]",
         "[]",
         "module 'weilgroup' has no attribute 'no_such_name'",
     ]
+
+
+@pytest.mark.parametrize(
+    "access",
+    ["value = weilgroup.{name}", "from weilgroup import {name} as value"],
+    ids=["attribute", "from_import"],
+)
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_lazy_name_loads_its_module(name, access):
+    """Each lazy name loads its module on first use, as an attribute and
+    through ``from weilgroup import``, and is then a plain module global."""
+    module = f"weilgroup.{LAZY[name]}"
+    script = (
+        "import sys, weilgroup\n"
+        f"print({module!r} in sys.modules)\n"
+        f"{access.format(name=name)}\n"
+        f"print({module!r} in sys.modules, value is sys.modules[{module!r}].{name},"
+        f" {name!r} in vars(weilgroup))\n"
+    )
+    out = _fresh("-S", "-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", "True True True"]
+
+
+def test_classify_routes_load_only_the_eager_set():
+    """``classify_all`` on one input of every route kind loads no module
+    beyond the ones ``import weilgroup`` loads eagerly."""
+    script = (
+        "import sys\n"
+        "from weilgroup import classify_all, parse_and_validate\n"
+        f"routes = {ROUTES!r}\n"
+        "print([classify_all(parse_and_validate(c, q)).plan.kind for q, c in routes.values()])\n"
+        f"print({LOADED})\n"
+    )
+    out = _fresh("-S", "-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [str(list(ROUTES)), str(EAGER)]
+
+
+def test_cli_classify_leaves_reductions_and_oracles_unloaded():
+    """``weilgroup classify`` loads the CLI and the classify path only: the
+    other subcommands import their layers when they run."""
+    script = (
+        "import sys\n"
+        "from weilgroup.cli import main\n"
+        "main(['classify', '--q', '2', '--poly', '1,0,2'])\n"
+        f"print({LOADED})\n"
+    )
+    out = _fresh("-S", "-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(sorted([*EAGER, "weilgroup.cli"]))
 
 
 @pytest.mark.parametrize(
