@@ -22,19 +22,30 @@ re-pointed):
   Both tests run over the distinct tight sets of the active rows, each
   with the number of rows that have it;
 * an implicit equality (tight on every ray) is decided by one more double
-  description, of the other implicit equalities alone.  At a
-  relative-interior point of the cone every row that is not one is
-  positive, so the rest imply it iff the other implicit equalities do.  By
-  Gordan's lemma its negative lies in the cone those span, so it is
-  implied iff it is nonnegative on every ray of their cone.
+  description, of the other implicit equalities alone, in the span V of
+  the implicit equalities.  At a relative-interior point of the cone every
+  row that is not one is positive, so the rest imply it iff the other
+  implicit equalities do.  By Gordan's lemma its negative lies in the cone
+  those span, so it is implied iff it is nonnegative on every ray of their
+  cone.  Implication is cone membership (Farkas): phi is implied by rows
+  g_j iff phi = sum mu_j g_j with mu >= 0.  Every implicit equality lies in
+  V, of dimension k, so the question concerns vectors of V alone, and any
+  k columns on which V has rank k (the pivot columns of the implicit
+  equalities, by fraction-free elimination, once per description) restrict
+  V injectively to Z^k: phi = sum mu_j g_j holds iff it holds on those
+  columns.  So the description runs in dimension k on the restricted rows,
+  with the same verdict; for the (1, 4) block system with ``scalar_b``, 16
+  implicit equalities in dimension 6 span only k = 3.
 
 Dropping a row found implied leaves the cone as it is, so one description
 serves a whole sequential reduction, and only that row's count changes;
 dropping any other row forces a new description.
 
 Insertion order decides only the cost of a description, never a verdict.
-Rows go in by increasing value at a reference point of the cone, which a
-:class:`Cone` carries: rows tight there first (:func:`_rays`).
+The rows of a cone go in by increasing value at a reference point of it,
+which a :class:`Cone` carries: rows tight there first (:func:`_rays`).
+The restricted implicit equalities, all 0 at such a point, go in as they
+come.
 """
 
 from __future__ import annotations
@@ -56,13 +67,18 @@ class Cone:
     the number of active rows per distinct tight set.  ``point``, a point
     of the cone in the same coordinates, orders the rows for the double
     description (the all-ones vector when None); it changes no verdict.
+    Rows, and the point, of different lengths are refused.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], point: Sequence[int] | None = None):
         self.rows = [tuple(r) for r in rows]
         self.point = None if point is None else tuple(point)
+        lengths = {len(r) for r in self.rows} | ({len(self.point)} if self.point else set())
+        if len(lengths) > 1:
+            raise ValueError(f"rows and point have different lengths {sorted(lengths)}")
         self.active = [True] * len(self.rows)
         self._tight: dict[int, int] | None = None  # active row -> tight set
+        self._pivots: list[int] | None = None  # pivot columns of the implicit equalities
         self._every = 0  # the tight set of an implicit equality: every ray
         self._counts: Counter[int] = Counter()  # tight set -> active rows with it
         self._implied: int | None = None  # last row found implied since a drop
@@ -70,13 +86,15 @@ class Cone:
     def drop(self, i: int) -> None:
         """Free row i for good: it no longer constrains any later test."""
         self.active[i] = False
-        if i == self._implied:  # the cone is unchanged: keep its description
+        # the cone is unchanged: keep its description, and the span of its
+        # implicit equalities with it
+        if i == self._implied:
             z = self._tight.pop(i)
             self._counts[z] -= 1
             if not self._counts[z]:
                 del self._counts[z]
         else:
-            self._tight = None  # the cone itself may have grown
+            self._tight = self._pivots = None  # the cone itself may have grown
         self._implied = None
 
 
@@ -89,6 +107,26 @@ def _combine(a: int, u: Row, b: int, v: Row) -> Row:
     w = [a * x + b * y for x, y in zip(u, v)]
     d = gcd(*w)
     return tuple(x // d for x in w) if d > 1 else tuple(w)
+
+
+def _pivot_columns(rows: Sequence[Row]) -> list[int]:
+    """Columns on which the row space of ``rows`` has full rank, ascending.
+
+    Fraction-free elimination through :func:`_combine`: each row is
+    cleared in the pivot column of every echelon row so far, and a row
+    left nonzero joins them, its first nonzero column as its pivot.  On
+    the pivot columns the echelon rows are triangular with a nonzero
+    diagonal, so the rank there is the rank of ``rows``.
+    """
+    echelon: list[tuple[int, Row]] = []
+    for r in rows:
+        for c, e in echelon:
+            if r[c]:
+                r = _combine(e[c], r, -r[c], e)
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            echelon.append((c, r))
+    return sorted(c for c, _ in echelon)
 
 
 def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row], list[int]]:
@@ -196,21 +234,31 @@ def is_implied(cone: Cone, i: int) -> bool:
     The cone is described once per change of it.  Row i is then decided
     by its tight set alone, and the facet test runs over the distinct
     tight sets of the active rows with their counts, not over the rows.
+    An implicit equality is decided on the pivot columns of the implicit
+    equalities (module docstring).
     """
+    if not cone.active[i]:
+        raise ValueError(f"row {i} has been dropped from the cone")
     phi = cone.rows[i]
     if cone._tight is None:
         active = [j for j, on in enumerate(cone.active) if on]
         rays, tight = _rays([cone.rows[j] for j in active], len(phi), cone.point)
         cone._tight, cone._counts = dict(zip(active, tight)), Counter(tight)
-        cone._every = (1 << len(rays)) - 1
+        cone._every, cone._pivots = (1 << len(rays)) - 1, None
     tight, every, counts = cone._tight, cone._every, cone._counts
     zi = tight[i]
     if zi == every:
         # phi is an implicit equality: only the other implicit equalities can
         # imply it, and phi <= 0 on their cone (module docstring), so
-        # nonnegative on its rays it is 0 on all of it, lineality included
-        equalities = [cone.rows[j] for j, z in tight.items() if z == every and j != i]
-        implied = all(_dot(phi, r) >= 0 for r in _rays(equalities, len(phi), cone.point)[0])
+        # nonnegative on its rays it is 0 on all of it, lineality included;
+        # all of it is decided on the pivot columns of their span
+        equalities = [j for j, z in tight.items() if z == every]
+        if cone._pivots is None:
+            cone._pivots = _pivot_columns([cone.rows[j] for j in equalities])
+        cols = cone._pivots
+        others = [tuple(cone.rows[j][c] for c in cols) for j in equalities if j != i]
+        phi = tuple(phi[c] for c in cols)
+        implied = all(_dot(phi, r) >= 0 for r in linprog(others, len(cols))[0])
     else:
         # a face strictly inside another proper face is no facet; a facet
         # is implied iff another active row defines it too

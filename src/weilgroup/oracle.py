@@ -4,7 +4,8 @@ Everything in this module is deliberately first-principles so it can
 arbitrate the combinatorial machinery elsewhere in the package:
 
 * Littlewood-Richardson coefficients by direct skew tableau enumeration;
-* Smith invariants of integer matrices by exact gcd elimination;
+* Smith invariants of nonsingular integer matrices by exact gcd
+  elimination, read l-adically over Z (no working modulus);
 * exhaustive sweeps over block triangular matrices [[A, X], [0, B]];
 * exhaustive sweeps over all 2x2 operators grouped by Newton polygon.
 
@@ -24,10 +25,6 @@ from .polygon import as_prime, valuation
 
 MAX_BLOCK_SWEEP = 200_000  # matrix_cokernel_oracle refuses larger sweeps (~10 s, 2-core Xeon)
 MAX_SWEEP_MATRICES = 1 << 20  # operator_group_oracle refuses larger sweeps
-
-
-class PrecisionExhausted(ValueError):
-    """Determinant valuation reached the working modulus; invariants unsafe."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +147,11 @@ def _diagonalize(matrix: list[list[int]]) -> list[int]:
     return diag
 
 
-def smith_invariants(
-    matrix: Sequence[Sequence[int]],
-    l: int,
-    *,
-    precision: int | None = None,
-) -> tuple[int, ...]:
+def smith_invariants(matrix: Sequence[Sequence[int]], l: int) -> tuple[int, ...]:
     """l-adic valuations of the Smith normal form diagonal, sorted descending.
 
-    ``precision`` marks entries as representatives mod l**precision; the
-    result is then the invariant tuple of the underlying l-adic matrix,
-    valid only while v_l(det) stays below the precision (else
-    :class:`PrecisionExhausted` is raised).  The entries and l are taken
+    The matrix must be nonsingular: its cokernel is then finite, and a
+    singular matrix raises ValueError.  The entries and l are taken
     through ``operator.index``: a float raises ValueError, not a truncation.
     """
     n = len(matrix)
@@ -170,17 +160,8 @@ def smith_invariants(
     l = as_prime(l)
     diag = _diagonalize([list(as_integers(row)) for row in matrix])
     if any(d == 0 for d in diag):
-        if precision is not None:
-            raise PrecisionExhausted(
-                f"determinant vanishes mod l^{precision}; raise the precision"
-            )
         raise ValueError("matrix is singular: cokernel is infinite")
-    vals = sorted((valuation(d, l) for d in diag), reverse=True)
-    if precision is not None and sum(vals) >= precision:
-        raise PrecisionExhausted(
-            f"determinant valuation {sum(vals)} >= precision {precision}"
-        )
-    return tuple(vals)
+    return tuple(sorted((valuation(d, l) for d in diag), reverse=True))
 
 
 # ---------------------------------------------------------------------------

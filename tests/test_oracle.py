@@ -1,13 +1,15 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from weilgroup import oracle
+from weilgroup.horn import lambda_of
 from weilgroup.oracle import (
-    PrecisionExhausted,
     lr_coefficient,
     matrix_cokernel_oracle,
     operator_group_oracle,
@@ -49,6 +51,33 @@ def test_lr_symmetric(mu, nu):
         assert lr_coefficient(mu, nu, lam) == lr_coefficient(nu, mu, lam)
 
 
+def _conjugate(lam):
+    """The conjugate partition: column c of the diagram has one cell per part > c."""
+    cols = Counter(c for part in lam for c in range(part))
+    return tuple(cols[c] for c in range(len(cols)))
+
+
+def test_lr_symmetries_on_horn_boxes():
+    """c^lambda_{mu nu} = c^lambda_{nu mu} = c^{lambda'}_{mu' nu'} for every
+    triple of partitions lambda(I) in the p x (n - p) box, n <= 5, of
+    matching size: the symmetries the full-mode reduction computes once per
+    class of."""
+    start, triples = time.perf_counter(), 0
+    for n in range(2, 6):
+        for p in range(1, n):
+            box = {tuple(x for x in lambda_of(I) if x) for I in combinations(range(1, n + 1), p)}
+            for mu, nu, lam in product(box, repeat=3):
+                if sum(mu) + sum(nu) != sum(lam):
+                    continue
+                triples += 1
+                c = lr_coefficient(mu, nu, lam)
+                assert c == lr_coefficient(nu, mu, lam), (mu, nu, lam)
+                assert c == lr_coefficient(_conjugate(mu), _conjugate(nu), _conjugate(lam)), (mu, nu, lam)
+    assert _conjugate((3, 1)) == (2, 1, 1) and _conjugate(()) == ()
+    assert triples == 258
+    assert time.perf_counter() - start < 1.0
+
+
 def test_lr_full_pieri_row():
     # multiplying by a one-row shape: one tableau per horizontal strip
     assert lr_coefficient((2, 1), (2,), (4, 1)) == 1
@@ -74,10 +103,6 @@ def test_smith_invariants_errors():
         smith_invariants([[0, 0], [0, 0]], 2)
     with pytest.raises(ValueError):
         smith_invariants([[1, 2]], 2)
-    with pytest.raises(PrecisionExhausted):
-        smith_invariants([[8, 0], [0, 2]], 2, precision=3)
-    with pytest.raises(PrecisionExhausted):
-        smith_invariants([[4, 0], [0, 0]], 2, precision=3)
 
 
 def _random_unimodular(rng, n):

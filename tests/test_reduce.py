@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -12,8 +13,9 @@ import pytest
 
 import weilgroup.linprog
 import weilgroup.reduce
-from weilgroup.horn import HornTable, enumerate_T, enumerate_T_st, enumerate_U
-from weilgroup.linprog import Cone, _combine, _rays, is_implied, linprog
+from weilgroup.horn import HornTable, enumerate_T, enumerate_T_st, enumerate_U, lambda_of
+from weilgroup.oracle import lr_coefficient
+from weilgroup.linprog import Cone, _combine, _pivot_columns, _rays, is_implied, linprog
 from weilgroup.reduce import (
     _base_rows,
     _direct_sum_point,
@@ -226,6 +228,89 @@ def test_sequential_verdicts_match_farkas_on_random_cones():
             assert implied == _in_cone(rows[k], _others(cone, k)), (rows, k)
             if implied or rng.random() < 0.3:
                 cone.drop(k)
+
+
+def _rank(rows):
+    """Rank over Q, by Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_pivot_columns_have_full_rank():
+    # the last row alone adds a pivot: no row may be left out
+    assert _pivot_columns([(0, 1, 1), (0, 2, 2), (0, 0, 3)]) == [1, 2]
+    assert _pivot_columns([(0, 0), (0, 0)]) == [] and _pivot_columns([]) == []
+    rng = random.Random(26)
+    for _ in range(500):
+        dim = rng.randint(1, 6)
+        zero = rng.sample(range(dim), rng.randint(0, dim - 1))  # columns no row uses
+        rows = [
+            tuple(0 if c in zero else rng.randint(-2, 2) for c in range(dim))
+            for _ in range(rng.randint(0, 6))
+        ]
+        cols = _pivot_columns(rows)
+        assert cols == sorted(set(cols)) and not set(cols) & set(zero), rows
+        assert len(cols) == _rank(rows) == _rank([[r[c] for c in cols] for r in rows]), rows
+
+
+def _planted_system(rng):
+    """A random cone with planted implicit equalities, and those rows.
+
+    The planted rows e_1, ..., e_m, e_0 lie in a space V that vanishes on
+    at least one column, with e_0 = -(w_1 e_1 + ... + w_m e_m), every
+    w_j >= 1: a positive combination of them is 0, so each is tight on the
+    whole cone.  A few random rows and repeats join them.
+    """
+    dim = rng.randint(3, 5)
+    zero = rng.sample(range(dim), rng.randint(1, dim - 2))
+    basis = [
+        [0 if c in zero else rng.randint(-2, 2) for c in range(dim)]
+        for _ in range(rng.randint(2, dim - len(zero)))
+    ]
+    planted = [
+        tuple(sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(dim))
+        for _ in range(rng.randint(len(basis), len(basis) + 1))
+    ]
+    weights = [rng.randint(1, 3) for _ in planted]
+    planted.append(tuple(-sum(w * e[c] for w, e in zip(weights, planted)) for c in range(dim)))
+    rows = planted + [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+    rows += rng.choices(rows, k=rng.randint(0, 1))
+    rng.shuffle(rows)
+    return rows, dim, planted, zero
+
+
+def test_planted_equalities_match_farkas():
+    """Implicit equalities decided on the pivot columns of their span agree
+    with the Farkas reference, on cones whose planted equalities span at
+    least 2 dimensions and have pivot columns other than the first k."""
+    rng = random.Random(26)
+    spanning = 0
+    verdicts = Counter()
+    for _ in range(120):
+        rows, dim, planted, zero = _planted_system(rng)
+        k = _rank(planted)
+        spanning += k >= 2 and min(zero) < k  # pivots avoid a column below k
+        cone = Cone(rows)
+        for j in range(len(rows)):
+            implied = is_implied(cone, j)
+            assert implied == _in_cone(rows[j], _others(cone, j)), (rows, j)
+            if cone._tight is not None and cone._tight[j] == cone._every:
+                verdicts[implied] += 1
+            if implied or rng.random() < 0.3:
+                cone.drop(j)
+    assert spanning == 88
+    assert verdicts[True] > 60 and verdicts[False] > 200, verdicts
 
 
 def _verdicts_and_rays(rows, dim, point):
@@ -482,6 +567,49 @@ def test_full_mode_no_redundancy_below_six():
     assert redundant_members_full(4) == ()
 
 
+def _conjugate(lam):
+    """The conjugate partition: column c of the diagram has one cell per part > c."""
+    cols = Counter(c for part in lam for c in range(part))
+    return tuple(cols[c] for c in range(len(cols)))
+
+
+def _orbit(mu, nu, lam):
+    """A triple's class under the mu <-> nu swap and conjugation, zero parts stripped."""
+    mu, nu, lam = (tuple(x for x in part if x) for part in (mu, nu, lam))
+    mu_, nu_, lam_ = _conjugate(mu), _conjugate(nu), _conjugate(lam)
+    return frozenset({(mu, nu, lam), (nu, mu, lam), (mu_, nu_, lam_), (nu_, mu_, lam_)})
+
+
+def _recorded_full_mode(monkeypatch, n):
+    """The arguments of every LR coefficient one full-mode reduction computes."""
+    calls = []
+
+    def recorded(mu, nu, lam):
+        calls.append((mu, nu, lam))
+        return lr_coefficient(mu, nu, lam)
+
+    monkeypatch.setattr(weilgroup.reduce, "lr_coefficient", recorded)
+    redundant_members_full(n, table=HornTable())
+    return calls
+
+
+def test_full_mode_one_coefficient_per_symmetry_class(monkeypatch):
+    """Each class of rows under the swap and conjugation gets exactly one
+    LR coefficient: the memo neither merges two classes nor splits one."""
+    for n in range(2, 7):
+        rows = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
+        classes = {_orbit(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) for tri in rows}
+        calls = _recorded_full_mode(monkeypatch, n)
+        assert Counter(_orbit(*call) for call in calls) == Counter(classes), n
+
+
+def test_full_mode_coefficients_are_not_kept_across_calls(monkeypatch):
+    # 142 rows at n = 5 fall into 31 classes; a second call starts cold
+    first = _recorded_full_mode(monkeypatch, 5)
+    assert len(first) <= 60
+    assert _recorded_full_mode(monkeypatch, 5) == first
+
+
 def test_reduce_guards():
     with pytest.raises(ValueError):
         reduce_system(4, 3)
@@ -494,6 +622,24 @@ def test_reduce_guards():
         reduce_system(2, 2, "bogus")
     with pytest.raises(ValueError):
         reduce_system(2, 2, "full", scalar_b=True)
+
+
+def test_input_contracts():
+    for n in (-2, 0):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            redundant_members_full(n)
+    cone = Cone([(1, 0), (1, 0), (0, 1)])
+    assert is_implied(cone, 0)
+    cone.drop(0)
+    with pytest.raises(ValueError, match="row 0 has been dropped"):
+        is_implied(cone, 0)
+    with pytest.raises(ValueError, match="length"):
+        Cone([(1, 0), (0, 1)], (1, 1, 1))
+    with pytest.raises(ValueError, match="length"):
+        Cone([(1, 0), (0, 1, 1)], (1, 1))
+    with pytest.raises(ValueError, match="length"):
+        Cone([(1, 0, 0), (0, 1), (1, 1)])
+    assert is_implied(Cone([(1, 1), (1, 0), (0, 1)], (2, 1)), 0)
 
 
 def test_scalar_b_small():
