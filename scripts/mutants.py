@@ -13,9 +13,7 @@ reports the mutant as
 
 The checkout itself is never edited.
 
-    python scripts/mutants.py              # every entry
-    python scripts/mutants.py NAME ...     # only the named entries
-    python scripts/mutants.py --check      # only check that each snippet occurs once
+    python scripts/mutants.py
 
 It exits non-zero when a snippet does not occur exactly once, or when any
 mutant survives or is broken.  It needs only Python and pytest.
@@ -23,7 +21,6 @@ mutant survives or is broken.  It needs only Python and pytest.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -113,23 +110,15 @@ def run(entry: dict) -> tuple[str, list[str]]:
     return ("survived" if passed else "killed"), passed
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these entries")
-    parser.add_argument("--check", action="store_true", help="check the entries, run no mutant")
-    args = parser.parse_args(argv)
+def main() -> int:
     entries = load()
     found = problems(entries)
     for line in found:
         print(f"bad entry: {line}")
-    if found or args.check:
-        return int(bool(found))
-    unknown = set(args.names) - {e["name"] for e in entries}
-    if unknown:
-        parser.error(f"no such entries: {sorted(unknown)}")
-    chosen = [e for e in entries if not args.names or e["name"] in args.names]
+    if found:
+        return 1
     outcomes = {}
-    for entry in chosen:
+    for entry in entries:
         outcomes[entry["name"]], passed = run(entry)
         note = f"  (passed: {', '.join(passed)})" if passed else ""
         print(f"{outcomes[entry['name']]:8}  {entry['name']}{note}", flush=True)

@@ -51,8 +51,11 @@ def test_lr_symmetric(mu, nu):
         assert lr_coefficient(mu, nu, lam) == lr_coefficient(nu, mu, lam)
 
 
-def _conjugate(lam):
-    """The conjugate partition: column c of the diagram has one cell per part > c."""
+def conjugate(lam):
+    """The conjugate partition: column c of the diagram has one cell per part > c.
+
+    An independent reference for ``reduce._conjugate``; ``test_reduce``
+    imports it too."""
     cols = Counter(c for part in lam for c in range(part))
     return tuple(cols[c] for c in range(len(cols)))
 
@@ -62,7 +65,7 @@ def test_lr_symmetries_on_horn_boxes():
     triple of partitions lambda(I) in the p x (n - p) box, n <= 5, of
     matching size: the symmetries the full-mode reduction computes once per
     class of."""
-    start, triples = time.perf_counter(), 0
+    triples = 0
     for n in range(2, 6):
         for p in range(1, n):
             box = {tuple(x for x in lambda_of(I) if x) for I in combinations(range(1, n + 1), p)}
@@ -72,10 +75,9 @@ def test_lr_symmetries_on_horn_boxes():
                 triples += 1
                 c = lr_coefficient(mu, nu, lam)
                 assert c == lr_coefficient(nu, mu, lam), (mu, nu, lam)
-                assert c == lr_coefficient(_conjugate(mu), _conjugate(nu), _conjugate(lam)), (mu, nu, lam)
-    assert _conjugate((3, 1)) == (2, 1, 1) and _conjugate(()) == ()
+                assert c == lr_coefficient(conjugate(mu), conjugate(nu), conjugate(lam)), (mu, nu, lam)
+    assert conjugate((3, 1)) == (2, 1, 1) and conjugate(()) == ()
     assert triples == 258
-    assert time.perf_counter() - start < 1.0
 
 
 def test_lr_full_pieri_row():

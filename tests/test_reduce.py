@@ -27,6 +27,8 @@ from weilgroup.reduce import (
 )
 from weilgroup.smith import inequality_system
 
+from test_oracle import conjugate
+
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
 
@@ -567,16 +569,10 @@ def test_full_mode_no_redundancy_below_six():
     assert redundant_members_full(4) == ()
 
 
-def _conjugate(lam):
-    """The conjugate partition: column c of the diagram has one cell per part > c."""
-    cols = Counter(c for part in lam for c in range(part))
-    return tuple(cols[c] for c in range(len(cols)))
-
-
 def _orbit(mu, nu, lam):
     """A triple's class under the mu <-> nu swap and conjugation, zero parts stripped."""
     mu, nu, lam = (tuple(x for x in part if x) for part in (mu, nu, lam))
-    mu_, nu_, lam_ = _conjugate(mu), _conjugate(nu), _conjugate(lam)
+    mu_, nu_, lam_ = conjugate(mu), conjugate(nu), conjugate(lam)
     return frozenset({(mu, nu, lam), (nu, mu, lam), (mu_, nu_, lam_), (nu_, mu_, lam_)})
 
 
@@ -601,13 +597,10 @@ def test_full_mode_one_coefficient_per_symmetry_class(monkeypatch):
         classes = {_orbit(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) for tri in rows}
         calls = _recorded_full_mode(monkeypatch, n)
         assert Counter(_orbit(*call) for call in calls) == Counter(classes), n
-
-
-def test_full_mode_coefficients_are_not_kept_across_calls(monkeypatch):
-    # 142 rows at n = 5 fall into 31 classes; a second call starts cold
-    first = _recorded_full_mode(monkeypatch, 5)
-    assert len(first) <= 60
-    assert _recorded_full_mode(monkeypatch, 5) == first
+        if n == 5:
+            # 142 rows in 31 classes; a second call starts cold and computes them all again
+            assert len(calls) == 31
+            assert _recorded_full_mode(monkeypatch, n) == calls
 
 
 def test_reduce_guards():
