@@ -18,16 +18,30 @@ T^n_2 and T^n_{n-1}, all of which are pinned by tests.)
 :class:`HornTable` decides all of them for one triple in a single integer
 sum, one bit field per row (F, G, H).
 
+Above half size no triple is tested: T^n_p is the dual of T^n_{n-p}.  The
+dual of an index set X in {1..n} is X^v = {n+1-i : i not in X}, and the
+dual of a triple applies it to I, J and K.  T^n_r is the set of triples
+whose Littlewood-Richardson coefficient c^{lambda(K)}_{lambda(I) lambda(J)}
+is nonzero (Knutson and Tao, "The honeycomb model of GL_n(C) tensor
+products I: proof of the saturation conjecture", JAMS 1999; Fulton,
+"Eigenvalues, invariant factors, highest weights, and Schubert calculus",
+Bull. AMS 2000).  The dual set has the conjugate partition, lambda(X^v) =
+lambda(X)' (the isomorphism Gr(r, n) = Gr(n-r, n) on Schubert classes),
+and c^{lambda'}_{mu' nu'} = c^lambda_{mu nu}, so the duals of T^n_{n-p}
+are exactly T^n_p.  The tests pin the recursion itself up to n = 7 and
+T^n_{n-2} against the closed form of T^n_2 up to n = 10.
+
 The block restrictions T~^{s,t}_p and T^{s,t}_p select triples whose
 overflow above s (for I) and above t (for J) is an initial segment; the
 strict variant additionally requires #(I & M_s) + #(J & M_t) = p, tested
-per triple by :func:`is_strict`.  These encode the essential inequalities
-between Smith invariants of a block triangular matrix, see
-:mod:`weilgroup.smith`.
+per triple by :func:`is_strict` on the triple's :func:`block_split`.
+These encode the essential inequalities between Smith invariants of a
+block triangular matrix, see :mod:`weilgroup.smith`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -77,10 +91,19 @@ class HornTable:
     """In-memory memo of the T^n_p tables.
 
     Each table is built once per instance and returned as the same tuple on
-    later lookups; a fresh instance starts cold.  A triple (I, J, K) of
-    U^n_p is tested against every row (F, G, H) of every T^p_r, r < p, in
-    one exact integer sum.  With v = r(r+1)/2 - (sum_F i_f + sum_G j_g -
-    sum_H k_h), the triple stays iff v >= 0 for every row.  As i_f - f lies
+    later lookups; a fresh instance starts cold and builds only the tables a
+    lookup needs.  T^n_p with 2p > n is the dual of T^n_{n-p} (module
+    docstring), sorted back into lexicographic order: sequential reduction
+    keeps the first of equal rows, so the order is part of the answer.  The
+    test is strict: at 2p = n the table is its own dual, and ``_compute``
+    would call itself.
+    Every other table is selected from U^n_p by the rows of each T^p_r,
+    r < p, so T^6_3 builds T^3_1 and its dual T^3_2 and nothing else.
+
+    A triple (I, J, K) of U^n_p is tested against every row (F, G, H) of
+    every T^p_r, r < p, in one exact integer sum.  With v = r(r+1)/2 -
+    (sum_F i_f + sum_G j_g - sum_H k_h), the triple stays iff v >= 0 for
+    every row.  As i_f - f lies
     in [0, n-p], the trace of (F, G, H) gives -2r(n-p) <= v <= r(n-p), and
     subtracting the trace of (I, J, K) gives -(p-r)(n-p) <= v <= 2(p-r)(n-p)
     through the complements.  As min(2r, p-r) and min(r, 2(p-r)) are at
@@ -93,8 +116,9 @@ class HornTable:
     crosses a field, and the row holds iff the field's high bit is set.
 
     :meth:`_select` runs that test over any lexicographic choice of I and
-    J: all p-subsets for T^n_p itself, the overflow-shaped ones for the
-    block restrictions of :func:`enumerate_T_st`.
+    J: all p-subsets for T^n_p itself, the overflow-shaped ones (or their
+    duals, above half size) for the block restrictions of
+    :func:`enumerate_T_st`.
     """
 
     def __init__(self):
@@ -109,8 +133,11 @@ class HornTable:
     def _compute(self, n: int, p: int) -> tuple[HornTriple, ...]:
         key = (n, p)
         if key not in self._tables:
-            subsets = list(combinations(range(1, n + 1), p))
-            self._tables[key] = self._select(n, p, subsets, subsets)
+            if 2 * p > n:  # strictly: at 2p = n this would call itself
+                self._tables[key] = _dual_triples(self._compute(n, n - p), n, n - p)
+            else:
+                subsets = list(combinations(range(1, n + 1), p))
+                self._tables[key] = self._select(n, p, subsets, subsets)
         return self._tables[key]
 
     def _select(
@@ -242,6 +269,20 @@ def complement_triple(
     return ComplementTriple(comp, "<=")
 
 
+def _duals(n: int, p: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each p-subset X of {1..n} mapped to its dual X^v = {n+1-i : i not in X}."""
+    return {
+        X: tuple(sorted(n + 1 - i for i in range(1, n + 1) if i not in X))
+        for X in combinations(range(1, n + 1), p)
+    }
+
+
+def _dual_triples(triples: Sequence[HornTriple], n: int, p: int) -> tuple[HornTriple, ...]:
+    """The duals of triples of p-subsets of {1..n}, in lexicographic order."""
+    dual = _duals(n, p)
+    return tuple(sorted(HornTriple(dual[I], dual[J], dual[K]) for I, J, K in triples))
+
+
 def _overflow_shaped(n: int, s: int, p: int) -> dict[tuple[int, ...], int]:
     """Each p-subset of {1..n} whose part above s is {s+1..s+alpha}, mapped to alpha."""
     return {
@@ -251,10 +292,18 @@ def _overflow_shaped(n: int, s: int, p: int) -> dict[tuple[int, ...], int]:
     }
 
 
+def block_split(triple: HornTriple, s: int, t: int) -> tuple[int, int]:
+    """#(I & M_s) and #(J & M_t), each one bisection of a sorted index set.
+
+    The strict condition (:func:`is_strict`) and the restriction of a
+    triple to the blocks (``smith._restricted``) both read this split.
+    """
+    return bisect_right(triple.I, s), bisect_right(triple.J, t)
+
+
 def is_strict(triple: HornTriple, s: int, t: int) -> bool:
     """The strict block condition #(I & M_s) + #(J & M_t) = p."""
-    I, J, _K = triple
-    return sum(i <= s for i in I) + sum(j <= t for j in J) == len(I)
+    return sum(block_split(triple, s, t)) == len(triple.I)
 
 
 def enumerate_T_st(
@@ -273,6 +322,10 @@ def enumerate_T_st(
     additionally requires :func:`is_strict`.  Only those overflow-shaped I
     and J go through the packed test of :class:`HornTable`, so T^{s+t}_p
     itself is never built; the smaller tables its rows come from are.
+    Above half size the duals of those I and J are selected at s+t-p and
+    the result is mapped back (module docstring): at s + t = 6 and p = 5
+    the selection runs at p = 1 and packs no rows instead of the 142 rows
+    of T^5_1..4.
     Guarded at desk scale like :func:`enumerate_T`.
     """
     if mode not in ("tilde", "strict"):
@@ -287,7 +340,12 @@ def enumerate_T_st(
     over_I = _overflow_shaped(n, s, p)
     over_J = _overflow_shaped(n, t, p)
     tab = table if table is not None else _DEFAULT_TABLE
-    out = tab._select(n, p, sorted(over_I), sorted(over_J))
+    if 2 * p > n:
+        dual = _duals(n, p)
+        Is, Js = sorted(map(dual.get, over_I)), sorted(map(dual.get, over_J))
+        out = _dual_triples(tab._select(n, n - p, Is, Js), n, n - p)
+    else:
+        out = tab._select(n, p, sorted(over_I), sorted(over_J))
     if mode == "strict":
         # the strict condition counts p - alpha parts of I in M_s, p - beta of J in M_t
         out = tuple(tri for tri in out if over_I[tri.I] + over_J[tri.J] == p)

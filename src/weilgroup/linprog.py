@@ -19,8 +19,10 @@ re-pointed):
 * a row that is not tight on every ray and whose face is not a facet is
   implied;
 * a facet row is implied iff another active row defines the same facet.
-  Both tests run over the distinct tight sets of the active rows, each
-  with the number of rows that have it;
+  The facets are the maximal proper tight sets (a face strictly inside
+  another proper face is no facet), found once per description among the
+  distinct tight sets of the active rows, so each test is a set lookup
+  and a count of the rows with that tight set;
 * an implicit equality (tight on every ray) is decided by one more double
   description, of the other implicit equalities alone, in the span V of
   the implicit equalities.  At a relative-interior point of the cone every
@@ -39,7 +41,15 @@ re-pointed):
 
 Dropping a row found implied leaves the cone as it is, so one description
 serves a whole sequential reduction, and only that row's count changes;
-dropping any other row forces a new description.
+dropping any other row forces a new description.  Nor does such a drop
+change which tight sets are maximal, so the facets stay too: the row was
+either no facet, and whether a set is maximal never depends on a set
+strictly inside another, or one of several rows on its facet, whose
+tight set stays among the active rows'.
+
+In the lineality step of a description a vector or ray on which the new
+row vanishes is kept as it is: it is primitive, so the combination would
+return it unchanged.
 
 Insertion order decides only the cost of a description, never a verdict.
 The rows of a cone go in by increasing value at a reference point of it,
@@ -53,7 +63,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = tuple[int, ...]
 
@@ -63,8 +73,9 @@ class Cone:
 
     Indices stay stable while rows are tested and dropped.  The double
     description is computed on first use, and with it each active row's
-    tight set, a bitmask over the rays read off the rays' zero sets, and
-    the number of active rows per distinct tight set.  ``point``, a point
+    tight set, a bitmask over the rays read off the rays' zero sets, the
+    number of active rows per distinct tight set, and the facets: the
+    maximal tight sets other than the set of every ray.  ``point``, a point
     of the cone in the same coordinates, orders the rows for the double
     description (the all-ones vector when None); it changes no verdict.
     Rows, and the point, of different lengths are refused.
@@ -81,13 +92,14 @@ class Cone:
         self._pivots: list[int] | None = None  # pivot columns of the implicit equalities
         self._every = 0  # the tight set of an implicit equality: every ray
         self._counts: Counter[int] = Counter()  # tight set -> active rows with it
+        self._facets: set[int] = set()  # the maximal proper tight sets
         self._implied: int | None = None  # last row found implied since a drop
 
     def drop(self, i: int) -> None:
         """Free row i for good: it no longer constrains any later test."""
         self.active[i] = False
-        # the cone is unchanged: keep its description, and the span of its
-        # implicit equalities with it
+        # the cone is unchanged: keep its description, its facets and the
+        # span of its implicit equalities (module docstring)
         if i == self._implied:
             z = self._tight.pop(i)
             self._counts[z] -= 1
@@ -164,8 +176,14 @@ def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row], list[i
             gp = _dot(g, pivot)
             if gp < 0:
                 gp, pivot = -gp, tuple(-x for x in pivot)
-            lineality = [_combine(gp, v, -_dot(g, v), pivot) for v in lineality]
-            rays = [(_combine(gp, r, -_dot(g, r), pivot), z | mask) for r, z in rays]
+            # a primitive vector on which g vanishes is its own combination
+            lineality = [
+                _combine(gp, v, -d, pivot) if (d := _dot(g, v)) else v for v in lineality
+            ]
+            rays = [
+                (_combine(gp, r, -d, pivot) if (d := _dot(g, r)) else r, z | mask)
+                for r, z in rays
+            ]
             rays.append((pivot, mask - 1))
             continue
         values = [sum(map(mul, g, r)) for r, _ in rays]
@@ -212,7 +230,9 @@ def _rays(rows: list[Row], dim: int, point: Row | None) -> tuple[list[Row], list
     system (86 rows, 20 rays) has 38 against 118 and takes 2.6-3.3 ms
     against 10-16 ms (best of 7, 2-vCPU Xeon VM).  A row's tight set has
     bit k set iff ray k is tight on it: the bit transpose of the rays' zero
-    sets, read column by column from their binary strings.
+    sets, read column by column from their binary strings.  The facets are
+    the maximal tight sets of the rows not tight on every ray, which
+    :func:`is_implied` finds once per description (:func:`_maximal`).
     """
     point = point or (1,) * dim
     order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
@@ -226,6 +246,21 @@ def _rays(rows: list[Row], dim: int, point: Row | None) -> tuple[list[Row], list
     for b, column in enumerate(zip(*strings)):
         tight[order[b]] = int("".join(column), 2)
     return rays, tight
+
+
+def _maximal(sets: Iterable[int]) -> set[int]:
+    """The maximal bitmasks among distinct ``sets`` under inclusion.
+
+    By descending popcount, each set is compared only with the maxima found
+    so far: a set inside a non-maximal one is inside that one's maximum,
+    which has more bits and came earlier, and no set strictly contains
+    another of the same popcount.
+    """
+    maxima: list[int] = []
+    for z in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(z & m == z for m in maxima):
+            maxima.append(z)
+    return set(maxima)
 
 
 def is_implied(cone: Cone, i: int) -> bool:
@@ -245,6 +280,7 @@ def is_implied(cone: Cone, i: int) -> bool:
         rays, tight = _rays([cone.rows[j] for j in active], len(phi), cone.point)
         cone._tight, cone._counts = dict(zip(active, tight)), Counter(tight)
         cone._every, cone._pivots = (1 << len(rays)) - 1, None
+        cone._facets = _maximal(z for z in cone._counts if z != cone._every)
     tight, every, counts = cone._tight, cone._every, cone._counts
     zi = tight[i]
     if zi == every:
@@ -262,8 +298,7 @@ def is_implied(cone: Cone, i: int) -> bool:
     else:
         # a face strictly inside another proper face is no facet; a facet
         # is implied iff another active row defines it too
-        facet = not any(z != every and z != zi and z & zi == zi for z in counts)
-        implied = not facet or counts[zi] > 1
+        implied = zi not in cone._facets or counts[zi] > 1
     if implied:
         cone._implied = i
     return implied

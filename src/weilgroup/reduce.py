@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Literal, NamedTuple, Sequence
 
-from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, is_strict, lambda_of
+from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .partitions import as_size
@@ -182,9 +182,9 @@ def reduce_system(
         structural: list[SmithInequality] = []
         for p in range(1, n):
             for tri in enumerate_T_st(s, t, p, "tilde", table=table):
-                (cands if is_strict(tri, s, t) else structural).append(
-                    _restricted(tri, s, t)
-                )
+                iq = _restricted(tri, s, t)
+                # strict (horn.is_strict) iff the restriction keeps all p indices of I and J
+                (cands if len(iq.a_idx) + len(iq.b_idx) == p else structural).append(iq)
         sizes = (s, t, n)
         rows = {iq: _functional(*iq.key(), sizes) for iq in cands}
         base = _base_rows(sizes, True)

@@ -29,7 +29,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .horn import HornTriple, enumerate_T_st
+from .horn import HornTriple, block_split, enumerate_T_st
 from .partitions import as_partition, as_size, partitions_of
 
 DESK_SCALE_TOTAL = 6
@@ -92,13 +92,11 @@ class SmithSystem(NamedTuple):
 
 
 def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
+    """The row of ``triple`` on a, b and c: I and J cut at their
+    :func:`~weilgroup.horn.block_split`."""
     I, J, K = triple
-    return SmithInequality(
-        a_idx=tuple(i for i in I if i <= s),
-        b_idx=tuple(j for j in J if j <= t),
-        c_idx=K,
-        triple=triple,
-    )
+    a, b = block_split(triple, s, t)
+    return SmithInequality(a_idx=I[:a], b_idx=J[:b], c_idx=K, triple=triple)
 
 
 def inequality_system(s: int, t: int) -> SmithSystem:

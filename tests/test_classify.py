@@ -43,6 +43,9 @@ from weilgroup.weil import (
     shape_of,
 )
 
+# each child finishes in under 1.5 s: a wrong rule must fail the test, not hang it
+CHILD_TIMEOUT_S = 60
+
 
 def hull(profile):
     """The integer Newton hull whose slopes are the valuations in ``profile``."""
@@ -482,7 +485,8 @@ def test_classify_does_not_import_scipy():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT_S, check=True,
     )
     assert out.stdout.strip() == "False"
 
@@ -494,7 +498,8 @@ def test_sextic_corpus_script_runs():
                           "classify_sextic_corpus.py")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, script, "--limit", "5"], env=env, capture_output=True, text=True
+        [sys.executable, script, "--limit", "5"], env=env, capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT_S,
     )
     assert out.returncode == 0, out.stderr
     assert "shape=" in out.stdout

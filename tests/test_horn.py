@@ -88,6 +88,20 @@ def test_T2_three_inequality_criterion(n):
     assert enumerate_T(n, 2, allow_large=True) == t2_criterion(n)
 
 
+def dual_triples(triples, n):
+    """Each triple with X -> {n+1-i : i not in X} applied to I, J and K, sorted."""
+    def dual(X):
+        return tuple(sorted(n + 1 - i for i in range(1, n + 1) if i not in X))
+    return tuple(sorted(HornTriple(dual(I), dual(J), dual(K)) for I, J, K in triples))
+
+
+@pytest.mark.parametrize("n", range(8, 11))
+def test_T_codimension_two_is_dual_of_T2(n):
+    """Gr(r, n) = Gr(n-r, n) makes T^n_{n-2} the dual of T^n_2, here beyond
+    the desk scale of the reference recursion."""
+    assert enumerate_T(n, n - 2, allow_large=True) == dual_triples(t2_criterion(n), n)
+
+
 def complement_family(n):
     full = set(range(1, n + 1))
     out = set()
@@ -297,8 +311,9 @@ def test_table_memoization():
     first = table.T(5, 2)
     assert table.T(5, 2) is first
     assert HornTable().T(5, 2) == first
-    # a fresh table starts cold and builds only what T^6_3 recurses into
+    # a fresh table starts cold and builds only what T^6_3 recurses into;
+    # T^3_2 is the dual of T^3_1, so T^2_1 is not built
     fresh = HornTable()
     assert fresh._tables == {}
     fresh.T(6, 3)
-    assert set(fresh._tables) == {(6, 3), (3, 2), (3, 1), (2, 1)}
+    assert set(fresh._tables) == {(6, 3), (3, 2), (3, 1)}

@@ -32,6 +32,9 @@ from test_oracle import conjugate
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
 
+# each child finishes in under 1.5 s: a wrong rule must fail the test, not hang it
+CHILD_TIMEOUT_S = 60
+
 
 def _verdict_cases():
     return [
@@ -428,7 +431,8 @@ def test_reduce_path_avoids_scipy_linprog():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT_S, check=True,
     )
     assert out.stdout.strip() == "[]"
 

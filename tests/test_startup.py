@@ -10,11 +10,15 @@ import pytest
 
 from weilgroup.cli import main
 
+# each child finishes in under 1.5 s: a wrong rule must fail the test, not hang it
+CHILD_TIMEOUT_S = 60
+
 
 def _fresh(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT_S,
     )
 
 
