@@ -58,6 +58,7 @@ from .partitions import merge_sorted
 from .weil import (
     DispatchPlan,
     FactoredShape,
+    NotPrimeError,
     SizeLimitError,
     UnsupportedShapeError,
     WeilPolynomial,
@@ -208,7 +209,8 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     backing the classification assumes l != p.
 
     Without ``only_l``, |f(1)| must be below ``polygon.PRIME_TEST_LIMIT``
-    (about 3.3e24, where primality is decided), else SizeLimitError.
+    (about 3.3e24, where primality is decided), else SizeLimitError.  An
+    ``only_l`` that is not a prime below that limit raises NotPrimeError.
     """
     shape = factor_weil(weil)
     plan = shape_of(shape)
@@ -219,7 +221,7 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
         )
     order = group_order(weil)
     if only_l is not None:
-        primes = [as_prime(only_l)]
+        primes = [as_prime(only_l, NotPrimeError)]
     else:
         primes = _prime_factors(order)
     notices = []

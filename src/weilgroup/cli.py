@@ -239,7 +239,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import verify_paper_lists  # loaded on demand, like weilgroup.verify_paper_lists
+    from .verify import verify_paper_lists  # loaded on demand, like reduce and the oracles
 
     report = verify_paper_lists()
     if args.json:

@@ -208,11 +208,9 @@ def enumerate_T(
     return tab.T(n, p)
 
 
-def lambda_of(I: Sequence[int], p: int | None = None) -> tuple[int, ...]:
+def lambda_of(I: Sequence[int]) -> tuple[int, ...]:
     """Partition (i_p - p >= ... >= i_1 - 1) of an index set 1 <= i_1 < ... < i_p."""
     I = as_integers(I)
-    if p is not None and len(I) != as_size(p, "p"):
-        raise ValueError(f"expected {p} indices, got {len(I)}")
     if not all(a < b for a, b in zip((0, *I), I)):
         raise ValueError(f"indices must increase strictly from 1: {I}")
     p = len(I)

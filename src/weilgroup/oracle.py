@@ -99,7 +99,8 @@ def _diagonalize(matrix: list[list[int]]) -> list[int]:
     """Diagonalize by unimodular row/column operations; returns the diagonal.
 
     No divisibility normalization: the multiset of l-adic valuations of any
-    unimodular diagonalization already equals that of the Smith form.
+    unimodular diagonalization already equals that of the Smith form.  A
+    singular matrix raises ValueError: its cokernel is infinite.
     """
     m = [row[:] for row in matrix]
     n = len(m)
@@ -113,8 +114,7 @@ def _diagonalize(matrix: list[list[int]]) -> list[int]:
                     if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
-                diag.append(0)
-                break
+                raise ValueError("matrix is singular: cokernel is infinite")
             bi, bj = best
             m[top], m[bi] = m[bi], m[top]
             for row in m:
@@ -138,12 +138,6 @@ def _diagonalize(matrix: list[list[int]]) -> list[int]:
             if done:
                 diag.append(piv)
                 break
-        else:
-            continue
-        if diag[-1] == 0:
-            break
-    while len(diag) < n:
-        diag.append(0)
     return diag
 
 
@@ -159,8 +153,6 @@ def smith_invariants(matrix: Sequence[Sequence[int]], l: int) -> tuple[int, ...]
         raise ValueError("matrix must be square and nonempty")
     l = as_prime(l)
     diag = _diagonalize([list(as_integers(row)) for row in matrix])
-    if any(d == 0 for d in diag):
-        raise ValueError("matrix is singular: cokernel is infinite")
     return tuple(sorted((valuation(d, l) for d in diag), reverse=True))
 
 

@@ -61,6 +61,10 @@ class SizeLimitError(WeilError):
     code = "SizeLimit"  # q or f(1) not below polygon.PRIME_TEST_LIMIT
 
 
+class NotPrimeError(WeilError):
+    code = "NotPrime"  # classify_all's only_l is not a prime below PRIME_TEST_LIMIT
+
+
 def _iroot(n: int, r: int) -> int:
     """floor(n^(1/r)) for n >= 1, by Newton's method from above."""
     x = 1 << -(-n.bit_length() // r)

@@ -34,6 +34,7 @@ from weilgroup.polygon import (
 )
 from weilgroup.polygon import transform_one_minus_t
 from weilgroup.weil import (
+    NotPrimeError,
     SizeLimitError,
     UnsupportedShapeError,
     factor_weil,
@@ -225,11 +226,13 @@ def test_valuation_rejects_l_below_two(l):
 @pytest.mark.parametrize("l", [-1, 0, 1, 4])
 def test_groups_wrappers_reject_non_prime_l(coeffs, kind, l):
     """classify_all with only_l rejects a non-prime l on each of these
-    routes at q = 9, with the polygon layer's message, before any valuation."""
+    routes at q = 9 with NotPrimeError, a WeilError of code NotPrime that
+    carries the polygon layer's message, before any valuation."""
     w = parse_and_validate(coeffs, 9)
     assert shape_of(factor_weil(w)).kind == kind
-    with pytest.raises(ValueError) as route_error:
+    with pytest.raises(NotPrimeError) as route_error:
         classify_all(w, only_l=l)
+    assert route_error.value.code == "NotPrime"
     with pytest.raises(PolygonError) as polygon_error:
         newton_polygon((1, 1), l)
     assert str(route_error.value) == str(polygon_error.value) == f"l={l} is not prime"

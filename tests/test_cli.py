@@ -55,6 +55,8 @@ def test_classify_domain_error_exit_code(run):
     code, _out, err = run("classify", "--q", "2", "--poly", "1,-3,2")
     assert code == 1
     assert "RootModulus" in err
+    code, out, err = run("classify", "--q", "2", "--poly", "1,-1,2", "--l", "4")
+    assert (code, out, err) == (1, "", "error: NotPrime: l=4 is not prime\n")
 
 
 def test_classify_sign_flag(run):

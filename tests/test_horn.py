@@ -137,16 +137,12 @@ def test_desk_scale_guard():
 
 def test_lambda_examples():
     assert lambda_of((1, 2, 3)) == (0, 0, 0)
-    assert lambda_of((2, 4), 2) == (2, 1)
-    assert lambda_of((1, 3, 6), 3) == (3, 1, 0)
-    with pytest.raises(ValueError):
-        lambda_of((1, 2), 3)
+    assert lambda_of((2, 4)) == (2, 1)
+    assert lambda_of((1, 3, 6)) == (3, 1, 0)
     # not an index set 1 <= i_1 < ... < i_p: no partition to attach
     for I in ((2, 1), (0, 1), (1, 1), (-1, 2), (1.5, 2)):
         with pytest.raises(ValueError):
             lambda_of(I)
-    with pytest.raises(ValueError):
-        lambda_of((1, 2), 2.0)
 
 
 @given(st.sets(st.integers(1, 9), min_size=1, max_size=5))

@@ -23,7 +23,7 @@ from weilgroup.polygon import (
     transform_one_minus_t,
     valuation,
 )
-from weilgroup.weil import parse_and_validate
+from weilgroup.weil import NotPrimeError, parse_and_validate
 
 
 def verts(poly):
@@ -252,7 +252,7 @@ def test_dominance_needs_integer_hodge_heights():
     "call, error",
     [
         (lambda l: newton_polygon((1, 1), l), PolygonError),
-        (lambda l: classify_all(parse_and_validate([1, 0, 2], 2), only_l=l), ValueError),
+        (lambda l: classify_all(parse_and_validate([1, 0, 2], 2), only_l=l), NotPrimeError),
         (lambda l: smith_invariants([[1, 0], [0, 4]], l), ValueError),
     ],
     ids=["newton_polygon", "classify_all", "smith_invariants"],

@@ -1,12 +1,13 @@
 """The result records are immutable, hashable where their fields are,
-picklable, and print as ``Name(field=value, ...)`` with their fields in
-declaration order."""
+picklable, print as ``Name(field=value, ...)`` with their fields in
+declaration order, and equal the plain tuple of their values."""
 
 import pickle
 
 import pytest
 
 from weilgroup.classify import Classification, classify_all
+from weilgroup.horn import HornTriple
 from weilgroup.polygon import newton_polygon
 from weilgroup.reduce import reduce_system
 from weilgroup.smith import SmithInequality, inequality_system
@@ -22,6 +23,7 @@ RECORDS = {  # name -> (record, its fields in order)
         shape_of(factor_weil(_WEIL)),
         ("kind", "factors", "real_eigenvalue", "sign", "r", "s"),
     ),
+    "HornTriple": (HornTriple((1, 3), (2, 3), (3, 4)), ("I", "J", "K")),
     "LatticePolygon": (newton_polygon([1, 0, 3, 2, 6, 0, 8], 2), ("vertices",)),
     "SmithInequality": (
         inequality_system(2, 1).inequalities[0],
@@ -52,6 +54,7 @@ def test_record_contract(name):
         assert hash(back) == hash(rec)
     body = ", ".join(f"{f}={getattr(rec, f)!r}" for f in fields)
     assert repr(rec) == f"{name}({body})"
+    assert isinstance(rec, tuple) and rec == tuple(getattr(rec, f) for f in fields)
 
 
 def test_record_defaults():

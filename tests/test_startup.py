@@ -32,7 +32,30 @@ EAGER = [
     "weilgroup.smith",
     "weilgroup.weil",
 ]
-LAZY = {
+# the question, and all that ``import weilgroup`` exports
+FRONT_DOOR = ["Classification", "WeilError", "WeilPolynomial", "classify_all", "parse_and_validate"]
+# names the package once re-exported, each still importable from its module
+DROPPED = {
+    "HornTriple": "horn",
+    "complement_triple": "horn",
+    "enumerate_T": "horn",
+    "enumerate_T_st": "horn",
+    "enumerate_U": "horn",
+    "eval_inequality": "horn",
+    "lambda_of": "horn",
+    "LatticePolygon": "polygon",
+    "hodge_polygon": "polygon",
+    "newton_polygon": "polygon",
+    "np_dominates_hp": "polygon",
+    "transform_one_minus_t": "polygon",
+    "enumerate_cokernels": "smith",
+    "feasible_triple": "smith",
+    "inequality_system": "smith",
+    "FactoredShape": "weil",
+    "factor_weil": "weil",
+    "group_order": "weil",
+    "root_valuations": "weil",
+    "shape_of": "weil",
     "reduce_system": "reduce",
     "lr_coefficient": "oracle",
     "matrix_cokernel_oracle": "oracle",
@@ -57,15 +80,17 @@ def test_import_contract():
     """``import weilgroup`` loads exactly what a classify request executes, so
     no import moves into a first request, and nothing else: not the
     reductions, the LP, the oracles or the paper verification, nor
-    ``dataclasses``, ``fractions`` or ``random``."""
+    ``dataclasses``, ``fractions`` or ``random``.  It exports the question
+    and nothing more, with no module ``__getattr__`` or ``__dir__``."""
     script = (
         "import sys, weilgroup\n"
         f"print({LOADED})\n"
         "print(sorted({'dataclasses', 'fractions', 'random'} & set(sys.modules)))\n"
-        "print(sorted(set(weilgroup.__all__) - set(dir(weilgroup))))\n"
+        "print(sorted(weilgroup.__all__))\n"
         "ns = {}\n"
         "exec('from weilgroup import *', ns)\n"
-        "print(sorted(set(weilgroup.__all__) - set(ns)))\n"
+        "print(sorted(set(ns) - {'__builtins__'}))\n"
+        "print(sorted({'__getattr__', '__dir__'} & set(vars(weilgroup))))\n"
         "try:\n"
         "    weilgroup.no_such_name\n"
         "except AttributeError as exc:\n"
@@ -78,32 +103,27 @@ def test_import_contract():
     assert out.stdout.splitlines() == [
         str(EAGER),
         "[]",
-        "[]",
+        str(FRONT_DOOR),
+        str(FRONT_DOOR),
         "[]",
         "module 'weilgroup' has no attribute 'no_such_name'",
     ]
 
 
-@pytest.mark.parametrize(
-    "access",
-    ["value = weilgroup.{name}", "from weilgroup import {name} as value"],
-    ids=["attribute", "from_import"],
-)
-@pytest.mark.parametrize("name", sorted(LAZY))
-def test_lazy_name_loads_its_module(name, access):
-    """Each lazy name loads its module on first use, as an attribute and
-    through ``from weilgroup import``, and is then a plain module global."""
-    module = f"weilgroup.{LAZY[name]}"
+def test_dropped_names_resolve_in_their_modules():
+    """Every name the package no longer exports is importable from its own
+    module, and is not an attribute of the package."""
     script = (
-        "import sys, weilgroup\n"
-        f"print({module!r} in sys.modules)\n"
-        f"{access.format(name=name)}\n"
-        f"print({module!r} in sys.modules, value is sys.modules[{module!r}].{name},"
-        f" {name!r} in vars(weilgroup))\n"
+        "import importlib, weilgroup\n"
+        f"dropped = {DROPPED!r}\n"
+        "print(sorted(n for n, m in dropped.items()"
+        " if not hasattr(importlib.import_module('weilgroup.' + m), n)))\n"
+        "print(sorted(n for n in dropped if hasattr(weilgroup, n)))\n"
     )
     out = _fresh("-S", "-c", script)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["False", "True True True"]
+    assert len(DROPPED) == 26
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_classify_routes_load_only_the_eager_set():
