@@ -126,6 +126,35 @@ def test_dropped_names_resolve_in_their_modules():
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
+# the dropped names whose modules lie outside the eager set
+LAZY = {name: module for name, module in DROPPED.items() if f"weilgroup.{module}" not in EAGER}
+
+
+@pytest.mark.parametrize(
+    "access",
+    ["import weilgroup.{module} as mod\nvalue = mod.{name}",
+     "from weilgroup.{module} import {name} as value"],
+    ids=["attribute", "from_import"],
+)
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_lazy_name_loads_its_module(name, access):
+    """Each name outside the eager set loads its module only on first use,
+    as an attribute of that module and through ``from ... import``, is then
+    that module's global, and never becomes a package attribute."""
+    module = f"weilgroup.{LAZY[name]}"
+    script = (
+        "import sys, weilgroup\n"
+        f"print({module!r} in sys.modules)\n"
+        f"{access.format(module=LAZY[name], name=name)}\n"
+        f"print({module!r} in sys.modules, value is sys.modules[{module!r}].{name},"
+        f" {name!r} in vars(weilgroup))\n"
+    )
+    out = _fresh("-S", "-c", script)
+    assert len(LAZY) == 6
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", "True True False"]
+
+
 def test_classify_routes_load_only_the_eager_set():
     """``classify_all`` on one input of every route kind loads no module
     beyond the ones ``import weilgroup`` loads eagerly."""
