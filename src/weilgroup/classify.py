@@ -143,12 +143,15 @@ _SMALL_PRIMES = tuple(sorted(  # the 168 primes below 1000, by the sieve of Erat
     set(range(2, 1000)).difference(*(range(d * d, 1000, d) for d in range(2, 32)))))
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int, factors: Sequence[tuple[Sequence[int], int]] = ()) -> list[int]:
     """Distinct primes dividing n >= 1, ascending; n >= PRIME_TEST_LIMIT
     raises SizeLimitError.  Trial division by the primes below 1000 stops
     at the first prime d with d * d > n, where the unfactored part is 1 or
     a proven prime.  If the primes run out first, the cofactor goes to
-    ``is_prime`` and Pollard's rho."""
+    ``is_prime``.  A composite part is split by its gcd with h(1) for each
+    (h, m) of ``factors``, a factorization f = prod h^m with n = |f(1)|,
+    so that n = prod |h(1)|^m; only a part that no h(1) splits goes to
+    Pollard's rho."""
     if n >= PRIME_TEST_LIMIT:
         raise SizeLimitError(f"f(1) = {n} is not below the size limit {PRIME_TEST_LIMIT}")
     out = []
@@ -165,7 +168,8 @@ def _prime_factors(n: int) -> list[int]:
         if is_prime(m):
             out.append(m)
         else:
-            div = _rho_divisor(m)
+            div = next((d for h, _ in factors if 1 < (d := math.gcd(m, sum(h))) < m), None)
+            div = div or _rho_divisor(m)
             rest += [div, m // div]
     return sorted(set(out))
 
@@ -223,7 +227,7 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     if only_l is not None:
         primes = [as_prime(only_l, NotPrimeError)]
     else:
-        primes = _prime_factors(order)
+        primes = _prime_factors(order, shape.factors)
     notices = []
     if weil.p in primes:
         notices.append(

@@ -47,9 +47,13 @@ either no facet, and whether a set is maximal never depends on a set
 strictly inside another, or one of several rows on its facet, whose
 tight set stays among the active rows'.
 
-In the lineality step of a description a vector or ray on which the new
-row vanishes is kept as it is: it is primitive, so the combination would
-return it unchanged.
+A step of a description takes the new row's product with each lineality
+vector and each ray once, and keeps the rays in one list and their zero
+sets in another, parallel to it.  In the lineality step a vector or ray
+on which the new row vanishes is kept as it is: it is primitive, so the
+combination would return it unchanged.  A row that is negative on no ray
+leaves the rays as they are and only marks those it vanishes on, with no
+adjacency test.
 
 Insertion order decides only the cost of a description, never a verdict.
 The rows of a cone go in by increasing value at a reference point of it,
@@ -147,16 +151,25 @@ def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row], list[i
     Double description from the whole space: rows go in in the order
     given, which decides only the cost, and each ray carries the bitmask
     of inserted rows it is tight on, bit k for ``rows[k]``: its zero set.
-    A row that is nonzero on the lineality space turns one lineality
-    vector into a ray; otherwise each pair of rays on opposite sides gives
-    a new ray iff they are adjacent, which is decided combinatorially: no
-    third ray is tight on every row both are tight on.
+    Rays and zero sets are two parallel lists.  A step takes the row's
+    product with each lineality vector, and then with each ray, once:
+
+    * a row that is nonzero on the lineality space turns one lineality
+      vector into a ray, and every other vector and ray is combined with
+      it so that the row vanishes there;
+    * a row that is negative on no ray cuts nothing off: it only marks
+      the rays it vanishes on;
+    * otherwise the rays it is negative on go, and each pair of rays on
+      opposite sides gives a new ray iff they are adjacent, which is
+      decided combinatorially: no third ray is tight on every row both
+      are tight on.
 
     That test is one integer subtraction per pair.  Before row ``bit``
     goes in, every mask uses rows 0..bit-1 only, so ray k's complement
     zero set ``(mask - 1) ^ z_k`` fits below bit W - 1 of a byte-aligned
     W-bit field, W = 8 (bit // 8 + 1), whose top bit is a guard; ``nz``
-    packs them all, field k for ray k, every guard set.  Let R hold 1 and
+    packs them all, field k for ray k, every guard set: the zero sets
+    are packed as they are and complemented by one xor.  Let R hold 1 and
     G the guard in every field.  ``nz & (common * R | G)`` holds, in field
     k, the guard plus the rows of ``common`` that ray k is not tight on,
     and or-ing 1 into the fields of p and q leaves both nonzero below the
@@ -164,54 +177,70 @@ def linprog(rows: Sequence[Row], dim: int) -> tuple[list[Row], list[Row], list[i
     nonzero below its guard keeps the guard, a field that is zero there
     loses it, and since every field is at least 1 no borrow leaves it.
     So every guard survives iff no third ray is tight on all of
-    ``common``: the pair is adjacent.
+    ``common``: the pair is adjacent.  A row whose length is not ``dim``
+    is refused.
     """
+    for k, g in enumerate(rows):
+        if len(g) != dim:
+            raise ValueError(f"row {k} {tuple(g)} has length {len(g)}, not dim={dim}")
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[Row, int]] = []
+    rays: list[Row] = []
+    masks: list[int] = []  # masks[k] is the zero set of rays[k]
     for bit, g in enumerate(rows):
         mask = 1 << bit
-        k = next((k for k, v in enumerate(lineality) if _dot(g, v)), None)
-        if k is not None:
-            pivot = lineality.pop(k)
-            gp = _dot(g, pivot)
+        if lineality and any(dots := [sum(map(mul, g, v)) for v in lineality]):
+            k = dots.index(next(filter(None, dots)))  # the first nonzero product
+            pivot, gp = lineality.pop(k), dots.pop(k)
             if gp < 0:
                 gp, pivot = -gp, tuple(-x for x in pivot)
             # a primitive vector on which g vanishes is its own combination
-            lineality = [
-                _combine(gp, v, -d, pivot) if (d := _dot(g, v)) else v for v in lineality
-            ]
-            rays = [
-                (_combine(gp, r, -d, pivot) if (d := _dot(g, r)) else r, z | mask)
-                for r, z in rays
-            ]
-            rays.append((pivot, mask - 1))
+            lineality = [_combine(gp, v, -d, pivot) if d else v for v, d in zip(lineality, dots)]
+            rays = [_combine(gp, r, -d, pivot) if (d := sum(map(mul, g, r))) else r for r in rays]
+            masks = [z | mask for z in masks]
+            rays.append(pivot)
+            masks.append(mask - 1)
             continue
-        values = [sum(map(mul, g, r)) for r, _ in rays]
-        pos = [k for k, v in enumerate(values) if v > 0]
-        neg = [k for k, v in enumerate(values) if v < 0]
-        new = [(r, z | mask if v == 0 else z) for (r, z), v in zip(rays, values) if v >= 0]
-        if pos and neg:
+        values = [sum(map(mul, g, r)) for r in rays]
+        if min(values, default=0) >= 0:
+            # g cuts nothing off: its zero rays become tight on it
+            if 0 in values:
+                masks = [z if v else z | mask for z, v in zip(masks, values)]
+            continue
+        pos: list[int] = []
+        neg: list[int] = []
+        new_rays: list[Row] = []
+        new_masks: list[int] = []
+        for k, v in enumerate(values):
+            if v > 0:
+                pos.append(k)
+                new_rays.append(rays[k])
+                new_masks.append(masks[k])
+            elif v:
+                neg.append(k)
+            else:
+                new_rays.append(rays[k])
+                new_masks.append(masks[k] | mask)
+        if pos:
             need = dim - len(lineality) - 2  # tight rows a 2-face needs
             nbytes = bit // 8 + 1
             width = 8 * nbytes
             ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * len(rays), "little")
             guards = ones << (width - 1)
-            nz = guards | int.from_bytes(
-                b"".join(((mask - 1) ^ z).to_bytes(nbytes, "little") for _, z in rays), "little"
-            )
+            packed = int.from_bytes(b"".join([z.to_bytes(nbytes, "little") for z in masks]), "little")
+            nz = guards | ((mask - 1) * ones ^ packed)
             for p in pos:
-                rp, zp = rays[p]
+                rp, zp, vp = rays[p], masks[p], values[p]
                 mark = 1 << (width * p)
                 for q in neg:
-                    rq, zq = rays[q]
-                    common = zp & zq
+                    common = zp & masks[q]
                     if common.bit_count() < need or (
                         (nz & (common * ones | guards) | mark | 1 << (width * q)) - ones
                     ) & guards != guards:
                         continue
-                    new.append((_combine(values[p], rq, -values[q], rp), common | mask))
-        rays = new
-    return [r for r, _ in rays], lineality, [z for _, z in rays]
+                    new_rays.append(_combine(vp, rays[q], -values[q], rp))
+                    new_masks.append(common | mask)
+        rays, masks = new_rays, new_masks
+    return rays, lineality, masks
 
 
 def _rays(rows: list[Row], dim: int, point: Row | None) -> tuple[list[Row], list[int]]:
@@ -236,7 +265,7 @@ def _rays(rows: list[Row], dim: int, point: Row | None) -> tuple[list[Row], list
     """
     point = point or (1,) * dim
     order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
-    order.sort(key=lambda b: _dot(rows[b], point))
+    order.sort(key=[_dot(row, point) for row in rows].__getitem__)
     rays, _, masks = linprog([rows[b] for b in order], dim)
     width = len(rows)
     tight = [0] * width
@@ -258,7 +287,10 @@ def _maximal(sets: Iterable[int]) -> set[int]:
     """
     maxima: list[int] = []
     for z in sorted(sets, key=int.bit_count, reverse=True):
-        if not any(z & m == z for m in maxima):
+        for m in maxima:
+            if z & m == z:
+                break
+        else:
             maxima.append(z)
     return set(maxima)
 

@@ -186,21 +186,23 @@ def reduce_system(
                 # strict (horn.is_strict) iff the restriction keeps all p indices of I and J
                 (cands if len(iq.a_idx) + len(iq.b_idx) == p else structural).append(iq)
         sizes = (s, t, n)
-        rows = {iq: _functional(*iq.key(), sizes) for iq in cands}
+        rows = [_functional(*iq.key(), sizes) for iq in cands]  # parallel to cands
         base = _base_rows(sizes, True)
         if scalar_b:
-            rows = {iq: _scalarize_b(r, s, t) for iq, r in rows.items()}
             base = _scalar_base(base, s, t)
-            seen: dict[tuple[int, ...], SmithInequality] = {}
+            seen: set[tuple[int, ...]] = set()
             merged: list[SmithInequality] = []
-            for iq in cands:
-                if rows[iq] in seen:
+            merged_rows: list[tuple[int, ...]] = []
+            for iq, row in zip(cands, rows):
+                row = _scalarize_b(row, s, t)
+                if row in seen:
                     structural.append(iq)
                 else:
-                    seen[rows[iq]] = iq
+                    seen.add(row)
                     merged.append(iq)
-            cands = merged
-        cone = Cone([rows[iq] for iq in cands] + base, _direct_sum_point(s, t, scalar_b))
+                    merged_rows.append(row)
+            cands, rows = merged, merged_rows
+        cone = Cone(rows + base, _direct_sum_point(s, t, scalar_b))
         kept: list[SmithInequality] = []
         removed: list[SmithInequality] = []
         for k, iq in enumerate(cands):

@@ -10,6 +10,7 @@ from math import comb, isqrt
 import numpy as np
 import pytest
 
+import weilgroup.classify
 from weilgroup.classify import (
     _prime_factors,
     _route_groups,
@@ -95,6 +96,23 @@ def test_prime_factors():
     assert _prime_factors(PRIME_TEST_LIMIT - 1) == [2, 3, 5, 127, 18778597, 858557454841]
     with pytest.raises(SizeLimitError):
         _prime_factors(PRIME_TEST_LIMIT)
+
+
+def test_reducible_f1_is_split_by_its_factors_values(monkeypatch):
+    """f = (t^2 - t + q)(t^2 + 1073 t + q) at the prime q = 1818831969509:
+    f(1) = q (q + 1074) is a balanced 82-bit semiprime, and each factor's
+    value at 1 splits it without Pollard's rho."""
+    q = 1818831969509
+    weil = parse_and_validate(poly_mul((1, -1, q), (1, 1073, q)), q)
+
+    def no_rho(n):
+        raise AssertionError(f"Pollard's rho called on {n}")
+
+    monkeypatch.setattr(weilgroup.classify, "_rho_divisor", no_rho)
+    groups = classify_all(weil).groups
+    assert sorted(groups) == [q, q + 1074]
+    for l, answer in groups.items():
+        assert classify_all(weil, only_l=l).groups == {l: answer}
 
 
 def scalar_power(root, s):

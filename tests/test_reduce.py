@@ -101,6 +101,25 @@ def test_double_description_with_lineality():
     assert is_implied(Cone([(1, 0, -1), *rows]), 0)
 
 
+def test_row_negative_on_no_ray_marks_the_rays_it_vanishes_on():
+    # x >= 0 and y >= 0 give the rays (1, 0) and (0, 1); x + y >= 0 cuts
+    # nothing off and vanishes on neither, a second x >= 0 vanishes on (0, 1)
+    assert linprog([(1, 0), (0, 1), (1, 1)], 2) == ([(1, 0), (0, 1)], [], [0b010, 0b001])
+    assert linprog([(1, 0), (0, 1), (1, 0)], 2) == ([(1, 0), (0, 1)], [], [0b010, 0b101])
+    assert linprog([(1, 0), (0, 1), (2, 0)], 2)[2] == [0b010, 0b101]
+
+
+def test_linprog_refuses_rows_of_another_length():
+    # a longer row would lose its last coefficients to map, a shorter one
+    # would be read as padded with zeros
+    with pytest.raises(ValueError, match=r"^row 0 \(1, 0, 5\) has length 3, not dim=2$"):
+        linprog([(1, 0, 5)], 2)
+    with pytest.raises(ValueError, match=r"^row 0 \(1,\) has length 1, not dim=2$"):
+        linprog([(1,)], 2)
+    with pytest.raises(ValueError, match=r"^row 2 \(0, 1, 1\) has length 3"):
+        linprog([(1, 0), (0, 1), (0, 1, 1)], 2)
+
+
 def _scan_linprog(rows, dim):
     """The double description with adjacency decided by a scan over every
     other ray: the reference for the packed test in ``linprog``."""
