@@ -165,12 +165,11 @@ def _cmd_horn_triples(args) -> int:
 def _cmd_horn_reduce(args) -> int:
     from .reduce import reduce_system  # loaded on demand, like the oracles and verify
     result = reduce_system(args.s, args.t, args.mode, scalar_b=args.scalar_b)
-    pretty = (lambda iq: iq.pretty_scalar_b()) if args.scalar_b else (lambda iq: iq.pretty())
     payload = {
         "mode": result.mode,
-        "kept": [pretty(iq) for iq in result.kept],
-        "removed_structural": [pretty(iq) for iq in result.removed_structural],
-        "removed_implied": [pretty(iq) for iq in result.removed_implied],
+        "kept": [result._pretty(iq) for iq in result.kept],
+        "removed_structural": [result._pretty(iq) for iq in result.removed_structural],
+        "removed_implied": [result._pretty(iq) for iq in result.removed_implied],
     }
     _emit(args, payload, result.pretty_lines())
     return 0

@@ -33,8 +33,8 @@ T^n_{n-2} against the closed form of T^n_2 up to n = 10.
 
 The block restrictions T~^{s,t}_p and T^{s,t}_p select triples whose
 overflow above s (for I) and above t (for J) is an initial segment; the
-strict variant additionally requires #(I & M_s) + #(J & M_t) = p, tested
-per triple by :func:`is_strict` on the triple's :func:`block_split`.
+strict variant additionally requires #(I & M_s) + #(J & M_t) = p, the
+sum of the triple's :func:`block_split`.
 These encode the essential inequalities between Smith invariants of a
 block triangular matrix, see :mod:`weilgroup.smith`.
 """
@@ -293,15 +293,10 @@ def _overflow_shaped(n: int, s: int, p: int) -> dict[tuple[int, ...], int]:
 def block_split(triple: HornTriple, s: int, t: int) -> tuple[int, int]:
     """#(I & M_s) and #(J & M_t), each one bisection of a sorted index set.
 
-    The strict condition (:func:`is_strict`) and the restriction of a
-    triple to the blocks (``smith._restricted``) both read this split.
+    The triple is strict iff the two add up to p.  The restriction of a
+    triple to the blocks (``smith._restricted``) reads this split.
     """
     return bisect_right(triple.I, s), bisect_right(triple.J, t)
-
-
-def is_strict(triple: HornTriple, s: int, t: int) -> bool:
-    """The strict block condition #(I & M_s) + #(J & M_t) = p."""
-    return sum(block_split(triple, s, t)) == len(triple.I)
 
 
 def enumerate_T_st(
@@ -317,7 +312,7 @@ def enumerate_T_st(
 
     ``tilde`` keeps triples whose part of I above s and part of J above t
     are initial segments {s+1..s+alpha} and {t+1..t+beta}; ``strict``
-    additionally requires :func:`is_strict`.  Only those overflow-shaped I
+    additionally requires #(I & M_s) + #(J & M_t) = p.  Only those overflow-shaped I
     and J go through the packed test of :class:`HornTable`, so T^{s+t}_p
     itself is never built; the smaller tables its rows come from are.
     Above half size the duals of those I and J are selected at s+t-p and

@@ -57,15 +57,19 @@ class ReducedSystem(NamedTuple):
     removed_structural: tuple[SmithInequality, ...]
     removed_implied: tuple[SmithInequality, ...]
 
+    def _pretty(self, iq: SmithInequality) -> str:
+        """One row as this system prints it: a single b under scalar_b."""
+        return iq.pretty_scalar_b() if self.mode.endswith("+scalar_b") else iq.pretty()
+
     def pretty_lines(self) -> list[str]:
         lines = [f"minimal system for (s, t) = ({self.s}, {self.t}), mode {self.mode}"]
-        lines += ["  " + iq.pretty() for iq in self.kept]
+        lines += ["  " + self._pretty(iq) for iq in self.kept]
         if self.removed_structural:
             lines.append("removed without LP (outside the strict restriction):")
-            lines += ["  " + iq.pretty() for iq in self.removed_structural]
+            lines += ["  " + self._pretty(iq) for iq in self.removed_structural]
         if self.removed_implied:
             lines.append("removed as implied by the rest:")
-            lines += ["  " + iq.pretty() for iq in self.removed_implied]
+            lines += ["  " + self._pretty(iq) for iq in self.removed_implied]
         return lines
 
 
@@ -183,7 +187,7 @@ def reduce_system(
         for p in range(1, n):
             for tri in enumerate_T_st(s, t, p, "tilde", table=table):
                 iq = _restricted(tri, s, t)
-                # strict (horn.is_strict) iff the restriction keeps all p indices of I and J
+                # strict iff the restriction keeps all p indices of I and J
                 (cands if len(iq.a_idx) + len(iq.b_idx) == p else structural).append(iq)
         sizes = (s, t, n)
         rows = [_functional(*iq.key(), sizes) for iq in cands]  # parallel to cands

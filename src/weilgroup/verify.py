@@ -23,13 +23,12 @@ never silently patched.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import admissible_exponents, direct_sums, extensions
-from .horn import HornTriple, enumerate_T_st, is_strict
+from .horn import HornTriple
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .partitions import partitions_of
@@ -44,10 +43,33 @@ from .reduce import (
     reduce_system,
     redundant_members_full,
 )
-from .smith import SmithInequality, _restricted, format_inequality
+from .smith import SmithInequality, format_inequality
 
 M6 = tuple(range(1, 7))
 SIZES = (4, 2, 6)  # lengths of a, b and c in every sextic table
+
+# The size-3 family, printed in every table: its (I, K) pairs in printed
+# order, all with J = (1, 3, 4).  Every I ends in 5, so a row reads a = I
+# without its 5, b1 and c = K.  Each table has its own tags for them.
+_SIZE3_J = (1, 3, 4)
+SIZE3 = (
+    ((1, 2, 5), (1, 3, 6)),
+    ((1, 2, 5), (2, 3, 5)),
+    ((1, 3, 5), (1, 4, 6)),
+    ((1, 3, 5), (2, 3, 6)),
+    ((1, 3, 5), (2, 4, 5)),
+    ((1, 4, 5), (1, 5, 6)),
+    ((1, 4, 5), (2, 4, 6)),
+    ((2, 3, 5), (2, 4, 6)),
+    ((2, 3, 5), (3, 4, 5)),
+    ((2, 4, 5), (2, 5, 6)),
+    ((2, 4, 5), (3, 4, 5)),
+    ((3, 4, 5), (3, 5, 6)),
+)
+_OMITTED = SIZE3[2]  # a1+a3 against c1+c4+c6: absent from two summary lists
+# the p2q displays print tag [14] twice (a stray counter step); the first is [14]a here
+_P2Q_SIZE3_TAGS = ("[12]", "[13]", "[14]a", *(f"[{k}]" for k in range(14, 23)))
+_REAL_SQ_SIZE3_TAGS = tuple(f"[{k}]" for k in range(9, 21))
 
 
 def _without(universe: Sequence[int], *remove: int) -> tuple[int, ...]:
@@ -58,8 +80,7 @@ def _without(universe: Sequence[int], *remove: int) -> tuple[int, ...]:
 # verbatim transcription of the displayed tables
 
 
-@dataclass(frozen=True)
-class PublishedRow:
+class PublishedRow(NamedTuple):
     """One printed table row, expanded from its family over i.
 
     ``I``, ``J``, ``K`` are the printed index sets (J inferred from the
@@ -146,24 +167,8 @@ def published_rows_p2q() -> tuple[PublishedRow, ...]:
         add("[11]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
             _without(M6, 2, i + 1), (i,), (2,), (2, i + 1), "<=", i)
 
-    size3 = [
-        ("[12]", (1, 2, 5), (1, 3, 6)),
-        ("[13]", (1, 2, 5), (2, 3, 5)),
-        ("[14]", (1, 3, 5), (1, 4, 6)),
-        ("[14]", (1, 3, 5), (2, 3, 6)),  # printed twice: stray counter step
-        ("[15]", (1, 3, 5), (2, 4, 5)),
-        ("[16]", (1, 4, 5), (1, 5, 6)),
-        ("[17]", (1, 4, 5), (2, 4, 6)),
-        ("[18]", (2, 3, 5), (2, 4, 6)),
-        ("[19]", (2, 3, 5), (3, 4, 5)),
-        ("[20]", (2, 4, 5), (2, 5, 6)),
-        ("[21]", (2, 4, 5), (3, 4, 5)),
-        ("[22]", (3, 4, 5), (3, 5, 6)),
-    ]
-    for idx, (label, I, K) in enumerate(size3):
-        rid_extra = "a" if label == "[14]" and K == (1, 4, 6) else None
-        add(label + (rid_extra or ""), "size-3", I, (1, 3, 4), K,
-            tuple(x for x in I if x <= 4), (1,), K, ">=")
+    for label, (I, K) in zip(_P2Q_SIZE3_TAGS, SIZE3):
+        add(label, "size-3", I, _SIZE3_J, K, I[:-1], (1,), K, ">=")
     return tuple(rows)
 
 
@@ -199,23 +204,8 @@ def published_rows_real_sq() -> tuple[PublishedRow, ...]:
     for i in range(1, 4):
         add("[8]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
             _without(M6, 2, i + 1), (i,), 1, (2, i + 1), "<=", i)
-    size3 = [
-        ("[9]", (1, 2, 5), (1, 3, 6)),
-        ("[10]", (1, 2, 5), (2, 3, 5)),
-        ("[11]", (1, 3, 5), (1, 4, 6)),
-        ("[12]", (1, 3, 5), (2, 3, 6)),
-        ("[13]", (1, 3, 5), (2, 4, 5)),
-        ("[14]", (1, 4, 5), (1, 5, 6)),
-        ("[15]", (1, 4, 5), (2, 4, 6)),
-        ("[16]", (2, 3, 5), (2, 4, 6)),
-        ("[17]", (2, 3, 5), (3, 4, 5)),
-        ("[18]", (2, 4, 5), (2, 5, 6)),
-        ("[19]", (2, 4, 5), (3, 4, 5)),
-        ("[20]", (3, 4, 5), (3, 5, 6)),
-    ]
-    for label, I, K in size3:
-        add(label, "size-3", I, (1, 3, 4), K,
-            tuple(x for x in I if x <= 4), 1, K, ">=")
+    for label, (I, K) in zip(_REAL_SQ_SIZE3_TAGS, SIZE3):
+        add(label, "size-3", I, _SIZE3_J, K, I[:-1], 1, K, ">=")
     return tuple(rows)
 
 
@@ -253,21 +243,9 @@ def summary_list_p2q() -> tuple[PublishedRow, ...]:
         add("[10]", (i,), (2,), (1, i + 2), "<=", i)
     for i in range(1, 4):
         add("[11]", (i,), (2,), (2, i + 1), "<=", i)
-    size3 = [
-        ("[12]", (1, 2), (1, 3, 6)),
-        ("[13]", (1, 2), (2, 3, 5)),
-        ("[14]", (1, 3), (2, 3, 6)),
-        ("[15]", (1, 3), (2, 4, 5)),
-        ("[16]", (1, 4), (1, 5, 6)),
-        ("[17]", (1, 4), (2, 4, 6)),
-        ("[18]", (2, 3), (2, 4, 6)),
-        ("[19]", (2, 3), (3, 4, 5)),
-        ("[20]", (2, 4), (2, 5, 6)),
-        ("[21]", (2, 4), (3, 4, 5)),
-        ("[22]", (3, 4), (3, 5, 6)),
-    ]
-    for label, a_idx, c_idx in size3:
-        add(label, a_idx, (1,), c_idx, ">=")
+    for label, (I, K) in zip(_P2Q_SIZE3_TAGS, SIZE3):
+        if (I, K) != _OMITTED:
+            add(label, I[:-1], (1,), K, ">=")
     return tuple(rows)
 
 
@@ -299,33 +277,12 @@ def summary_list_real_sq(include_c1c4c6: bool) -> tuple[PublishedRow, ...]:
         add("[7]", (i,), 1, (1, i + 2), "<=", i)
     for i in range(1, 4):
         add("[8]", (i,), 1, (2, i + 1), "<=", i)
-    size3 = [
-        ("[9]", (1, 2), (1, 3, 6)),
-        ("[10]", (1, 2), (2, 3, 5)),
-        ("[11]", (1, 3), (1, 4, 6)),
-        ("[12]", (1, 3), (2, 3, 6)),
-        ("[13]", (1, 3), (2, 4, 5)),
-        ("[14]", (1, 4), (1, 5, 6)),
-        ("[15]", (1, 4), (2, 4, 6)),
-        ("[16]", (2, 3), (2, 4, 6)),
-        ("[17]", (2, 3), (3, 4, 5)),
-        ("[18]", (2, 4), (2, 5, 6)),
-        ("[19]", (2, 4), (3, 4, 5)),
-        ("[20]", (3, 4), (3, 5, 6)),
-    ]
+    tags = list(_REAL_SQ_SIZE3_TAGS)
     if not include_c1c4c6:
-        size3 = [row for row in size3 if row[1:] != ((1, 3), (1, 4, 6))]
-        relabeled = []
-        merged_seen = False
-        for label, a_idx, c_idx in size3:
-            if (a_idx, c_idx) == ((2, 3), (2, 4, 6)):
-                label = "[15],[16]"
-                merged_seen = True
-            relabeled.append((label, a_idx, c_idx))
-        size3 = relabeled
-        assert merged_seen
-    for label, a_idx, c_idx in size3:
-        add(label, a_idx, 1, c_idx, ">=")
+        tags[SIZE3.index(((2, 3, 5), (2, 4, 6)))] = "[15],[16]"
+    for label, (I, K) in zip(tags, SIZE3):
+        if include_c1c4c6 or (I, K) != _OMITTED:
+            add(label, I[:-1], 1, K, ">=")
     return tuple(rows)
 
 
@@ -354,8 +311,7 @@ def _published_functional(row: PublishedRow) -> tuple[int, ...]:
 # report objects
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     row: PublishedRow
     well_formed: bool
     in_tilde: bool | None
@@ -363,15 +319,13 @@ class RowCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class MisprintPair:
+class MisprintPair(NamedTuple):
     published: str
     machine: str
     distance: int
 
 
-@dataclass(frozen=True)
-class ListDiff:
+class ListDiff(NamedTuple):
     case: str
     matched: int
     machine_only: tuple[str, ...]
@@ -380,8 +334,7 @@ class ListDiff:
     residual_machine_only: tuple[str, ...]  # machine_only minus paired rows
 
 
-@dataclass(frozen=True)
-class SummaryListAnalysis:
+class SummaryListAnalysis(NamedTuple):
     """Consequences of the first summary list's row-level anomalies.
 
     ``omitted_line``: the size-3 line present in the displays but absent
@@ -412,8 +365,7 @@ class SummaryListAnalysis:
     machine_matches_lr_on_grid: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     row_checks: tuple[RowCheck, ...]
     duplicate_labels: tuple[tuple[str, tuple[str, ...]], ...]
     implications: tuple[tuple[str, bool], ...]
@@ -522,9 +474,12 @@ class VerifyReport:
             ],
             "full_redundancy_matches_print": self.full_redundancy_matches_print,
             "full_redundancy_note": self.full_redundancy_note,
-            "diffs": [asdict(d) for d in self.diffs],
+            "diffs": [
+                {**d._asdict(), "misprint_pairs": [p._asdict() for p in d.misprint_pairs]}
+                for d in self.diffs
+            ],
             "witness_equivalent_pairs": [list(p) for p in self.witness_equivalent_pairs],
-            "summary_list_analysis": asdict(self.analysis),
+            "summary_list_analysis": self.analysis._asdict(),
             "scalar_prune_confirmed": self.scalar_prune_confirmed,
             "notes": list(self.notes),
         }
@@ -534,8 +489,7 @@ class VerifyReport:
 # the verification run
 
 
-def _check_row(row: PublishedRow, tables) -> RowCheck:
-    tilde, strict = tables
+def _check_row(row: PublishedRow, tilde: set[HornTriple], strict: set[HornTriple]) -> RowCheck:
     if row.I is None or row.J is None or row.K is None:
         return RowCheck(row, False, None, None, "index sets not printed")
     sets = (row.I, row.J, row.K)
@@ -548,45 +502,49 @@ def _check_row(row: PublishedRow, tables) -> RowCheck:
     if not well_formed:
         return RowCheck(row, False, None, None, "trace or shape violation")
     tri = HornTriple(row.I, row.J, row.K)
-    return RowCheck(row, True, tri in tilde[p], tri in strict[p])
+    return RowCheck(row, True, tri in tilde, tri in strict)
 
 
 @lru_cache(maxsize=1)
 def verify_paper_lists() -> VerifyReport:
-    """Run every check and assemble the report.  Cached per process."""
-    tilde = {p: set(enumerate_T_st(4, 2, p, "tilde")) for p in range(1, 7)}
-    strict = {p: {tri for tri in tilde[p] if is_strict(tri, 4, 2)} for p in tilde}
-    tables = (tilde, strict)
+    """Run every check and assemble the report.  Cached per process.
+
+    The tilde and strict restrictions are read off the reduction of the
+    plain block system: its candidates are the strict rows, and the rows it
+    prunes without LP are the rest of the tilde rows.
+    """
+    machine_plain = reduce_system(4, 2, "smith")
+    machine_scalar = reduce_system(4, 2, "smith", scalar_b=True)
+    # per system (keyed by scalar_b), each kept row's functional and print
+    kept = {
+        scalar: {_sextic_functional(*iq.key(), scalar): machine._pretty(iq) for iq in machine.kept}
+        for scalar, machine in ((False, machine_plain), (True, machine_scalar))
+    }
+    strict = {iq.triple for iq in machine_plain.kept + machine_plain.removed_implied}
+    tilde = strict | {iq.triple for iq in machine_plain.removed_structural}
 
     displayed = published_rows_p2q() + published_rows_real_sq()
-    row_checks = tuple(_check_row(row, tables) for row in displayed)
+    row_checks = tuple(_check_row(row, tilde, strict) for row in displayed)
     malformed = tuple(rc.row.row_id for rc in row_checks if not rc.well_formed)
     tilde_only = tuple(
         rc.row.row_id for rc in row_checks
         if rc.well_formed and rc.in_tilde and not rc.in_strict
     )
 
-    dup: dict[tuple[str, str, str], list[str]] = {}
+    # per printed tag, the families (row ids without their i) printed under it
+    dup: dict[tuple[str, str, str], set[str]] = {}
     for row in displayed:
-        base_label = row.label.rstrip("ab")
-        dup.setdefault((row.case, row.block, base_label), []).append(row.row_id)
+        key = (row.case, row.block, row.label.rstrip("ab"))
+        dup.setdefault(key, set()).add(row.row_id.rsplit("/i=", 1)[0])
     duplicate_labels = tuple(
-        (key[2], tuple(sorted({r.rsplit("/i=", 1)[0] for r in rids})))
-        for key, rids in sorted(dup.items())
-        if len({r.rsplit("/i=", 1)[0] for r in rids}) > 1
+        (key[2], tuple(sorted(families)))
+        for key, families in sorted(dup.items())
+        if len(families) > 1
     )
 
-    base = _base_rows(SIZES, True)
-    strict_rows = [
-        _sextic_functional(*_restricted(tri, *SIZES[:2]).key())
-        for p in range(1, 6)
-        for tri in sorted(strict[p])
-    ]
-    strict_system = {
-        False: strict_rows + base,
-        True: [_scalarize_b(r, *SIZES[:2]) for r in strict_rows]
-        + _scalar_base(base, *SIZES[:2]),
-    }
+    base = {False: _base_rows(SIZES, True)}
+    base[True] = _scalar_base(base[False], *SIZES[:2])
+    point = {scalar: _direct_sum_point(*SIZES[:2], scalar) for scalar in base}
 
     implications = []
     by_id = {rc.row.row_id: rc.row for rc in row_checks}
@@ -598,12 +556,14 @@ def verify_paper_lists() -> VerifyReport:
         ]
         implications.append(
             (f"[7](single)+[8] imply [0] at i={i}",
-             is_implied(Cone([target, *prem, *base], _direct_sum_point(*SIZES[:2], False)), 0))
+             is_implied(Cone([target, *prem, *base[False]], point[False]), 0))
         )
     for rid in tilde_only:
         row = by_id[rid]
-        rows = [_published_functional(row), *strict_system[row.scalar_b]]
-        implied = is_implied(Cone(rows, _direct_sum_point(*SIZES[:2], row.scalar_b)), 0)
+        # the kept rows span the cone of all strict rows: dropping an implied
+        # row never changes the cone (see weilgroup.linprog)
+        rows = [_published_functional(row), *kept[row.scalar_b], *base[row.scalar_b]]
+        implied = is_implied(Cone(rows, point[row.scalar_b]), 0)
         implications.append((f"{rid} implied by the strict system", implied))
 
     redundant = redundant_members_full(6)
@@ -619,19 +579,13 @@ def verify_paper_lists() -> VerifyReport:
     else:
         note = "unexpected redundancy set; see members above"
 
-    machine_plain = reduce_system(4, 2, "smith")
-    machine_scalar = reduce_system(4, 2, "smith", scalar_b=True)
     diffs = []
-    for case, machine, published, scalar in (
-        ("p2q", machine_plain, summary_list_p2q(), False),
-        ("p_realsq", machine_scalar, summary_list_real_sq(True), True),
-        ("q2_realsq", machine_scalar, summary_list_real_sq(False), True),
+    for case, published, scalar in (
+        ("p2q", summary_list_p2q(), False),
+        ("p_realsq", summary_list_real_sq(True), True),
+        ("q2_realsq", summary_list_real_sq(False), True),
     ):
-        machine_map = {}
-        for iq in machine.kept:
-            machine_map[_sextic_functional(*iq.key(), scalar)] = (
-                iq.pretty_scalar_b() if scalar else iq.pretty()
-            )
+        machine_map = kept[scalar]
         published_map = {}
         for row in published:
             published_map.setdefault(_published_functional(row), row.pretty())
@@ -659,7 +613,7 @@ def verify_paper_lists() -> VerifyReport:
     # pairs of kept rows identical once a1 + a4 = a2 + a3 is imposed
     lhs, rhs = _sextic_functional((1, 4), (), ()), _sextic_functional((2, 3), (), ())
     relation = tuple(x - y for x, y in zip(lhs, rhs))
-    kept_rows = [(_sextic_functional(*iq.key()), iq.pretty()) for iq in machine_plain.kept]
+    kept_rows = list(kept[False].items())
     equiv_pairs = []
     for idx, (z1, t1) in enumerate(kept_rows):
         for z2, t2 in kept_rows[idx + 1 :]:
@@ -667,7 +621,7 @@ def verify_paper_lists() -> VerifyReport:
             if delta == relation or delta == tuple(-x for x in relation):
                 equiv_pairs.append((t1, t2))
 
-    analysis = _summary_list_analysis(machine_plain)
+    analysis = _summary_list_analysis(machine_plain, strict)
 
     scalar_pruned = _scalar_prune_confirmed(machine_scalar)
 
@@ -707,19 +661,16 @@ def _pair_misprints(
     mach = list(machine_only.items())
     if not pub or not mach:
         return [], set()
-    k = min(len(pub), len(mach))
-    best: tuple[int, tuple[tuple[int, int], ...]] | None = None
-    idxs = range(len(mach))
-    for chosen in permutations(idxs, k):
-        assignment = tuple(zip(range(k), chosen))
-        total = sum(
-            _row_distance(pub[i][0], mach[j][0]) for i, j in assignment
-        )
-        if best is None or total < best[0]:
-            best = (total, assignment)
+    # the first of the assignments of least total distance; pub[i] gets mach[chosen[i]]
+    best = min(
+        permutations(range(len(mach)), min(len(pub), len(mach))),
+        key=lambda chosen: sum(
+            _row_distance(pub[i][0], mach[j][0]) for i, j in enumerate(chosen)
+        ),
+    )
     pairs = []
     paired = set()
-    for i, j in best[1]:
+    for i, j in enumerate(best):
         pairs.append(
             MisprintPair(pub[i][1], mach[j][1], _row_distance(pub[i][0], mach[j][0]))
         )
@@ -738,12 +689,9 @@ def _row_distance(z1: tuple[int, ...], z2: tuple[int, ...]) -> int:
     # pre-elimination c6 column: +1 on every a and b, -1 on every other c
     scalar_b = len(z1) < sum(SIZES) - 1
     trace_dir = _sextic_functional((), (), (SIZES[2],), scalar_b, -1)
-    best = None
-    for k in range(-3, 4):
-        d = sum(abs(x - y + k * t) for x, y, t in zip(z1, z2, trace_dir))
-        if best is None or d < best:
-            best = d
-    return best
+    return min(
+        sum(abs(x - y + k * t) for x, y, t in zip(z1, z2, trace_dir)) for k in range(-3, 4)
+    )
 
 
 def _published_case1_set(
@@ -781,15 +729,17 @@ def _grid_witnesses(max_total: int):
                            admissible_exponents(hodge_polygon(n, 2).vertices))
 
 
-def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
+def _summary_list_analysis(
+    machine_plain: ReducedSystem, strict: set[HornTriple]
+) -> SummaryListAnalysis:
     """Machine adjudication of the first summary list's anomalies."""
-    phi = SmithInequality((1, 3), (1,), (1, 4, 6),
-                          HornTriple((1, 3, 5), (1, 3, 4), (1, 4, 6)))
-    strict3 = set(enumerate_T_st(4, 2, 3, "strict"))
-    in_strict = phi.triple in strict3
+    I, K = _OMITTED
+    phi = SmithInequality(I[:-1], (1,), K, HornTriple(I, _SIZE3_J, K))
+    in_strict = phi.triple in strict
     lp_irredundant = any(iq.key() == phi.key() for iq in machine_plain.kept)
 
     published = summary_list_p2q()
+    corrected = _summary_row("[21]*", (2, 4), (1,), (3, 4, 6), ">=", False, "p2q")
     misprint = next(
         row for row in published
         if (row.a_idx, row.c_idx, row.sense) == ((2, 4), (3, 4, 5), ">=")
@@ -799,21 +749,15 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
         if row is not misprint
         and (row.a_idx, row.b_part, row.c_idx, row.sense)
         != ((1,), (2,), (2, 2), "<=")
-    ] + [
-        _summary_row("[21]*", (2, 4), (1,), (3, 4, 6), ">=", False, "p2q"),
-        _summary_row("[11]*", (4,), (2,), (2, 5), "<=", False, "p2q"),
-    ]
+    ] + [corrected, _summary_row("[11]*", (4,), (2,), (2, 5), "<=", False, "p2q")]
     grid_m, grid_n = (1, 1), (2, 2)
     rejected_c = (2, 2, 2, 1, 1, 0)
     realizing_a, realizing_b = (2, 1, 1, 0), (2, 2)
     lr_count = lr_coefficient(realizing_a, realizing_b, rejected_c)
     misprint_rejects = not _row_holds(misprint, realizing_a, realizing_b, rejected_c)
-    corrected_row_holds = _row_holds(
-        _summary_row("[21]*", (2, 4), (1,), (3, 4, 6), ">=", False, "p2q"),
-        realizing_a, realizing_b, rejected_c,
-    )
+    corrected_row_holds = _row_holds(corrected, realizing_a, realizing_b, rejected_c)
 
-    phi_row = _summary_row("phi", (1, 3), (1,), (1, 4, 6), ">=", False, "p2q")
+    phi_row = _summary_row("phi", *phi.key(), ">=", False, "p2q")
     omission_changes = False
     corrected_matches = True
     machine_matches_lr = True
@@ -837,7 +781,7 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
         lp_irredundant=lp_irredundant,
         omission_changes_grid=omission_changes,
         misprinted_row=misprint.pretty(),
-        corrected_row="a2+a4+b1 >= c3+c4+c6",
+        corrected_row=corrected.pretty(),
         grid_m=grid_m,
         grid_n=grid_n,
         rejected_c=rejected_c,
@@ -853,10 +797,4 @@ def _summary_list_analysis(machine_plain: ReducedSystem) -> SummaryListAnalysis:
 
 def _scalar_prune_confirmed(machine_scalar: ReducedSystem) -> bool:
     """With b1 = b2, rows whose J meets {1, 2} only in {2} drop out."""
-    for iq in machine_scalar.kept:
-        if iq.triple is None:
-            continue
-        j_low = tuple(j for j in iq.triple.J if j <= 2)
-        if j_low == (2,):
-            return False
-    return True
+    return all(tuple(j for j in iq.triple.J if j <= 2) != (2,) for iq in machine_scalar.kept)

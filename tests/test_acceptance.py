@@ -233,7 +233,7 @@ def test_criterion_8_end_to_end_class():
     }
     corpus = _sextic_corpus()
     assert len(corpus) >= 20
-    classified = 0
+    classified = checked = 0
     for weil in corpus:
         try:
             res = classify_all(weil)
@@ -248,8 +248,10 @@ def test_criterion_8_end_to_end_class():
                 assert np_dominates_hp(npoly, hodge_polygon(c, 6)), (
                     weil.coeffs, l, c,
                 )
+                checked += 1
         classified += 1
     assert classified >= 20
+    assert checked > 50
     elapsed = time.time() - start
     assert elapsed < 60, f"{elapsed:.1f}s"
     _announce(8, f"worked sextic classified exactly; {classified} corpus "

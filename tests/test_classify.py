@@ -457,45 +457,6 @@ def test_dispatch_matches_reference():
     assert _route_groups.cache_info().maxsize is not None
 
 
-def _corpus():
-    quads = {
-        2: [(1, a, 2) for a in range(-2, 3)],
-        3: [(1, a, 3) for a in range(-3, 4)],
-    }
-    polys = []
-    for q, qs in quads.items():
-        for i, p1 in enumerate(qs):
-            for p2 in qs[i + 1 :]:
-                for p3 in qs[qs.index(p2) + 1 :]:
-                    coeffs = poly_mul(poly_mul(p1, p2), p3)
-                    polys.append((coeffs, q))
-        for i, p1 in enumerate(qs):
-            for p2 in qs:
-                if p2 != p1:
-                    polys.append((poly_mul(poly_mul(p1, p1), p2), q))
-    return [parse_and_validate(coeffs, q) for coeffs, q in polys]
-
-
-def test_global_consistency_on_corpus():
-    corpus = _corpus()
-    assert len(corpus) >= 20
-    checked = 0
-    for w in corpus:
-        try:
-            result = classify_all(w)
-        except UnsupportedShapeError:
-            continue
-        transformed = transform_one_minus_t(w.coeffs)
-        order = group_order(w)
-        for l, groups in result.groups.items():
-            npoly = newton_polygon(transformed, l)
-            for c in groups:
-                assert sum(c) == valuation(order, l)
-                assert np_dominates_hp(npoly, hodge_polygon(c, 6))
-                checked += 1
-    assert checked > 50
-
-
 def test_classify_does_not_import_scipy():
     """The package imports no scipy, in classification or anywhere else."""
     script = (

@@ -158,6 +158,21 @@ def test_horn_reduce(run):
     assert "a1+b1 >= c1" in payload["removed_structural"]
 
 
+def test_horn_reduce_scalar_b_text_matches_json(run):
+    # text and --json print every row in one notation: b, never b1 or b2
+    for s, t in ((1, 2), (2, 2), (4, 2)):
+        argv = ("horn", "reduce", "--s", str(s), "--t", str(t), "--scalar-b")
+        code, text, _ = run(*argv)
+        assert code == 0
+        code, out, _ = run("--json", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        rows = [line[2:] for line in text.splitlines() if line.startswith("  ")]
+        expected = payload["kept"] + payload["removed_structural"] + payload["removed_implied"]
+        assert rows == expected, (s, t)
+        assert not any("b1" in row or "b2" in row for row in rows), (s, t)
+
+
 def test_horn_reduce_rejects_empty_block(run):
     for s in ("0", "-2"):
         code, out, err = run("horn", "reduce", "--s", s, "--t", "3")

@@ -376,12 +376,17 @@ def test_reduction_digests_are_pinned(reduce_digest):
     """Every minimal system with s + t <= 6 in each mode, and every
     redundant full-mode member up to n = 6, hash to the digests that
     scripts/reduce_digest.py printed when the double description took rows
-    lexicographically decreasing: insertion order decides no verdict."""
+    lexicographically decreasing: insertion order decides no verdict.
+    The text and --json outputs of ``weilgroup verify paper-lists`` are
+    pinned byte for byte, so a refactor of the verification cannot move a
+    line of the report unnoticed."""
     expected = {
         "smith": "815a162addfdcd717c268d26fa87e372d63152aa2f659cd1260b56e038806385",
         "smith+scalar_b": "ecad80b88ccbf2c233126b3a00a5766740c0fd3c85b55d56dad7fc1e34210e2e",
         "full": "da770638e80d10bb3a8ad17350969fa2996c65591425edd27be4e43cc0d87410",
         "redundant_members_full": "12a546547f1f8380e8df2baeb0024f38ba37b95c4b2d9b2dcc703e9e3860361a",
+        "paper-lists": "3f849efc28aaa60c4f4d2b859bde5d7b6da9a00d51c078692cdbd078a7967906",
+        "paper-lists --json": "25adc5bd90cb4f44d2a3e5df7c38b1fe3f6f99d4a6a64cbf5c2d834f331ee277",
     }
     assert {
         name: reduce_digest._digest(reduce_digest.FAMILIES[name]()) for name in expected
