@@ -56,10 +56,6 @@ class HornTriple(NamedTuple):
     J: tuple[int, ...]
     K: tuple[int, ...]
 
-    @property
-    def p(self) -> int:
-        return len(self.I)
-
 
 class ComplementTriple(NamedTuple):
     """A complemented Horn triple; its inequality has reversed sense (<=)."""

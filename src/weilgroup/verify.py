@@ -3,8 +3,9 @@
 The classification of sextic classes rests on hand-derived inequality
 tables: per-block displays organized by the intersection pattern of J with
 {1, 2}, and three summary lists (one per factorization shape).  This
-module transcribes those tables verbatim, including their printed row
-tags, and re-derives everything from the Horn machinery:
+module transcribes each printed family once, verbatim with its printed
+row tags, builds every table from that one list, and re-derives
+everything from the Horn machinery:
 
 * every printed index-set row is checked for well-formedness (the trace
   condition) and membership in the tilde and strict block restrictions;
@@ -43,33 +44,10 @@ from .reduce import (
     reduce_system,
     redundant_members_full,
 )
-from .smith import SmithInequality, format_inequality
+from .smith import format_inequality
 
 M6 = tuple(range(1, 7))
 SIZES = (4, 2, 6)  # lengths of a, b and c in every sextic table
-
-# The size-3 family, printed in every table: its (I, K) pairs in printed
-# order, all with J = (1, 3, 4).  Every I ends in 5, so a row reads a = I
-# without its 5, b1 and c = K.  Each table has its own tags for them.
-_SIZE3_J = (1, 3, 4)
-SIZE3 = (
-    ((1, 2, 5), (1, 3, 6)),
-    ((1, 2, 5), (2, 3, 5)),
-    ((1, 3, 5), (1, 4, 6)),
-    ((1, 3, 5), (2, 3, 6)),
-    ((1, 3, 5), (2, 4, 5)),
-    ((1, 4, 5), (1, 5, 6)),
-    ((1, 4, 5), (2, 4, 6)),
-    ((2, 3, 5), (2, 4, 6)),
-    ((2, 3, 5), (3, 4, 5)),
-    ((2, 4, 5), (2, 5, 6)),
-    ((2, 4, 5), (3, 4, 5)),
-    ((3, 4, 5), (3, 5, 6)),
-)
-_OMITTED = SIZE3[2]  # a1+a3 against c1+c4+c6: absent from two summary lists
-# the p2q displays print tag [14] twice (a stray counter step); the first is [14]a here
-_P2Q_SIZE3_TAGS = ("[12]", "[13]", "[14]a", *(f"[{k}]" for k in range(14, 23)))
-_REAL_SQ_SIZE3_TAGS = tuple(f"[{k}]" for k in range(9, 21))
 
 
 def _without(universe: Sequence[int], *remove: int) -> tuple[int, ...]:
@@ -117,136 +95,115 @@ def _derive_K(I: Sequence[int], J: Sequence[int]) -> tuple[int, ...] | None:
     return matches[0] if len(matches) == 1 else None
 
 
+# The size-3 family, printed in every table: per line its p2q tag, its
+# real-multiplier tag and its (I, K), in printed order, all with J = (1, 3, 4).
+# Every I ends in 5, so a row reads a = I without its 5, b1 and c = K.
+SIZE3 = (
+    ("[12]", "[9]", (1, 2, 5), (1, 3, 6)),
+    ("[13]", "[10]", (1, 2, 5), (2, 3, 5)),
+    # the p2q displays print tag [14] twice (a stray counter step): the first is [14]a here
+    ("[14]a", "[11]", (1, 3, 5), (1, 4, 6)),
+    ("[14]", "[12]", (1, 3, 5), (2, 3, 6)),
+    ("[15]", "[13]", (1, 3, 5), (2, 4, 5)),
+    ("[16]", "[14]", (1, 4, 5), (1, 5, 6)),
+    ("[17]", "[15]", (1, 4, 5), (2, 4, 6)),
+    ("[18]", "[16]", (2, 3, 5), (2, 4, 6)),
+    ("[19]", "[17]", (2, 3, 5), (3, 4, 5)),
+    ("[20]", "[18]", (2, 4, 5), (2, 5, 6)),
+    ("[21]", "[19]", (2, 4, 5), (3, 4, 5)),
+    ("[22]", "[20]", (3, 4, 5), (3, 5, 6)),
+)
+
+# Every family the displays print, in printed order: its block, its tag in the
+# p2q tables and in the real-multiplier tables (None where those do not print
+# it), and one row (i, I, J, K, a, b, c, sense) per i of its printed range; i is
+# None for a single row.  K is None where the display prints only I and J, and
+# b holds indices into (b1, b2).
+_FAMILIES = (
+    ("sizes-1-and-5", "[0]", "[0]",
+     [(i, (i,), (1,), (i,), (i,), (1,), (i,), ">=") for i in range(1, 5)]),
+    # a second family also printed with tag [0]: the display counter starts at
+    # 0 and only increments after typesetting
+    ("sizes-1-and-5", "[0]b", None,
+     [(i, (i,), (2,), (i + 1,), (i,), (2,), (i + 1,), ">=") for i in range(1, 5)]),
+    ("sizes-1-and-5", "[1]", "[1]", [(None, (5,), (1,), (5,), (), (1,), (5,), ">=")]),
+    ("sizes-1-and-5", "[2]", None, [(None, (5,), (2,), (6,), (), (2,), (6,), ">=")]),
+    ("sizes-1-and-5", "[3]", "[2]",
+     [(i, (i,), (3,), (i + 2,), (i,), (), (i + 2,), ">=") for i in range(1, 5)]),
+    ("sizes-1-and-5", "[4]", None,
+     [(None, _without(M6, 6), _without(M6, 1), None, (), (1,), (1,), "<=")]),
+    ("sizes-1-and-5", "[5]", "[3]",
+     [(None, _without(M6, 6), _without(M6, 2), None, (), (2,), (2,), "<=")]),
+    ("sizes-1-and-5", "[6]", "[4]",
+     [(i, _without(M6, i), _without(M6, 6), None, (i,), (), (i,), "<=") for i in range(1, 5)]),
+    # i spells the index set I, over every nonempty I in {1, 2, 3, 4}
+    ("shifted-families", "[7]", None, [
+        ("".join(map(str, I)), I + (5,), tuple(range(2, len(I) + 3)), K, I, (2,), K, ">=")
+        for n in range(1, 5) for I in combinations(range(1, 5), n)
+        for K in [tuple(x + 1 for x in I) + (6,)]
+    ]),
+    ("sizes-2-and-4", "[8]", "[5]",
+     [(i, (i, 5), (1, 3), (i, 6), (i,), (1,), (i, 6), ">=") for i in range(1, 5)]),
+    ("sizes-2-and-4", "[9]", "[6]",
+     [(i, (i, 5), (1, 3), (i + 1, 5), (i,), (1,), (i + 1, 5), ">=") for i in range(1, 4)]),
+    ("sizes-2-and-4", "[10]", "[7]", [
+        (i, _without(M6[:5], i), (1, 3, 4, 5), _without(M6, 1, i + 2),
+         (i,), (2,), (1, i + 2), "<=") for i in range(1, 5)]),
+    # the printed range; at i = 1 the K set degenerates to a repeated index
+    ("sizes-2-and-4", "[11]", "[8]", [
+        (i, _without(M6[:5], i), (1, 3, 4, 5), _without(M6, 2, i + 1),
+         (i,), (2,), (2, i + 1), "<=") for i in range(1, 4)]),
+    *(("size-3", p2q, real, [(None, I, (1, 3, 4), K, I[:-1], (1,), K, ">=")])
+      for p2q, real, I, K in SIZE3),
+)
+
+# Per summary statement, the display tags it prints otherwise (None: not at
+# all).  No summary prints the [0] families.  Two omit the line a1+a3 >=
+# c1+c4+c6 (p2q's [14]a, the real tables' [11]), and the squared-quadratic
+# real list prints [16] under the tag merged with its neighbour's.
+_SUMMARY_TAGS = {
+    "p2q": {"[0]": None, "[0]b": None, "[14]a": None},
+    "p_realsq": {"[0]": None},
+    "q2_realsq": {"[0]": None, "[11]": None, "[16]": "[15],[16]"},
+}
+
+
+def _table(case: str, summary: bool = False) -> tuple[PublishedRow, ...]:
+    """The rows of one printed table, family by family from _FAMILIES.
+
+    Every case but p2q is a real-multiplier table: it prints its own tags
+    and b as a count.  A summary list prints no index sets.
+    """
+    real = case != "p2q"
+    retag = _SUMMARY_TAGS[case] if summary else {}
+    rows = []
+    for block, p2q_tag, real_tag, family in _FAMILIES:
+        tag = real_tag if real else p2q_tag
+        tag = retag.get(tag, tag)
+        if tag is None:
+            continue
+        block = "summary" if summary else block
+        for i, I, J, K, a, b, c, sense in family:
+            sets = (None, None, None) if summary else (I, J, K or _derive_K(I, J))
+            rid = f"{case}/{block}/{tag}" + ("" if i is None else f"/i={i}")
+            b = (1,) * len(b) if real else b
+            rows.append(PublishedRow(rid, tag, block, case, *sets, a, b, c, sense, real))
+    return tuple(rows)
+
+
 def published_rows_p2q() -> tuple[PublishedRow, ...]:
     """The four displayed tables for the squared-quadratic-times-quadratic case."""
-    rows: list[PublishedRow] = []
-
-    def add(label, block, I, J, K, a_idx, b_part, c_idx, sense, i=None):
-        rid = f"p2q/{block}/{label}" + (f"/i={i}" if i is not None else "")
-        rows.append(
-            PublishedRow(rid, label, block, "p2q", I, J, K, a_idx, b_part,
-                         c_idx, sense)
-        )
-
-    for i in range(1, 5):
-        add("[0]", "sizes-1-and-5", (i,), (1,), (i,), (i,), (1,), (i,), ">=", i)
-    for i in range(1, 5):
-        # second family also printed with tag [0]: the display counter
-        # starts at 0 and only increments after typesetting
-        add("[0]b", "sizes-1-and-5", (i,), (2,), (i + 1,), (i,), (2,), (i + 1,), ">=", i)
-    add("[1]", "sizes-1-and-5", (5,), (1,), (5,), (), (1,), (5,), ">=")
-    add("[2]", "sizes-1-and-5", (5,), (2,), (6,), (), (2,), (6,), ">=")
-    for i in range(1, 5):
-        add("[3]", "sizes-1-and-5", (i,), (3,), (i + 2,), (i,), (), (i + 2,), ">=", i)
-    add("[4]", "sizes-1-and-5", _without(M6, 6), _without(M6, 1),
-        _derive_K(_without(M6, 6), _without(M6, 1)), (), (1,), (1,), "<=")
-    add("[5]", "sizes-1-and-5", _without(M6, 6), _without(M6, 2),
-        _derive_K(_without(M6, 6), _without(M6, 2)), (), (2,), (2,), "<=")
-    for i in range(1, 5):
-        add("[6]", "sizes-1-and-5", _without(M6, i), _without(M6, 6),
-            _derive_K(_without(M6, i), _without(M6, 6)), (i,), (), (i,), "<=", i)
-
-    for size in range(1, 5):
-        for I in combinations(range(1, 5), size):
-            p = size + 1
-            add("[7]", "shifted-families", tuple(I) + (5,),
-                tuple(range(2, p + 2)), tuple(x + 1 for x in I) + (6,),
-                tuple(I), (2,), tuple(x + 1 for x in I) + (6,), ">=",
-                "".join(map(str, I)))
-
-    for i in range(1, 5):
-        add("[8]", "sizes-2-and-4", (i, 5), (1, 3), (i, 6), (i,), (1,), (i, 6), ">=", i)
-    for i in range(1, 4):
-        add("[9]", "sizes-2-and-4", (i, 5), (1, 3), (i + 1, 5), (i,), (1,),
-            (i + 1, 5), ">=", i)
-    for i in range(1, 5):
-        add("[10]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
-            _without(M6, 1, i + 2), (i,), (2,), (1, i + 2), "<=", i)
-    for i in range(1, 4):
-        # the printed range; at i=1 the K set degenerates to a repeated index
-        add("[11]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
-            _without(M6, 2, i + 1), (i,), (2,), (2, i + 1), "<=", i)
-
-    for label, (I, K) in zip(_P2Q_SIZE3_TAGS, SIZE3):
-        add(label, "size-3", I, _SIZE3_J, K, I[:-1], (1,), K, ">=")
-    return tuple(rows)
+    return _table("p2q")
 
 
 def published_rows_real_sq() -> tuple[PublishedRow, ...]:
     """The three displayed tables for the real-multiplier cases (b1 = b2 = b)."""
-    rows: list[PublishedRow] = []
-
-    def add(label, block, I, J, K, a_idx, b_count, c_idx, sense, i=None):
-        rid = f"real_sq/{block}/{label}" + (f"/i={i}" if i is not None else "")
-        rows.append(
-            PublishedRow(rid, label, block, "real_sq", I, J, K, a_idx,
-                         (1,) * b_count, c_idx, sense, scalar_b=True)
-        )
-
-    for i in range(1, 5):
-        add("[0]", "sizes-1-and-5", (i,), (1,), (i,), (i,), 1, (i,), ">=", i)
-    add("[1]", "sizes-1-and-5", (5,), (1,), (5,), (), 1, (5,), ">=")
-    for i in range(1, 5):
-        add("[2]", "sizes-1-and-5", (i,), (3,), (i + 2,), (i,), 0, (i + 2,), ">=", i)
-    add("[3]", "sizes-1-and-5", _without(M6, 6), _without(M6, 2),
-        _derive_K(_without(M6, 6), _without(M6, 2)), (), 1, (2,), "<=")
-    for i in range(1, 5):
-        add("[4]", "sizes-1-and-5", _without(M6, i), _without(M6, 6),
-            _derive_K(_without(M6, i), _without(M6, 6)), (i,), 0, (i,), "<=", i)
-    for i in range(1, 5):
-        add("[5]", "sizes-2-and-4", (i, 5), (1, 3), (i, 6), (i,), 1, (i, 6), ">=", i)
-    for i in range(1, 4):
-        add("[6]", "sizes-2-and-4", (i, 5), (1, 3), (i + 1, 5), (i,), 1,
-            (i + 1, 5), ">=", i)
-    for i in range(1, 5):
-        add("[7]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
-            _without(M6, 1, i + 2), (i,), 1, (1, i + 2), "<=", i)
-    for i in range(1, 4):
-        add("[8]", "sizes-2-and-4", _without((1, 2, 3, 4, 5), i), (1, 3, 4, 5),
-            _without(M6, 2, i + 1), (i,), 1, (2, i + 1), "<=", i)
-    for label, (I, K) in zip(_REAL_SQ_SIZE3_TAGS, SIZE3):
-        add(label, "size-3", I, _SIZE3_J, K, I[:-1], 1, K, ">=")
-    return tuple(rows)
-
-
-def _summary_row(label, a_idx, b_part, c_idx, sense, scalar_b, case, i=None):
-    rid = f"{case}/summary/{label}" + (f"/i={i}" if i is not None else "")
-    return PublishedRow(rid, label, "summary", case, None, None, None,
-                        a_idx, b_part, c_idx, sense, scalar_b=scalar_b)
+    return _table("real_sq")
 
 
 def summary_list_p2q() -> tuple[PublishedRow, ...]:
     """Printed inequality list of the summary statement for shape P^2 Q."""
-    rows = []
-
-    def add(label, a_idx, b_part, c_idx, sense, i=None):
-        rows.append(_summary_row(label, a_idx, b_part, c_idx, sense, False,
-                                 "p2q", i))
-
-    add("[1]", (), (1,), (5,), ">=")
-    add("[2]", (), (2,), (6,), ">=")
-    for i in range(1, 5):
-        add("[3]", (i,), (), (i + 2,), ">=", i)
-    add("[4]", (), (1,), (1,), "<=")
-    add("[5]", (), (2,), (2,), "<=")
-    for i in range(1, 5):
-        add("[6]", (i,), (), (i,), "<=", i)
-    for size in range(1, 5):
-        for I in combinations(range(1, 5), size):
-            add("[7]", tuple(I), (2,), tuple(x + 1 for x in I) + (6,), ">=",
-                "".join(map(str, I)))
-    for i in range(1, 5):
-        add("[8]", (i,), (1,), (i, 6), ">=", i)
-    for i in range(1, 4):
-        add("[9]", (i,), (1,), (i + 1, 5), ">=", i)
-    for i in range(1, 5):
-        add("[10]", (i,), (2,), (1, i + 2), "<=", i)
-    for i in range(1, 4):
-        add("[11]", (i,), (2,), (2, i + 1), "<=", i)
-    for label, (I, K) in zip(_P2Q_SIZE3_TAGS, SIZE3):
-        if (I, K) != _OMITTED:
-            add(label, I[:-1], (1,), K, ">=")
-    return tuple(rows)
+    return _table("p2q", summary=True)
 
 
 def summary_list_real_sq(include_c1c4c6: bool) -> tuple[PublishedRow, ...]:
@@ -256,34 +213,7 @@ def summary_list_real_sq(include_c1c4c6: bool) -> tuple[PublishedRow, ...]:
     side c1+c4+c6; the squared-quadratic list omits it (its two rows for
     a1+a4 / a2+a3 against c2+c4+c6 are printed under one merged tag).
     """
-    case = "p_realsq" if include_c1c4c6 else "q2_realsq"
-    rows = []
-
-    def add(label, a_idx, b_count, c_idx, sense, i=None):
-        rows.append(_summary_row(label, a_idx, (1,) * b_count, c_idx, sense,
-                                 True, case, i))
-
-    add("[1]", (), 1, (5,), ">=")
-    for i in range(1, 5):
-        add("[2]", (i,), 0, (i + 2,), ">=", i)
-    add("[3]", (), 1, (2,), "<=")
-    for i in range(1, 5):
-        add("[4]", (i,), 0, (i,), "<=", i)
-    for i in range(1, 5):
-        add("[5]", (i,), 1, (i, 6), ">=", i)
-    for i in range(1, 4):
-        add("[6]", (i,), 1, (i + 1, 5), ">=", i)
-    for i in range(1, 5):
-        add("[7]", (i,), 1, (1, i + 2), "<=", i)
-    for i in range(1, 4):
-        add("[8]", (i,), 1, (2, i + 1), "<=", i)
-    tags = list(_REAL_SQ_SIZE3_TAGS)
-    if not include_c1c4c6:
-        tags[SIZE3.index(((2, 3, 5), (2, 4, 6)))] = "[15],[16]"
-    for label, (I, K) in zip(tags, SIZE3):
-        if include_c1c4c6 or (I, K) != _OMITTED:
-            add(label, I[:-1], 1, K, ">=")
-    return tuple(rows)
+    return _table("p_realsq" if include_c1c4c6 else "q2_realsq", summary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -733,23 +663,18 @@ def _summary_list_analysis(
     machine_plain: ReducedSystem, strict: set[HornTriple]
 ) -> SummaryListAnalysis:
     """Machine adjudication of the first summary list's anomalies."""
-    I, K = _OMITTED
-    phi = SmithInequality(I[:-1], (1,), K, HornTriple(I, _SIZE3_J, K))
-    in_strict = phi.triple in strict
-    lp_irredundant = any(iq.key() == phi.key() for iq in machine_plain.kept)
+    # the line the summary omits, as the displays print it
+    phi = next(row for row in published_rows_p2q() if row.label == "[14]a")
+    in_strict = HornTriple(phi.I, phi.J, phi.K) in strict
+    key = (phi.a_idx, phi.b_part, phi.c_idx)
+    lp_irredundant = any(iq.key() == key for iq in machine_plain.kept)
 
-    published = summary_list_p2q()
-    corrected = _summary_row("[21]*", (2, 4), (1,), (3, 4, 6), ">=", False, "p2q")
-    misprint = next(
-        row for row in published
-        if (row.a_idx, row.c_idx, row.sense) == ((2, 4), (3, 4, 5), ">=")
-    )
-    corrected_rows = [
-        row for row in published
-        if row is not misprint
-        and (row.a_idx, row.b_part, row.c_idx, row.sense)
-        != ((1,), (2,), (2, 2), "<=")
-    ] + [corrected, _summary_row("[11]*", (4,), (2,), (2, 5), "<=", False, "p2q")]
+    # the list with its two misprinted rows, [21] and [11] at i = 1, corrected
+    published = {row.row_id: row for row in summary_list_p2q()}
+    misprint = published.pop("p2q/summary/[21]")
+    corrected = misprint._replace(c_idx=(3, 4, 6))
+    wrong = published.pop("p2q/summary/[11]/i=1")  # a1+b2 <= c2+c2
+    corrected_rows = [*published.values(), corrected, wrong._replace(a_idx=(4,), c_idx=(2, 5))]
     grid_m, grid_n = (1, 1), (2, 2)
     rejected_c = (2, 2, 2, 1, 1, 0)
     realizing_a, realizing_b = (2, 1, 1, 0), (2, 2)
@@ -757,7 +682,6 @@ def _summary_list_analysis(
     misprint_rejects = not _row_holds(misprint, realizing_a, realizing_b, rejected_c)
     corrected_row_holds = _row_holds(corrected, realizing_a, realizing_b, rejected_c)
 
-    phi_row = _summary_row("phi", *phi.key(), ">=", False, "p2q")
     omission_changes = False
     corrected_matches = True
     machine_matches_lr = True
@@ -765,7 +689,7 @@ def _summary_list_analysis(
         machine_set = set(extensions(a_wit, b_wit))
         if _published_case1_set(corrected_rows, a_wit, b_wit) != machine_set:
             omission_changes = True
-        if _published_case1_set(corrected_rows + [phi_row], a_wit, b_wit) != machine_set:
+        if _published_case1_set(corrected_rows + [phi], a_wit, b_wit) != machine_set:
             corrected_matches = False
         total = sum(a_wit[0]) + sum(b_wit[0])
         oracle_set = {

@@ -3,15 +3,19 @@
 ``perfbench/tracing.py`` wraps functions by module attribute, so a
 refactor that moves a call makes a span read zero without any error.
 These tests only read the tracer: they install its wrappers around one
-cold reduction in each mode and remove them afterwards.
+cold reduction in each mode, or one cold classification, and remove them
+afterwards.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import weilgroup.classify
+import weilgroup.smith
 from weilgroup.horn import HornTable, enumerate_T
 from weilgroup.reduce import redundant_members_full, reduce_system
+from weilgroup.weil import parse_and_validate
 
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +55,24 @@ def test_cold_reductions_reach_the_traced_layers():
     assert tracer.counts["horn.triples"] == sum(len(enumerate_T(5, p)) for p in range(1, 5))
     assert calls["linprog.highs"] == smith_calls["linprog.highs"]
     assert calls["linprog.is_implied"] == smith_calls["linprog.is_implied"]
+
+
+def test_cold_classify_reaches_the_traced_layers():
+    weilgroup.classify._route_groups.cache_clear()
+    weilgroup.smith._cokernels_cached.cache_clear()
+    # (t^2 + t + 2)^2 (t^2 - t + 2) at q = 2: a P^2 Q class with two plan factors
+    weil = parse_and_validate([1, 1, 5, 3, 10, 4, 8], 2)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        result = weilgroup.classify.classify_all(weil)
+    finally:
+        tracing.uninstall(saved)
+    assert result.plan.kind == "p2q" and len(result.plan.factors) == 2
+    calls = {name: agg["calls"] for name, agg in tracer.by_name().items()}
+    assert calls["weil.factor_weil"] == 1
+    assert calls["polygon.transform_one_minus_t"] == 2  # once per plan factor
+    assert calls["smith.enumerate_cokernels"] >= 1
+    assert calls["smith.inequality_system"] >= 1
+    assert tracer.counts["smith.candidates"] > 0

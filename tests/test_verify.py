@@ -5,6 +5,7 @@ redundancy scan) is computed once per process and shared with the
 acceptance suite through the module-level cache.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -141,3 +142,20 @@ def test_transcription_shapes():
     with_line = {r.pretty() for r in summary_list_real_sq(True)}
     without = {r.pretty() for r in summary_list_real_sq(False)}
     assert "a1+a3+b >= c1+c4+c6" in with_line - without
+
+
+def test_transcription_is_pinned():
+    """Every field of every row of the five transcribed tables, in order,
+    hashes to the digest of the transcription as first checked in: a
+    changed index set, tag, range or sense fails here even where the
+    report does not move."""
+    tables = (
+        published_rows_p2q(),
+        published_rows_real_sq(),
+        summary_list_p2q(),
+        summary_list_real_sq(True),
+        summary_list_real_sq(False),
+    )
+    assert [len(t) for t in tables] == [61, 40, 52, 36, 35]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "7d37c56f8e50a3e47eed19874dccca4511dfa4af963c0ee51d983651865161eb"
