@@ -33,15 +33,13 @@ T^n_{n-2} against the closed form of T^n_2 up to n = 10.
 
 The block restrictions T~^{s,t}_p and T^{s,t}_p select triples whose
 overflow above s (for I) and above t (for J) is an initial segment; the
-strict variant additionally requires #(I & M_s) + #(J & M_t) = p, the
-sum of the triple's :func:`block_split`.
+strict variant additionally requires #(I & M_s) + #(J & M_t) = p.
 These encode the essential inequalities between Smith invariants of a
 block triangular matrix, see :mod:`weilgroup.smith`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -114,11 +112,15 @@ class HornTable:
     :meth:`_select` runs that test over any lexicographic choice of I and
     J: all p-subsets for T^n_p itself, the overflow-shaped ones (or their
     duals, above half size) for the block restrictions of
-    :func:`enumerate_T_st`.
+    :func:`enumerate_T_st`.  The mask, the packed coefficients and the
+    p-subsets K by sum are set up once per (n, p) on the instance
+    (:meth:`_pack`): the block restrictions at p and at n - p of one
+    reduction both select at (n, p), and a fresh instance sets up again.
     """
 
     def __init__(self):
         self._tables: dict[tuple[int, int], tuple[HornTriple, ...]] = {}
+        self._packed: dict[tuple[int, int], tuple] = {}  # (n, p) -> _pack(n, p)
 
     def T(self, n: int, p: int) -> tuple[HornTriple, ...]:
         n, p = as_size(n, "n"), as_size(p, "p")
@@ -148,6 +150,25 @@ class HornTable:
         ``Is`` and ``Js`` are lexicographically sorted p-subsets of {1..n};
         K runs over every p-subset that meets the trace condition.
         """
+        if (n, p) not in self._packed:
+            self._packed[n, p] = self._pack(n, p)
+        mask, cI, cJ, by_sum = self._packed[n, p]
+        packed_J = [(J, sum(J), sum(map(mul, cJ, J))) for J in Js]
+        shift = p * (p + 1) // 2
+        out = []
+        for I in Is:
+            sI = sum(I) - shift
+            vI = sum(map(mul, cI, I))
+            for J, sJ, vJ in packed_J:
+                for K, vK in by_sum.get(sI + sJ, ()):
+                    if (vI + vJ + vK) & mask == mask:
+                        out.append(HornTriple(I, J, K))
+        return tuple(out)
+
+    def _pack(self, n: int, p: int) -> tuple[int, list[int], list[int], dict]:
+        """The mask of every field's high bit, the packed coefficients of I
+        and J, and the p-subsets K by sum, each with ``bias`` plus its
+        packed value (class docstring)."""
         width = ((2 * p // 3) * (n - p)).bit_length() + 1
         bias = mask = 0
         coefs = [[0] * p for _ in range(3)]
@@ -163,18 +184,8 @@ class HornTable:
         cI, cJ, cK = coefs
         by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for K in combinations(range(1, n + 1), p):
-            by_sum.setdefault(sum(K), []).append((K, sum(map(mul, cK, K))))
-        packed_J = [(J, sum(J), bias + sum(map(mul, cJ, J))) for J in Js]
-        shift = p * (p + 1) // 2
-        out = []
-        for I in Is:
-            sI = sum(I) - shift
-            vI = sum(map(mul, cI, I))
-            for J, sJ, vJ in packed_J:
-                for K, vK in by_sum.get(sI + sJ, ()):
-                    if (vI + vJ + vK) & mask == mask:
-                        out.append(HornTriple(I, J, K))
-        return tuple(out)
+            by_sum.setdefault(sum(K), []).append((K, bias + sum(map(mul, cK, K))))
+        return mask, cI, cJ, by_sum
 
 
 _DEFAULT_TABLE = HornTable()
@@ -264,35 +275,26 @@ def complement_triple(
 
 
 def _duals(n: int, p: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each p-subset X of {1..n} mapped to its dual X^v = {n+1-i : i not in X}."""
-    return {
-        X: tuple(sorted(n + 1 - i for i in range(1, n + 1) if i not in X))
-        for X in combinations(range(1, n + 1), p)
-    }
+    """Each p-subset X of {1..n} mapped to its dual X^v = {n+1-i : i not in X},
+    ascending as i descends."""
+    down = range(n, 0, -1)
+    return {X: tuple([n + 1 - i for i in down if i not in X]) for X in combinations(range(1, n + 1), p)}
 
 
 def _dual_triples(triples: Sequence[HornTriple], n: int, p: int) -> tuple[HornTriple, ...]:
     """The duals of triples of p-subsets of {1..n}, in lexicographic order."""
     dual = _duals(n, p)
-    return tuple(sorted(HornTriple(dual[I], dual[J], dual[K]) for I, J, K in triples))
+    return tuple(sorted([HornTriple(dual[I], dual[J], dual[K]) for I, J, K in triples]))
 
 
 def _overflow_shaped(n: int, s: int, p: int) -> dict[tuple[int, ...], int]:
     """Each p-subset of {1..n} whose part above s is {s+1..s+alpha}, mapped to alpha."""
-    return {
-        low + tuple(range(s + 1, s + alpha + 1)): alpha
-        for alpha in range(min(p, n - s) + 1)
-        for low in combinations(range(1, s + 1), p - alpha)
-    }
-
-
-def block_split(triple: HornTriple, s: int, t: int) -> tuple[int, int]:
-    """#(I & M_s) and #(J & M_t), each one bisection of a sorted index set.
-
-    The triple is strict iff the two add up to p.  The restriction of a
-    triple to the blocks (``smith._restricted``) reads this split.
-    """
-    return bisect_right(triple.I, s), bisect_right(triple.J, t)
+    out = {}
+    for alpha in range(min(p, n - s) + 1):
+        top = tuple(range(s + 1, s + alpha + 1))
+        for low in combinations(range(1, s + 1), p - alpha):
+            out[low + top] = alpha
+    return out
 
 
 def enumerate_T_st(

@@ -37,15 +37,17 @@ re-pointed):
   V injectively to Z^k: phi = sum mu_j g_j holds iff it holds on those
   columns.  So the description runs in dimension k on the restricted rows,
   with the same verdict; for the (1, 4) block system with ``scalar_b``, 16
-  implicit equalities in dimension 6 span only k = 3.
+  implicit equalities in dimension 6 span only k = 3.  Each implicit
+  equality is restricted once per description, not once per test.
 
 Dropping a row found implied leaves the cone as it is, so one description
-serves a whole sequential reduction, and only that row's count changes;
-dropping any other row forces a new description.  Nor does such a drop
-change which tight sets are maximal, so the facets stay too: the row was
-either no facet, and whether a set is maximal never depends on a set
-strictly inside another, or one of several rows on its facet, whose
-tight set stays among the active rows'.
+serves a whole sequential reduction, and only that row's count changes
+(an implied implicit equality lies in the span of the others, so their
+pivot columns and restrictions stay); dropping any other row forces a new
+description.  Nor does such a drop change which tight sets are maximal,
+so the facets stay too: the row was either no facet, and whether a set
+is maximal never depends on a set strictly inside another, or one of
+several rows on its facet, whose tight set stays among the active rows'.
 
 A step of a description takes the new row's product with each lineality
 vector and each ray once, and keeps the rays in one list and their zero
@@ -93,24 +95,32 @@ class Cone:
             raise ValueError(f"rows and point have different lengths {sorted(lengths)}")
         self.active = [True] * len(self.rows)
         self._tight: dict[int, int] | None = None  # active row -> tight set
-        self._pivots: list[int] | None = None  # pivot columns of the implicit equalities
+        # active implicit equality -> its row on their pivot columns
+        self._equalities: dict[int, Row] | None = None
         self._every = 0  # the tight set of an implicit equality: every ray
         self._counts: Counter[int] = Counter()  # tight set -> active rows with it
         self._facets: set[int] = set()  # the maximal proper tight sets
         self._implied: int | None = None  # last row found implied since a drop
 
+    def _check(self, i: int) -> None:
+        if not 0 <= i < len(self.rows):
+            raise ValueError(f"row {i} is outside 0..{len(self.rows) - 1}")
+
     def drop(self, i: int) -> None:
         """Free row i for good: it no longer constrains any later test."""
+        self._check(i)
         self.active[i] = False
-        # the cone is unchanged: keep its description, its facets and the
-        # span of its implicit equalities (module docstring)
         if i == self._implied:
+            # the cone is unchanged: keep its description, its facets and
+            # the span of its implicit equalities (module docstring)
             z = self._tight.pop(i)
             self._counts[z] -= 1
             if not self._counts[z]:
                 del self._counts[z]
+            if self._equalities is not None:
+                self._equalities.pop(i, None)
         else:
-            self._tight = self._pivots = None  # the cone itself may have grown
+            self._tight = None  # the cone itself may have grown: describe it again
         self._implied = None
 
 
@@ -259,21 +269,25 @@ def _rays(rows: list[Row], dim: int, point: Row | None) -> tuple[list[Row], list
     system (86 rows, 20 rays) has 38 against 118 and takes 2.6-3.3 ms
     against 10-16 ms (best of 7, 2-vCPU Xeon VM).  A row's tight set has
     bit k set iff ray k is tight on it: the bit transpose of the rays' zero
-    sets, read column by column from their binary strings.  The facets are
-    the maximal tight sets of the rows not tight on every ray, which
-    :func:`is_implied` finds once per description (:func:`_maximal`).
+    sets, read column by column, each column one strided slice of their
+    binary strings laid end to end.  The facets are the maximal tight sets
+    of the rows not tight on every ray, which :func:`is_implied` finds once
+    per description (:func:`_maximal`).
     """
     point = point or (1,) * dim
     order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
-    order.sort(key=[_dot(row, point) for row in rows].__getitem__)
+    order.sort(key=[sum(map(mul, row, point)) for row in rows].__getitem__)
     rays, _, masks = linprog([rows[b] for b in order], dim)
     width = len(rows)
     tight = [0] * width
-    # character b of each string is bit b of a zero set, and ray k comes
-    # k-th from the end, so column b holds ray k at bit k
-    strings = [f"{z:0{width}b}"[::-1] for z in reversed(masks)]
-    for b, column in enumerate(zip(*strings)):
-        tight[order[b]] = int("".join(column), 2)
+    if not masks:
+        return rays, tight
+    # ray k's zero set, in ``width`` binary digits, is the k-th block from
+    # the end of ``bits``, and digit j of a block is bit width-1-j: so
+    # column j holds ray k at bit k, and bit width-1-j is row order[-1-j]
+    bits = "".join([f"{z:0{width}b}" for z in reversed(masks)])
+    for j, row in enumerate(reversed(order)):
+        tight[row] = int(bits[j::width], 2)
     return rays, tight
 
 
@@ -302,8 +316,10 @@ def is_implied(cone: Cone, i: int) -> bool:
     by its tight set alone, and the facet test runs over the distinct
     tight sets of the active rows with their counts, not over the rows.
     An implicit equality is decided on the pivot columns of the implicit
-    equalities (module docstring).
+    equalities (module docstring), each restricted to them once per
+    description.  An index outside the rows is refused.
     """
+    cone._check(i)
     if not cone.active[i]:
         raise ValueError(f"row {i} has been dropped from the cone")
     phi = cone.rows[i]
@@ -311,7 +327,7 @@ def is_implied(cone: Cone, i: int) -> bool:
         active = [j for j, on in enumerate(cone.active) if on]
         rays, tight = _rays([cone.rows[j] for j in active], len(phi), cone.point)
         cone._tight, cone._counts = dict(zip(active, tight)), Counter(tight)
-        cone._every, cone._pivots = (1 << len(rays)) - 1, None
+        cone._every, cone._equalities = (1 << len(rays)) - 1, None
         cone._facets = _maximal(z for z in cone._counts if z != cone._every)
     tight, every, counts = cone._tight, cone._every, cone._counts
     zi = tight[i]
@@ -320,13 +336,13 @@ def is_implied(cone: Cone, i: int) -> bool:
         # imply it, and phi <= 0 on their cone (module docstring), so
         # nonnegative on its rays it is 0 on all of it, lineality included;
         # all of it is decided on the pivot columns of their span
-        equalities = [j for j, z in tight.items() if z == every]
-        if cone._pivots is None:
-            cone._pivots = _pivot_columns([cone.rows[j] for j in equalities])
-        cols = cone._pivots
-        others = [tuple(cone.rows[j][c] for c in cols) for j in equalities if j != i]
-        phi = tuple(phi[c] for c in cols)
-        implied = all(_dot(phi, r) >= 0 for r in linprog(others, len(cols))[0])
+        if cone._equalities is None:
+            equalities = [j for j, z in tight.items() if z == every]
+            cols = _pivot_columns([cone.rows[j] for j in equalities])
+            cone._equalities = {j: tuple(cone.rows[j][c] for c in cols) for j in equalities}
+        phi = cone._equalities[i]
+        others = [row for j, row in cone._equalities.items() if j != i]
+        implied = all(_dot(phi, r) >= 0 for r in linprog(others, len(phi))[0])
     else:
         # a face strictly inside another proper face is no facet; a facet
         # is implied iff another active row defines it too

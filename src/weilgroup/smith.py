@@ -24,12 +24,13 @@ enforced exactly and callers pad explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .horn import HornTriple, block_split, enumerate_T_st
+from .horn import HornTriple, enumerate_T_st
 from .partitions import as_partition, as_size, partitions_of
 
 DESK_SCALE_TOTAL = 6
@@ -92,11 +93,12 @@ class SmithSystem(NamedTuple):
 
 
 def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
-    """The row of ``triple`` on a, b and c: I and J cut at their
-    :func:`~weilgroup.horn.block_split`."""
+    """The row of ``triple`` on a, b and c: I & M_s and J & M_t, each the
+    part of a sorted index set up to one bisection.  The triple is strict
+    iff the two hold p indices together.  The record is built as a tuple
+    directly, since every candidate row of a reduction passes through here."""
     I, J, K = triple
-    a, b = block_split(triple, s, t)
-    return SmithInequality(a_idx=I[:a], b_idx=J[:b], c_idx=K, triple=triple)
+    return tuple.__new__(SmithInequality, (I[: bisect_right(I, s)], J[: bisect_right(J, t)], K, triple))
 
 
 def inequality_system(s: int, t: int) -> SmithSystem:

@@ -49,10 +49,6 @@ class NotIntegralError(WeilError):
     code = "NotIntegral"
 
 
-class DegenerateClassError(WeilError):
-    code = "DegenerateClass"
-
-
 class UnsupportedShapeError(WeilError):
     code = "UnsupportedShape"
 
@@ -98,13 +94,54 @@ def split_prime_power(q: int) -> tuple[int, int]:
     raise QNotPrimePowerError(f"q={q} is not a prime power")
 
 
-class WeilPolynomial(NamedTuple):
-    """Validated Weil polynomial; coefficients highest degree first."""
-
+class _WeilFields(NamedTuple):
     coeffs: tuple[int, ...]
     q: int
     p: int
     r: int
+
+
+class WeilPolynomial(_WeilFields):
+    """Weil polynomial, coefficients highest degree first, validated by every
+    construction (``_make``, ``_replace`` and unpickling included) with the
+    named WeilError of :func:`parse_and_validate`.  p and r (q = p^r) are
+    derived from q, or must match it when given."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Sequence[int], q: int, p: int | None = None, r: int | None = None):
+        coeffs = as_integers(coeffs, NotIntegralError)
+        try:
+            q = index(q)
+        except TypeError:
+            raise QNotPrimePowerError(f"q={q!r} is not a prime power") from None
+        split = split_prime_power(q)
+        if (p, r) not in ((None, None), split):
+            raise QNotPrimePowerError(f"q={q} is {split[0]}^{split[1]}, not p={p!r}, r={r!r}")
+        if not coeffs or coeffs[0] != 1:
+            raise NotMonicError(f"leading coefficient must be 1, got {coeffs[:1]}")
+        degree = len(coeffs) - 1
+        if degree < 2 or degree % 2 or degree > 6:
+            raise BadDegreeError(f"degree must be 2, 4 or 6, got {degree}")
+        g = degree // 2
+        # coeffs[j] multiplies t^(degree - j)
+        for i in range(g + 1):
+            low = coeffs[degree - i]
+            high = coeffs[i]
+            if low != q ** (g - i) * high:
+                raise SymmetryViolatedError(
+                    f"coeff(t^{i}) = {low} != q^{g - i} * coeff(t^{degree - i}) = "
+                    f"{q ** (g - i) * high}"
+                )
+        h = _real_weil_polynomial(coeffs, q)
+        if not _roots_real_within(h, q):
+            raise RootModulusError(f"f = t^{g} h(t + {q}/t) with h = {h}, which has a "
+                                   f"root that is not real or not in [-2 sqrt q, 2 sqrt q]")
+        return tuple.__new__(cls, (coeffs, q, *split))
+
+    @classmethod
+    def _make(cls, iterable) -> WeilPolynomial:
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -125,32 +162,7 @@ def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
     and numpy integers pass, anything else (a float, a string) raises
     NotIntegralError for a coefficient and QNotPrimePowerError for q.
     """
-    coeffs = as_integers(coeffs, NotIntegralError)
-    try:
-        q = index(q)
-    except TypeError:
-        raise QNotPrimePowerError(f"q={q!r} is not a prime power") from None
-    p, r = split_prime_power(q)
-    if not coeffs or coeffs[0] != 1:
-        raise NotMonicError(f"leading coefficient must be 1, got {coeffs[:1]}")
-    degree = len(coeffs) - 1
-    if degree < 2 or degree % 2 or degree > 6:
-        raise BadDegreeError(f"degree must be 2, 4 or 6, got {degree}")
-    g = degree // 2
-    # coeffs[j] multiplies t^(degree - j)
-    for i in range(g + 1):
-        low = coeffs[degree - i]
-        high = coeffs[i]
-        if low != q ** (g - i) * high:
-            raise SymmetryViolatedError(
-                f"coeff(t^{i}) = {low} != q^{g - i} * coeff(t^{degree - i}) = "
-                f"{q ** (g - i) * high}"
-            )
-    h = _real_weil_polynomial(coeffs, q)
-    if not _roots_real_within(h, q):
-        raise RootModulusError(f"f = t^{g} h(t + {q}/t) with h = {h}, which has a "
-                               f"root that is not real or not in [-2 sqrt q, 2 sqrt q]")
-    return WeilPolynomial(coeffs=coeffs, q=q, p=p, r=r)
+    return WeilPolynomial(coeffs, q)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +306,10 @@ def root_valuations(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
 
 
 def group_order(weil: WeilPolynomial) -> int:
-    """f(1), the order of the group of rational points in the class."""
-    value = weil(1)
-    if value == 0:
-        raise DegenerateClassError("f(1) = 0: degenerate class")
-    return abs(value)
+    """f(1) > 0, the order of the group of rational points in the class: the
+    non-real roots pair off with their conjugates, and f(0) = q^g gives the
+    real roots -+sqrt q even multiplicity."""
+    return weil(1)
 
 
 ROUTE_TAGS = {  # plan kind -> display name of the factor pattern

@@ -254,6 +254,21 @@ def test_T_st_matches_filtered_T():
                         assert got == expected, (s, n - s, p, mode, table)
 
 
+def test_selection_setup_is_shared_within_a_table():
+    """The restrictions at p and at n - p select at the same (n, p) and
+    share its packed set-up; another table sets up again."""
+    table = HornTable()
+    first = enumerate_T_st(3, 2, 1, "tilde", table=table)
+    assert set(table._packed) == {(5, 1)}
+    setup = table._packed[5, 1]
+    enumerate_T_st(3, 2, 4, "tilde", table=table)  # the dual selection, at p = 1
+    assert set(table._packed) == {(5, 1)} and table._packed[5, 1] is setup
+    fresh = HornTable()
+    assert fresh._packed == {}
+    assert enumerate_T_st(3, 2, 1, "tilde", table=fresh) == first
+    assert fresh._packed[5, 1] is not setup
+
+
 def test_T_st_guards():
     for s, t in ((0, 3), (3, 0), (-1, 4), (0, 9)):
         with pytest.raises(ValueError, match=r"^need s, t >= 1$"):

@@ -617,18 +617,29 @@ def _recorded_full_mode(monkeypatch, n):
     return calls
 
 
+def _pieri(part):
+    """One row or one column, zero parts stripped: Pieri's rule gives coefficient 1."""
+    part = tuple(x for x in part if x)
+    return len(part) <= 1 or set(part) == {1}
+
+
 def test_full_mode_one_coefficient_per_symmetry_class(monkeypatch):
     """Each class of rows under the swap and conjugation gets exactly one
-    LR coefficient: the memo neither merges two classes nor splits one."""
+    LR coefficient, except that a class whose mu or nu is one row or one
+    column gets none: the memo neither merges two classes nor splits one."""
     for n in range(2, 7):
         rows = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
         classes = {_orbit(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) for tri in rows}
+        counted = {c for c in classes if not any(_pieri(mu) or _pieri(nu) for mu, nu, _ in c)}
         calls = _recorded_full_mode(monkeypatch, n)
-        assert Counter(_orbit(*call) for call in calls) == Counter(classes), n
+        assert Counter(_orbit(*call) for call in calls) == Counter(counted), n
         if n == 5:
-            # 142 rows in 31 classes; a second call starts cold and computes them all again
-            assert len(calls) == 31
+            # 142 rows in 31 classes, one outside Pieri's rule; a second
+            # call starts cold and computes it again
+            assert (len(rows), len(classes), len(calls)) == (142, 31, 1)
             assert _recorded_full_mode(monkeypatch, n) == calls
+        if n == 6:
+            assert (len(classes), len(calls)) == (109, 18)
 
 
 def test_reduce_guards():
@@ -661,6 +672,25 @@ def test_input_contracts():
     with pytest.raises(ValueError, match="length"):
         Cone([(1, 0, 0), (0, 1), (1, 1)])
     assert is_implied(Cone([(1, 1), (1, 0), (0, 1)], (2, 1)), 0)
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"row {i} is outside 0..1"):
+            is_implied(Cone([(1, 0), (0, 1)]), i)
+        cone = Cone([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=f"row {i} is outside 0..1"):
+            cone.drop(i)
+        assert cone.active == [True, True]
+
+
+def test_dropping_a_free_row_restricts_the_equalities_again():
+    # x + y >= 0, -x >= 0, y >= 0, -y >= 0: the cone is {0}, so all four
+    # rows are implicit equalities, restricted to their pivot columns
+    cone = Cone([(1, 1), (-1, 0), (0, 1), (0, -1)])
+    assert not is_implied(cone, 0)
+    cone.drop(0)  # not implied: the cone grows to y = 0, x <= 0
+    # y >= 0 is still an implicit equality and -y >= 0 alone does not imply
+    # it; a restriction kept from before the drop would add rows 0 and 1
+    assert not is_implied(cone, 2)
+    assert not is_implied(cone, 3)
 
 
 def test_scalar_b_small():

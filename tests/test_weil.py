@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from weilgroup.weil import (
     RootModulusError,
     SizeLimitError,
     SymmetryViolatedError,
+    WeilPolynomial,
     _integer_root,
     _roots_real_within,
     factor_weil,
@@ -140,6 +142,32 @@ def test_validate_takes_integers_only(coeffs, q, error):
         with pytest.raises(error) as info:
             parse_and_validate(coeffs, q)
         assert info.value.code == error.code
+
+
+def test_hand_built_records_are_validated():
+    """Every construction of a WeilPolynomial validates, with the named
+    error parse_and_validate raises: no record holds a rejected input."""
+    with pytest.raises(RootModulusError):
+        WeilPolynomial((1, 5, 2), 2, 2, 1)
+    with pytest.raises(SymmetryViolatedError):
+        WeilPolynomial((1, 0, 0), 2, 2, 1)
+    with pytest.raises(QNotPrimePowerError):
+        WeilPolynomial((1, 0, 2), 2.0, 2, 1)
+    with pytest.raises(QNotPrimePowerError, match="2 is 2\\^1, not p=3, r=1"):
+        WeilPolynomial((1, 0, 2), 2, 3, 1)
+    weil = parse_and_validate([1, 0, 2], 2)
+    assert WeilPolynomial((1, 0, 2), 2) == WeilPolynomial([1, 0, 2], 2, 2, 1) == weil
+    assert weil._replace(coeffs=(1, 1, 2)) == parse_and_validate([1, 1, 2], 2)
+    with pytest.raises(RootModulusError):
+        weil._replace(coeffs=(1, 5, 2))
+    with pytest.raises(QNotPrimePowerError):
+        weil._replace(q=3)
+    with pytest.raises(SymmetryViolatedError):
+        WeilPolynomial._make(((1, 0, 0), 2, 2, 1))
+    # unpickling constructs too: a record built around the check is refused
+    forged = tuple.__new__(WeilPolynomial, ((1, 5, 2), 2, 2, 1))
+    with pytest.raises(RootModulusError):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_factor_p2q():
