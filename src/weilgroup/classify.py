@@ -85,7 +85,9 @@ def admissible_exponents(hull: Hull) -> GroupSet:
     at least the top-k partial sum of the (descending) valuations; this is
     the polygon condition in partial-sum form.  The top k valuations sum
     to total - height(width - k), and an integer is at least that exactly
-    when it is at least total - floor(height(width - k)).
+    when it is at least total - floor(height(width - k)).  The walk tries
+    each part from its largest value down, so it emits the tuples in
+    descending lexicographic order, each once.
     """
     width, total = hull[-1]
     need = [total - h for h in reversed(floor_heights(hull))]  # need[k] for the top k
@@ -107,7 +109,7 @@ def admissible_exponents(hull: Hull) -> GroupSet:
             chosen.pop()
 
     rec(0, total, total, 0, [])
-    return _sorted_groups(out)
+    return tuple(out)
 
 
 def direct_sums(hull: Hull, r: int, v: int, s: int) -> GroupSet:

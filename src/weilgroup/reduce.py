@@ -28,20 +28,16 @@ Two settings:
   one-column partition is multiplicity free (Pieri's rule; Macdonald,
   *Symmetric Functions and Hall Polynomials*, I.5), so a row whose mu or
   nu is a single row or a single column has coefficient 1 and needs no
-  count.
-  The other coefficients are computed once per class of rows under the
-  two symmetries c^lambda_{mu nu} = c^lambda_{nu mu} =
-  c^{lambda'}_{mu' nu'} (lambda' the conjugate partition; Macdonald, I.9):
-  the 142 rows at n = 5 fall into 31 classes once zero parts are
-  stripped, and Pieri's rule settles all but one of them; at n = 6 it
-  settles all but 18 of 109.  The memo lives in one call, so every call
-  starts cold.
+  count.  Every other row counts its tableaux once, with no memo: that
+  leaves 2 of the 142 rows at n = 5 and 55 of the 522 at n = 6.
 
 The trace equality is eliminated by substituting the last c variable, so a
 row and its complement collapse to the same functional.  The coordinate
 layout (a, then b, then every c but the last) and that substitution live
 only in :func:`_functional`, :func:`_base_rows`, :func:`_scalar_base` and
-:func:`_direct_sum_point`, which :mod:`weilgroup.verify` uses as well.
+:func:`_direct_sum_point`.  :func:`_block_cone` builds a system's cone from
+them, for :func:`reduce_system` and for the implication checks of
+:mod:`weilgroup.verify`.
 """
 
 from __future__ import annotations
@@ -167,6 +163,16 @@ def _scalar_base(base: list[tuple[int, ...]], s: int, t: int) -> list[tuple[int,
     return [r for r in dict.fromkeys(_scalarize_b(r, s, t) for r in base) if any(r)]
 
 
+def _block_cone(rows: list[tuple[int, ...]], s: int, t: int, scalar_b: bool) -> Cone:
+    """The cone of ``rows`` (coordinates of :func:`_functional`, b scalarised
+    under ``scalar_b``) and the base rows at sizes (s, t), nonnegativity
+    included, at the direct-sum point; row k of the cone is ``rows[k]``."""
+    base = _base_rows((s, t, s + t), True)
+    if scalar_b:
+        base = _scalar_base(base, s, t)
+    return Cone(rows + base, _direct_sum_point(s, t, scalar_b))
+
+
 def reduce_system(
     s: int,
     t: int,
@@ -201,11 +207,8 @@ def reduce_system(
                 iq = _restricted(tri, s, t)
                 # strict iff the restriction keeps all p indices of I and J
                 (cands if len(iq.a_idx) + len(iq.b_idx) == p else structural).append(iq)
-        sizes = (s, t, n)
-        rows = [_functional(*iq.key(), sizes) for iq in cands]  # parallel to cands
-        base = _base_rows(sizes, True)
+        rows = [_functional(*iq.key(), (s, t, n)) for iq in cands]  # parallel to cands
         if scalar_b:
-            base = _scalar_base(base, s, t)
             seen: set[tuple[int, ...]] = set()
             merged: list[SmithInequality] = []
             merged_rows: list[tuple[int, ...]] = []
@@ -218,7 +221,7 @@ def reduce_system(
                     merged.append(iq)
                     merged_rows.append(row)
             cands, rows = merged, merged_rows
-        cone = Cone(rows + base, _direct_sum_point(s, t, scalar_b))
+        cone = _block_cone(rows, s, t, scalar_b)
         kept: list[SmithInequality] = []
         removed: list[SmithInequality] = []
         for k, iq in enumerate(cands):
@@ -247,41 +250,23 @@ def reduce_system(
     )
 
 
-def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """The conjugate of a partition with no zero parts."""
-    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0])) if lam else ()
-
-
 def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]:
     """Each T^n_p row, p < n, with whether it is irredundant in the full system:
     its LR coefficient is 1.  Each index set's partition (zero parts
-    stripped) and its conjugate are built once.  A row whose mu or nu is a
-    single row or a single column has coefficient 1 without a count (module
-    docstring); every other coefficient is computed once per symmetry
-    class, keyed by the least of (mu, nu, lambda), (nu, mu, lambda) and
-    their conjugates."""
+    stripped) is built once.  A row whose mu or nu is a single row or a
+    single column has coefficient 1 without a count (module docstring);
+    every other row counts its tableaux once."""
     lam = {
         I: tuple(x for x in lambda_of(I) if x)
         for p in range(1, n)
         for I in combinations(range(1, n + 1), p)
     }
-    conj = {I: _conjugate(x) for I, x in lam.items()}
     pieri = {I: len(x) <= 1 or x[0] == 1 for I, x in lam.items()}
-    coefficient: dict[tuple[tuple[int, ...], ...], int] = {}
     out = []
     for p in range(1, n):
         for tri in enumerate_T(n, p, table=table):
             I, J, K = tri
-            if pieri[I] or pieri[J]:
-                out.append((tri, True))
-                continue
-            key = min(
-                (lam[I], lam[J], lam[K]), (lam[J], lam[I], lam[K]),
-                (conj[I], conj[J], conj[K]), (conj[J], conj[I], conj[K]),
-            )
-            if key not in coefficient:
-                coefficient[key] = lr_coefficient(lam[I], lam[J], lam[K])
-            out.append((tri, coefficient[key] == 1))
+            out.append((tri, pieri[I] or pieri[J] or lr_coefficient(lam[I], lam[J], lam[K]) == 1))
     return out
 
 

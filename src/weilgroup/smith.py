@@ -146,17 +146,17 @@ def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, 
     """All c realizable from (a, b), in descending lexicographic order.
 
     Search space: partitions of sum(a)+sum(b) into s+t parts with
-    max(a_k, b_k) <= c_k (a and b padded with zeros) and c_1 <= a_1 + b_1,
-    a valid consequence of the size-one inequalities.  The floor holds
+    max(a_k, b_k) <= c_k (a and b padded with zeros).  The floor holds
     because 0 -> coker A -> coker C -> coker B -> 0 is exact for a block
     triangular C with finite cokernel, and the type of a subgroup or of a
     quotient lies inside the type of the group (Macdonald, *Symmetric
     Functions and Hall Polynomials*, ch. II).  The walk over c tests every
     row of the strict system as each part is fixed and drops whole
-    subtrees; see ``_cokernels_cached``.  The result
-    is memoised on (a, b): classification calls this only on a miss of its
-    route memo (``classify._route_groups``), and distinct route keys still
-    meet the same few witness pairs.
+    subtrees, so a c with c_1 > a_1 + b_1 fails the size-one row at its
+    first part; see ``_cokernels_cached``.  The result is memoised on
+    (a, b): classification calls this only on a miss of its route memo
+    (``classify._route_groups``), and distinct route keys still meet the
+    same few witness pairs.
     """
     a = as_partition(a)
     b = as_partition(b)
@@ -199,6 +199,5 @@ def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int
     total = sum(a) + sum(b)
     (A, B, C), high = _packed_rows(system.s, system.t, total.bit_length() + 1)
     start = high + sum(map(mul, a, A)) + sum(map(mul, b, B))
-    top = min(total, a[0] + b[0])
     floor = [max(x, y) for x, y in zip_longest(a, b, fillvalue=0)]
-    return tuple(partitions_of(total, len(C), top, within=(start, C, high), floor=floor))
+    return tuple(partitions_of(total, len(C), within=(start, C, high), floor=floor))

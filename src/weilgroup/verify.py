@@ -30,16 +30,14 @@ from typing import NamedTuple, Sequence
 
 from .classify import admissible_exponents, direct_sums, extensions
 from .horn import HornTriple
-from .linprog import Cone, is_implied
+from .linprog import is_implied
 from .oracle import lr_coefficient
 from .partitions import partitions_of
 from .polygon import hodge_polygon
 from .reduce import (
     ReducedSystem,
-    _base_rows,
-    _direct_sum_point,
+    _block_cone,
     _functional,
-    _scalar_base,
     _scalarize_b,
     reduce_system,
     redundant_members_full,
@@ -472,10 +470,6 @@ def verify_paper_lists() -> VerifyReport:
         if len(families) > 1
     )
 
-    base = {False: _base_rows(SIZES, True)}
-    base[True] = _scalar_base(base[False], *SIZES[:2])
-    point = {scalar: _direct_sum_point(*SIZES[:2], scalar) for scalar in base}
-
     implications = []
     by_id = {rc.row.row_id: rc.row for rc in row_checks}
     for i in range(1, 5):
@@ -486,14 +480,14 @@ def verify_paper_lists() -> VerifyReport:
         ]
         implications.append(
             (f"[7](single)+[8] imply [0] at i={i}",
-             is_implied(Cone([target, *prem, *base[False]], point[False]), 0))
+             is_implied(_block_cone([target, *prem], *SIZES[:2], False), 0))
         )
     for rid in tilde_only:
         row = by_id[rid]
         # the kept rows span the cone of all strict rows: dropping an implied
         # row never changes the cone (see weilgroup.linprog)
-        rows = [_published_functional(row), *kept[row.scalar_b], *base[row.scalar_b]]
-        implied = is_implied(Cone(rows, point[row.scalar_b]), 0)
+        rows = [_published_functional(row), *kept[row.scalar_b]]
+        implied = is_implied(_block_cone(rows, *SIZES[:2], row.scalar_b), 0)
         implications.append((f"{rid} implied by the strict system", implied))
 
     redundant = redundant_members_full(6)

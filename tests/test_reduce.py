@@ -27,7 +27,6 @@ from weilgroup.reduce import (
 )
 from weilgroup.smith import inequality_system
 
-from test_oracle import conjugate
 
 EXPECTED_REDUCE = Path(__file__).parents[1] / "perfbench" / "expected_reduce.json"
 FULL6_CERTIFICATES = Path(__file__).with_name("data") / "full6_certificates.json"
@@ -597,13 +596,6 @@ def test_full_mode_no_redundancy_below_six():
     assert redundant_members_full(4) == ()
 
 
-def _orbit(mu, nu, lam):
-    """A triple's class under the mu <-> nu swap and conjugation, zero parts stripped."""
-    mu, nu, lam = (tuple(x for x in part if x) for part in (mu, nu, lam))
-    mu_, nu_, lam_ = conjugate(mu), conjugate(nu), conjugate(lam)
-    return frozenset({(mu, nu, lam), (nu, mu, lam), (mu_, nu_, lam_), (nu_, mu_, lam_)})
-
-
 def _recorded_full_mode(monkeypatch, n):
     """The arguments of every LR coefficient one full-mode reduction computes."""
     calls = []
@@ -617,29 +609,32 @@ def _recorded_full_mode(monkeypatch, n):
     return calls
 
 
+def _stripped(part):
+    return tuple(x for x in part if x)
+
+
 def _pieri(part):
     """One row or one column, zero parts stripped: Pieri's rule gives coefficient 1."""
-    part = tuple(x for x in part if x)
+    part = _stripped(part)
     return len(part) <= 1 or set(part) == {1}
 
 
-def test_full_mode_one_coefficient_per_symmetry_class(monkeypatch):
-    """Each class of rows under the swap and conjugation gets exactly one
-    LR coefficient, except that a class whose mu or nu is one row or one
-    column gets none: the memo neither merges two classes nor splits one."""
+def test_full_mode_one_coefficient_per_non_pieri_row(monkeypatch):
+    """A full-mode reduction counts tableaux exactly once for each row whose
+    mu and nu are both outside Pieri's rule, in row order and with zero
+    parts stripped, and for no other row; a second call starts cold and
+    repeats the same counts."""
+    counts = {}
     for n in range(2, 7):
-        rows = [tri for p in range(1, n) for tri in enumerate_T(n, p)]
-        classes = {_orbit(lambda_of(tri.I), lambda_of(tri.J), lambda_of(tri.K)) for tri in rows}
-        counted = {c for c in classes if not any(_pieri(mu) or _pieri(nu) for mu, nu, _ in c)}
+        rows = [[lambda_of(x) for x in tri] for p in range(1, n) for tri in enumerate_T(n, p)]
+        expected = [
+            tuple(map(_stripped, row)) for row in rows if not (_pieri(row[0]) or _pieri(row[1]))
+        ]
         calls = _recorded_full_mode(monkeypatch, n)
-        assert Counter(_orbit(*call) for call in calls) == Counter(counted), n
-        if n == 5:
-            # 142 rows in 31 classes, one outside Pieri's rule; a second
-            # call starts cold and computes it again
-            assert (len(rows), len(classes), len(calls)) == (142, 31, 1)
-            assert _recorded_full_mode(monkeypatch, n) == calls
-        if n == 6:
-            assert (len(classes), len(calls)) == (109, 18)
+        assert calls == expected, n
+        assert _recorded_full_mode(monkeypatch, n) == calls, n
+        counts[n] = (len(rows), len(calls))
+    assert (counts[5], counts[6]) == ((142, 2), (522, 55)), counts
 
 
 def test_reduce_guards():
