@@ -17,16 +17,26 @@ cyclic parts; P^2 Q, P (t +- sqrt q)^2 and Q^2 (t +- sqrt q)^2 are
 
 ``classify_all`` does not re-check separability or shape:
 ``factor_weil`` and ``shape_of`` have settled those already, and the
-``DispatchPlan`` carries everything a route reads.  ``classify_all``
-transforms each of the plan's f-side factors once per request, and
-answers each prime l from a key that does not mention the polynomial:
-the route kind, the integer Newton hull (``polygon.newton_hull``) at l of
-each transformed factor, b = v_l of the plan's real eigenvalue
-1 -+ sqrt q (0 when the route has none) and the route's r and s.  Only
-``_route_groups`` switches on the kind; it reads each width off a hull
-and each multiplicity off r and s.  The answer per key is memoised in a
-bounded ``lru_cache`` (``_route_groups``); the witness sets are computed,
-straight from the hulls of the key, only on a miss.
+``DispatchPlan`` carries everything a route reads.
+
+A prime l that divides f(1) exactly once is answered at once, whatever
+the route, by Z/l: the single tuple (1, 0, ..., 0).  The l-primary part
+of the group has order l^v_l(f(1)) = l, and a group of prime order is
+cyclic.  So ``_route_groups`` sees only primes with l^2 | f(1) (and an
+``only_l`` that does not divide f(1), which gets the zero group).  The
+plan's f-side factors are transformed once, when the first such prime
+comes: a class whose primes all divide f(1) once transforms nothing and
+touches no memo.
+
+Each remaining prime is answered from a key that does not mention the
+polynomial: the route kind, the integer Newton hull
+(``polygon.newton_hull``) at l of each transformed factor, b = v_l of the
+plan's real eigenvalue 1 -+ sqrt q (0 when the route has none) and the
+route's r and s.  Only ``_route_groups`` switches on the kind; it reads
+each width off a hull and each multiplicity off r and s.  The answer per
+key is memoised in a bounded ``lru_cache`` (``_route_groups``); the
+witness sets are computed, straight from the hulls of the key, only on a
+miss.
 
 ``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
 preconditions by construction.  Each transformed factor is a monic int
@@ -210,7 +220,8 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     """Admissible group sets for every prime dividing f(1).
 
     Primes not dividing f(1) contribute only the zero group and are
-    omitted.  The residue characteristic p is classified by the same
+    omitted.  A prime dividing f(1) exactly once gets Z/l, (1, 0, ..., 0),
+    without a route.  The residue characteristic p is classified by the same
     combinatorics but flagged with a notice: the Tate module argument
     backing the classification assumes l != p.
 
@@ -230,25 +241,25 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
         primes = [as_prime(only_l, NotPrimeError)]
     else:
         primes = _prime_factors(order, shape.factors)
-    notices = []
+    notices = ()
     if weil.p in primes:
-        notices.append(
+        notices = (
             f"l = {weil.p} equals the residue characteristic; its entry is "
-            "formal (the Tate module has rank 2g only for l != p)"
+            "formal (the Tate module has rank 2g only for l != p)",
         )
-    ops = tuple(map(transform_one_minus_t, plan.factors))
+    cyclic = ((1,) + (0,) * (weil.degree - 1),)
+    ops = None
     groups: dict[int, GroupSet] = {}
     for l in primes:
+        if not order % l and order % (l * l):
+            groups[l] = cyclic  # a group of prime order l is Z/l
+            continue
+        if ops is None:
+            ops = tuple(map(transform_one_minus_t, plan.factors))
         hulls = tuple(newton_hull(op, l) for op in ops)
         b = valuation(plan.real_eigenvalue, l) if plan.real_eigenvalue else 0
         groups[l] = _route_groups(plan.kind, hulls, b, plan.r, plan.s)
-    return Classification(
-        weil=weil,
-        shape=shape,
-        plan=plan,
-        groups=groups,
-        notices=tuple(notices),
-    )
+    return Classification(weil, shape, plan, groups, notices)
 
 
 @lru_cache(maxsize=ROUTE_MEMO_SIZE)

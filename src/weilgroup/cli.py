@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import horn
 from .classify import classify_all
@@ -44,6 +43,8 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _fractions(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction  # only here: no other command builds a Fraction
+
     try:
         return tuple(Fraction(x) for x in text.strip().split(","))
     except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,6 @@ when its size exceeds its module constant below; nothing is sampled.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -210,6 +209,8 @@ def _operator_sweep(l: int, precision: int) -> dict[tuple[Fraction, Fraction], f
     Matrices whose determinant vanishes mod l**precision are skipped; the
     map is trustworthy for polygons of total valuation below the precision.
     """
+    from fractions import Fraction  # not at import: reduce_system loads this module for lr_coefficient
+
     ln = l ** precision
     out: dict[tuple[Fraction, Fraction], set[tuple[int, ...]]] = {}
     for a in range(ln):
@@ -246,6 +247,8 @@ def operator_group_oracle(
     and is refused above MAX_SWEEP_MATRICES; it explodes combinatorially
     for operators beyond 2x2, which are not swept.
     """
+    from fractions import Fraction
+
     l = as_prime(l)
     precision = as_size(precision, "precision")
     if precision < 1:

@@ -296,7 +296,7 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
             lifted, mult = weil.coeffs, 1
         factors[lifted] = factors.get(lifted, 0) + mult
     ordered = tuple(sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return FactoredShape(weil=weil, factors=ordered)
+    return FactoredShape(weil, ordered)
 
 
 def root_valuations(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
@@ -308,8 +308,9 @@ def root_valuations(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
 def group_order(weil: WeilPolynomial) -> int:
     """f(1) > 0, the order of the group of rational points in the class: the
     non-real roots pair off with their conjugates, and f(0) = q^g gives the
-    real roots -+sqrt q even multiplicity."""
-    return weil(1)
+    real roots -+sqrt q even multiplicity.  f(1) is the sum of the
+    coefficients."""
+    return sum(weil.coeffs)
 
 
 ROUTE_TAGS = {  # plan kind -> display name of the factor pattern

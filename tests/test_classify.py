@@ -29,6 +29,7 @@ from weilgroup.polygon import (
     floor_heights,
     hodge_polygon,
     is_prime,
+    newton_hull,
     newton_polygon,
     np_dominates_hp,
     valuation,
@@ -600,3 +601,31 @@ def test_classify_answers_are_pinned(reduce_digest):
     scripts/reduce_digest.py."""
     digest = reduce_digest._digest(reduce_digest.FAMILIES["classify"]())
     assert digest == "c5704ffc9823e18fb03b78ec646e1d05dc3e1c2fa8aae4642ac3a3efd69c8e1d"
+
+
+def test_primes_dividing_f1_once_need_no_route(reduce_digest):
+    """For every (class, l) of the q <= 4 census with l dividing f(1)
+    exactly once, the route that ``classify_all`` skips for it answers
+    Z/l: ``_route_groups`` on the class's key at l is ((1, 0, ..., 0),),
+    and so is the classification."""
+    checked = 0
+    for q in (2, 3, 4):
+        for coeffs in reduce_digest._weil_polynomials(q):
+            weil = parse_and_validate(coeffs, q)
+            plan = shape_of(factor_weil(weil))
+            if plan.kind == "unsupported":
+                continue
+            order = group_order(weil)
+            once = [l for l in _prime_factors(order) if order % (l * l)]
+            if not once:
+                continue
+            ops = [transform_one_minus_t(f) for f in plan.factors]
+            cyclic = ((1,) + (0,) * (weil.degree - 1),)
+            groups = classify_all(weil).groups
+            for l in once:
+                hulls = tuple(newton_hull(op, l) for op in ops)
+                b = valuation(plan.real_eigenvalue, l) if plan.real_eigenvalue else 0
+                assert _route_groups(plan.kind, hulls, b, plan.r, plan.s) == cyclic, (coeffs, q, l)
+                assert groups[l] == cyclic
+                checked += 1
+    assert checked == 3534  # of the 4,799 (class, l) entries of the 2,699 supported classes

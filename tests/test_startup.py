@@ -184,6 +184,25 @@ def test_cli_classify_leaves_reductions_and_oracles_unloaded():
     assert out.stdout.splitlines()[-1] == str(sorted([*EAGER, "weilgroup.cli"]))
 
 
+def test_reductions_and_cli_leave_fractions_unloaded():
+    """A cold reduction in each mode and a ``horn reduce`` command build no
+    Fraction, so none of them loads ``fractions`` (nor, with it,
+    ``decimal`` and ``numbers``): only the 2x2 operator sweep and the
+    ``--slopes`` parser import it, when they run."""
+    script = (
+        "import sys\n"
+        "from weilgroup import cli\n"
+        "from weilgroup.reduce import reduce_system, redundant_members_full\n"
+        "reduce_system(4, 2)\n"
+        "redundant_members_full(5)\n"
+        "cli.main(['horn', 'reduce', '--s', '2', '--t', '1'])\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    out = _fresh("-S", "-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
