@@ -14,8 +14,11 @@ Subcommands:
 
 Partitions and polynomial coefficients are comma-separated integers,
 polynomials highest degree first.  Global flag: --json for machine
-output.  The oracle sweeps print one invariant tuple per line (a JSON
-list of lists under --json) and refuse a sweep above their limit (exit 1).
+output.  ``horn triples`` refuses n above the desk scale of
+:mod:`weilgroup.horn` (10) and ``horn reduce`` s + t above that of
+:mod:`weilgroup.smith` (6), each with exit 1.  The oracle sweeps print one
+invariant tuple per line (a JSON list of lists under --json) and refuse a
+sweep above their limit (exit 1).
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -67,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     triples.add_argument("--st", type=_ints, default=None, metavar="S,T",
                          help="restrict to the block sizes (S, T)")
     triples.add_argument("--mode", choices=("tilde", "strict"), default="strict")
-    triples.add_argument("--allow-large", action="store_true",
-                         help="lift the desk-scale guard on n")
     triples.set_defaults(run=_cmd_horn_triples)
     red = horn_sub.add_parser("reduce", help="minimal inequality system")
     red.add_argument("--s", type=int, required=True)
@@ -149,11 +150,9 @@ def _cmd_horn_triples(args) -> int:
         s, t = args.st
         if s + t != args.n:
             raise ValueError(f"--st {s},{t} does not match --n {args.n}")
-        triples = horn.enumerate_T_st(
-            s, t, args.p, args.mode, allow_large=args.allow_large
-        )
+        triples = horn.enumerate_T_st(s, t, args.p, args.mode)
     else:
-        triples = horn.enumerate_T(args.n, args.p, allow_large=args.allow_large)
+        triples = horn.enumerate_T(args.n, args.p)
     _emit(
         args,
         [_triple_json(t) for t in triples],

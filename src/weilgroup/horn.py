@@ -1,4 +1,4 @@
-"""Horn triples: the sets U^n_p and T^n_p, block restrictions, inequalities.
+"""Horn triples: the sets U^n_p and T^n_p and their block restrictions.
 
 A Horn triple is three strictly increasing index sets (I, J, K) of equal
 cardinality p inside {1..n} satisfying the trace condition
@@ -36,6 +36,12 @@ overflow above s (for I) and above t (for J) is an initial segment; the
 strict variant additionally requires #(I & M_s) + #(J & M_t) = p.
 These encode the essential inequalities between Smith invariants of a
 block triangular matrix, see :mod:`weilgroup.smith`.
+
+Every builder (:func:`enumerate_U`, :meth:`HornTable.T` and
+:func:`enumerate_T_st`) refuses n > DESK_SCALE_N before it builds
+anything, with no override.  The cost of the tables grows about fivefold
+per step in n; the Smith systems need n <= 6, and n = 10 is the largest
+that any caller uses (the tests of T^n_2 and T^n_{n-2}).
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 from .partitions import as_integers, as_size
 
-DESK_SCALE_N = 7
+DESK_SCALE_N = 10
 
 
 class HornTriple(NamedTuple):
@@ -55,18 +61,19 @@ class HornTriple(NamedTuple):
     K: tuple[int, ...]
 
 
-class ComplementTriple(NamedTuple):
-    """A complemented Horn triple; its inequality has reversed sense (<=)."""
-
-    triple: HornTriple
-    sense: str
+def _sizes(n: int, p: int) -> tuple[int, int]:
+    """n and p as ints, refused unless 1 <= p <= n <= DESK_SCALE_N."""
+    n, p = as_size(n, "n"), as_size(p, "p")
+    if n > DESK_SCALE_N:
+        raise ValueError(f"n={n} exceeds desk scale {DESK_SCALE_N}")
+    if not 1 <= p <= n:
+        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
+    return n, p
 
 
 def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
     """All of U^n_p in lexicographic order on (I, J, K)."""
-    n, p = as_size(n, "n"), as_size(p, "p")
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
+    n, p = _sizes(n, p)
     subsets = list(combinations(range(1, n + 1), p))
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for s in subsets:
@@ -123,10 +130,7 @@ class HornTable:
         self._packed: dict[tuple[int, int], tuple] = {}  # (n, p) -> _pack(n, p)
 
     def T(self, n: int, p: int) -> tuple[HornTriple, ...]:
-        n, p = as_size(n, "n"), as_size(p, "p")
-        if not 1 <= p <= n:
-            raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-        return self._compute(n, p)
+        return self._compute(*_sizes(n, p))
 
     def _compute(self, n: int, p: int) -> tuple[HornTriple, ...]:
         key = (n, p)
@@ -191,28 +195,10 @@ class HornTable:
 _DEFAULT_TABLE = HornTable()
 
 
-def _check_desk_scale(n: int, allow_large: bool) -> None:
-    if n > DESK_SCALE_N and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds desk scale {DESK_SCALE_N}; pass allow_large=True"
-        )
-
-
-def enumerate_T(
-    n: int,
-    p: int,
-    *,
-    allow_large: bool = False,
-    table: HornTable | None = None,
-) -> tuple[HornTriple, ...]:
-    """T^n_p in lexicographic order.
-
-    Guarded at desk scale (n <= 7); pass ``allow_large=True`` beyond that.
-    """
-    n = as_size(n, "n")
-    _check_desk_scale(n, allow_large)
-    tab = table if table is not None else _DEFAULT_TABLE
-    return tab.T(n, p)
+def enumerate_T(n: int, p: int, *, table: HornTable | None = None) -> tuple[HornTriple, ...]:
+    """T^n_p in lexicographic order, read from ``table`` (the shared one
+    when None).  Refused for n > DESK_SCALE_N, like every table lookup."""
+    return (table if table is not None else _DEFAULT_TABLE).T(n, p)
 
 
 def lambda_of(I: Sequence[int]) -> tuple[int, ...]:
@@ -222,56 +208,6 @@ def lambda_of(I: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"indices must increase strictly from 1: {I}")
     p = len(I)
     return tuple(I[p - 1 - a] - (p - a) for a in range(p))
-
-
-def _check_indices(triple: HornTriple, n: int) -> None:
-    for idx in (*triple.I, *triple.J, *triple.K):
-        if not 1 <= idx <= n:
-            raise ValueError(f"index {idx} is outside 1..{n}")
-
-
-def eval_inequality(
-    triple: HornTriple,
-    a: Sequence[int],
-    b: Sequence[int],
-    c: Sequence[int],
-) -> bool:
-    """sum_{i in I} a_i + sum_{j in J} b_j >= sum_{k in K} c_k (1-based)."""
-    n = len(a)
-    if len(b) != n or len(c) != n:
-        raise ValueError("a, b, c must have equal length n")
-    _check_indices(triple, n)
-    I, J, K = triple
-    return (
-        sum(a[i - 1] for i in I) + sum(b[j - 1] for j in J)
-        >= sum(c[k - 1] for k in K)
-    )
-
-
-def complement_triple(
-    triple: HornTriple | ComplementTriple, n: int
-) -> ComplementTriple | HornTriple:
-    """Complement the index sets inside {1..n}, flipping inequality sense.
-
-    Subtracting the triple's inequality from the trace equality turns a
-    ">=" constraint on (I, J, K) into a "<=" constraint on the complements.
-    Complementing twice returns the original triple.
-    """
-    if isinstance(triple, ComplementTriple):
-        inner = complement_triple(triple.triple, n)
-        assert isinstance(inner, ComplementTriple)
-        return inner.triple
-    _check_indices(triple, n)
-    I, J, K = triple
-    if len(I) >= n:
-        raise ValueError("complement of a full-size triple is empty")
-    full = set(range(1, n + 1))
-    comp = HornTriple(
-        tuple(sorted(full - set(I))),
-        tuple(sorted(full - set(J))),
-        tuple(sorted(full - set(K))),
-    )
-    return ComplementTriple(comp, "<=")
 
 
 def _duals(n: int, p: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -303,7 +239,6 @@ def enumerate_T_st(
     p: int,
     mode: str = "strict",
     *,
-    allow_large: bool = False,
     table: HornTable | None = None,
 ) -> tuple[HornTriple, ...]:
     """Block restriction of T^{s+t}_p, in lexicographic order.
@@ -317,17 +252,14 @@ def enumerate_T_st(
     the result is mapped back (module docstring): at s + t = 6 and p = 5
     the selection runs at p = 1 and packs no rows instead of the 142 rows
     of T^5_1..4.
-    Guarded at desk scale like :func:`enumerate_T`.
+    Refused for s + t > DESK_SCALE_N, like :func:`enumerate_T`.
     """
     if mode not in ("tilde", "strict"):
         raise ValueError(f"mode must be 'tilde' or 'strict', got {mode!r}")
-    s, t, p = as_size(s, "s"), as_size(t, "t"), as_size(p, "p")
+    s, t = as_size(s, "s"), as_size(t, "t")
     if s < 1 or t < 1:
         raise ValueError("need s, t >= 1")
-    n = s + t
-    _check_desk_scale(n, allow_large)
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
+    n, p = _sizes(s + t, p)
     over_I = _overflow_shaped(n, s, p)
     over_J = _overflow_shaped(n, t, p)
     tab = table if table is not None else _DEFAULT_TABLE

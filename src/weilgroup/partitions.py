@@ -65,7 +65,7 @@ def merge_sorted(*parts: Sequence[int]) -> tuple[int, ...]:
 
 
 def partitions_of(
-    total: int, max_len: int, max_part: int | None = None, *,
+    total: int, max_len: int, *,
     within: tuple[int, Sequence[int], int] | None = None,
     floor: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
@@ -75,9 +75,9 @@ def partitions_of(
     ``floor`` (nonnegative, padded with zeros to ``max_len`` parts; zeros
     by default) keeps only the c with c_k >= floor[k] for every k.  Part k
     runs from min(c_(k-1), remaining - sum_{j>k} floor[j]) down to
-    max(floor[k], ceil(remaining / parts left)): a larger value leaves too
-    little for the floors after it, a smaller one too much for weakly
-    decreasing parts.  So the last part is the remainder, and with a
+    max(floor[k], ceil(remaining / parts left)), and the first part from
+    total - sum_{j>0} floor[j]: a larger value leaves too little for the
+    floors after it, a smaller one too much for weakly decreasing parts.  So the last part is the remainder, and with a
     weakly decreasing floor every value in range has a completion.
 
     ``within=(start, coeffs, high)`` keeps only the c with (start - sum_k
@@ -89,8 +89,6 @@ def partitions_of(
     The walk is one loop over an explicit stack, not one generator per
     part, so a result is yielded once, not passed up through every level.
     """
-    if max_part is None:
-        max_part = total
     start, coeffs, high = within or (0, (0,) * max_len, 0)
     floor = tuple(floor or ())
     floor += (0,) * (max_len - len(floor))
@@ -99,7 +97,7 @@ def partitions_of(
             yield ()
         return
     if max_len == 1:
-        if floor[0] <= total <= max_part and (start - total * coeffs[0]) & high == high:
+        if floor[0] <= total and (start - total * coeffs[0]) & high == high:
             yield (total,)
         return
     after = [0] * (max_len + 1)  # after[k] = sum of the floors of parts k, k + 1, ...
@@ -109,7 +107,7 @@ def partitions_of(
     parts = [0] * max_len
     remaining, packed, low = [total] * last, [start] * last, [0] * last
     k, low[0] = 0, max(floor[0], -(-total // max_len))
-    x = min(max_part, total - after[1]) + 1
+    x = total - after[1] + 1
     while True:
         x -= 1
         if x < low[k]:  # part k is exhausted: back to the part before
@@ -132,8 +130,3 @@ def partitions_of(
         remaining[k], packed[k] = rest, left
         low[k] = max(floor[k], -(-rest // (max_len - k)))
         x = min(parts[k - 1], rest - after[k + 1]) + 1
-
-
-def partitions_up_to(max_total: int, max_len: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    for total in range(max_total + 1):
-        yield from partitions_of(total, max_len, max_part)

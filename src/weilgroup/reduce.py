@@ -49,7 +49,7 @@ from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import lr_coefficient
 from .partitions import as_size
-from .smith import DESK_SCALE_TOTAL, SmithInequality, _restricted
+from .smith import SmithInequality, _block_sizes, _restricted
 
 
 class ReducedSystem(NamedTuple):
@@ -193,12 +193,8 @@ def reduce_system(
     the Horn table to read (the shared one of :mod:`weilgroup.horn` when
     None); the result itself is not memoised.
     """
-    s, t = as_size(s, "s"), as_size(t, "t")
-    if s < 1 or t < 1:
-        raise ValueError("need s, t >= 1")
+    s, t = _block_sizes(s, t)
     n = s + t
-    if n > DESK_SCALE_TOTAL:
-        raise ValueError(f"s+t={n} exceeds desk scale {DESK_SCALE_TOTAL}")
     if mode == "smith":
         cands: list[SmithInequality] = []
         structural: list[SmithInequality] = []
@@ -256,6 +252,7 @@ def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]
     stripped) is built once.  A row whose mu or nu is a single row or a
     single column has coefficient 1 without a count (module docstring);
     every other row counts its tableaux once."""
+    tables = [enumerate_T(n, p, table=table) for p in range(1, n)]  # refuses n > DESK_SCALE_N first
     lam = {
         I: tuple(x for x in lambda_of(I) if x)
         for p in range(1, n)
@@ -263,8 +260,8 @@ def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]
     }
     pieri = {I: len(x) <= 1 or x[0] == 1 for I, x in lam.items()}
     out = []
-    for p in range(1, n):
-        for tri in enumerate_T(n, p, table=table):
+    for rows in tables:
+        for tri in rows:
             I, J, K = tri
             out.append((tri, pieri[I] or pieri[J] or lr_coefficient(lam[I], lam[J], lam[K]) == 1))
     return out

@@ -101,20 +101,23 @@ def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
     return tuple.__new__(SmithInequality, (I[: bisect_right(I, s)], J[: bisect_right(J, t)], K, triple))
 
 
+def _block_sizes(s: int, t: int) -> tuple[int, int]:
+    """s and t as ints, refused unless both are at least 1 and s + t <= DESK_SCALE_TOTAL."""
+    s, t = as_size(s, "s"), as_size(t, "t")
+    if s < 1 or t < 1:
+        raise ValueError("need s, t >= 1")
+    if s + t > DESK_SCALE_TOTAL:
+        raise ValueError(f"s+t={s + t} exceeds desk scale {DESK_SCALE_TOTAL}")
+    return s, t
+
+
 def inequality_system(s: int, t: int) -> SmithSystem:
     """Essential inequalities between a, b and c at block sizes (s, t).
 
     One inequality per block-restricted triple with 1 <= p <= s+t-1; the
     p = s+t triple restates the trace equality and is omitted.
     """
-    s, t = as_size(s, "s"), as_size(t, "t")
-    if s < 1 or t < 1:
-        raise ValueError("need s, t >= 1")
-    if s + t > DESK_SCALE_TOTAL:
-        raise ValueError(
-            f"s+t={s + t} exceeds desk scale {DESK_SCALE_TOTAL}"
-        )
-    return _inequality_system_cached(s, t)
+    return _inequality_system_cached(*_block_sizes(s, t))
 
 
 @lru_cache(maxsize=None)

@@ -4,17 +4,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from weilgroup.cli import main
 from weilgroup.horn import (
-    ComplementTriple,
     HornTriple,
     HornTable,
-    complement_triple,
     enumerate_T,
     enumerate_T_st,
     enumerate_U,
-    eval_inequality,
     lambda_of,
 )
+from weilgroup.reduce import redundant_members_full
 
 
 def test_U_examples():
@@ -85,7 +84,7 @@ def t2_criterion(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_T2_three_inequality_criterion(n):
-    assert enumerate_T(n, 2, allow_large=True) == t2_criterion(n)
+    assert enumerate_T(n, 2) == t2_criterion(n)
 
 
 def dual_triples(triples, n):
@@ -98,8 +97,8 @@ def dual_triples(triples, n):
 @pytest.mark.parametrize("n", range(8, 11))
 def test_T_codimension_two_is_dual_of_T2(n):
     """Gr(r, n) = Gr(n-r, n) makes T^n_{n-2} the dual of T^n_2, here beyond
-    the desk scale of the reference recursion."""
-    assert enumerate_T(n, n - 2, allow_large=True) == dual_triples(t2_criterion(n), n)
+    n = 7, where the tests stop the reference recursion."""
+    assert enumerate_T(n, n - 2) == dual_triples(t2_criterion(n), n)
 
 
 def complement_family(n):
@@ -129,10 +128,27 @@ def test_T_subset_of_U_up_to_7():
             assert t <= set(enumerate_U(n, p))
 
 
-def test_desk_scale_guard():
-    with pytest.raises(ValueError):
-        enumerate_T(8, 2)
-    assert enumerate_T(8, 1, allow_large=True)
+BEYOND = "^n=11 exceeds desk scale 10$"
+
+
+def test_desk_scale_guard(capsys):
+    """Every Horn table builder refuses n = 11 before it builds anything,
+    with one message and no override, and builds at n = 10."""
+    table = HornTable()
+    refusals = (
+        lambda: enumerate_T(11, 2, table=table),
+        lambda: table.T(11, 5),
+        lambda: enumerate_U(11, 5),
+        lambda: redundant_members_full(11, table=table),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match=BEYOND):
+            refused()
+        assert table._tables == {} and table._packed == {}
+    assert main(["horn", "triples", "--n", "11", "--p", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: n=11 exceeds desk scale 10\n")
+    assert enumerate_T(10, 1, table=table) == enumerate_U(10, 1)
+    assert table.T(10, 9) == complement_family(10)
 
 
 def test_lambda_examples():
@@ -155,46 +171,6 @@ def test_lambda_injective_and_partition(elems):
     p = len(I)
     rebuilt = tuple(sorted(lam[a] + (p - a) for a in range(p)))
     assert rebuilt == I
-
-
-def test_eval_inequality_examples():
-    assert eval_inequality(HornTriple((1,), (1,), (1,)), (2, 1), (1, 1), (3, 2))
-    assert eval_inequality(HornTriple((1,), (2,), (2,)), (2, 1), (1, 1), (3, 2))
-    assert eval_inequality(
-        HornTriple((2,), (2,), (3,)), (2, 1, 0), (1, 1, 0), (3, 2, 0)
-    )
-    with pytest.raises(ValueError):
-        eval_inequality(HornTriple((1,), (1,), (1,)), (1, 2), (1,), (1, 2))
-
-
-def test_complement_triple_examples():
-    comp = complement_triple(HornTriple((1,), (1,), (1,)), 2)
-    assert comp == ComplementTriple(HornTriple((2,), (2,), (2,)), "<=")
-    # complement of complement is the identity
-    assert complement_triple(comp, 2) == HornTriple((1,), (1,), (1,))
-    with pytest.raises(ValueError):
-        complement_triple(HornTriple((1, 2), (1, 2), (1, 2)), 2)
-
-
-@pytest.mark.parametrize("index", [0, -1, 3])
-def test_indices_outside_one_to_n_raise(index):
-    """An index outside 1..n is refused, not read as a[-1] or kept in a
-    complement whose sets have unequal sizes."""
-    triple = HornTriple((index,), (1,), (1,))
-    with pytest.raises(ValueError, match=f"index {index} is outside 1..2"):
-        eval_inequality(triple, (5, 1), (0, 0), (1, 0))
-    with pytest.raises(ValueError, match=f"index {index} is outside 1..2"):
-        complement_triple(triple, 2)
-
-
-def test_complement_family_gives_reversed_size_one():
-    # complements of the top-size triples give a_i + b_j <= c_{i+j-n}
-    n = 6
-    for tri in enumerate_T(n, n - 1):
-        comp = complement_triple(tri, n)
-        (i,), (j,), (k,) = comp.triple
-        assert comp.sense == "<="
-        assert k == i + j - n
 
 
 def test_T_st_examples():
@@ -273,9 +249,11 @@ def test_T_st_guards():
     for s, t in ((0, 3), (3, 0), (-1, 4), (0, 9)):
         with pytest.raises(ValueError, match=r"^need s, t >= 1$"):
             enumerate_T_st(s, t, 1)
-    with pytest.raises(ValueError, match="^n=8 exceeds desk scale 7; pass allow_large=True$"):
-        enumerate_T_st(4, 4, 1)
-    assert enumerate_T_st(4, 4, 1, allow_large=True)
+    table = HornTable()
+    with pytest.raises(ValueError, match=BEYOND):
+        enumerate_T_st(6, 5, 1, table=table)
+    assert table._tables == {} and table._packed == {}
+    assert enumerate_T_st(5, 5, 1, table=table)
     for p in (0, 4):
         with pytest.raises(ValueError, match=rf"^need 1 <= p <= n, got p={p}, n=3$"):
             enumerate_T_st(2, 1, p)

@@ -37,11 +37,9 @@ FRONT_DOOR = ["Classification", "WeilError", "WeilPolynomial", "classify_all", "
 # names the package once re-exported, each still importable from its module
 DROPPED = {
     "HornTriple": "horn",
-    "complement_triple": "horn",
     "enumerate_T": "horn",
     "enumerate_T_st": "horn",
     "enumerate_U": "horn",
-    "eval_inequality": "horn",
     "lambda_of": "horn",
     "LatticePolygon": "polygon",
     "hodge_polygon": "polygon",
@@ -122,7 +120,7 @@ def test_dropped_names_resolve_in_their_modules():
     )
     out = _fresh("-S", "-c", script)
     assert out.returncode == 0, out.stderr
-    assert len(DROPPED) == 26
+    assert len(DROPPED) == 24
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
