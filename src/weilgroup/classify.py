@@ -38,6 +38,11 @@ key is memoised in a bounded ``lru_cache`` (``_route_groups``); the
 witness sets are computed, straight from the hulls of the key, only on a
 miss.
 
+A request answered before, for an equal record and ``only_l`` of the
+same types, is served from a second bounded ``lru_cache`` (``_answers``)
+without factoring again.  Each call gets its own copy of the ``groups``
+dict, whose group tuples are the route memo's.  Errors are not memoised.
+
 ``newton_hull`` is the unchecked kernel; ``classify_all`` holds its
 preconditions by construction.  Each transformed factor is a monic int
 tuple (``transform_one_minus_t`` output).  Its constant term is nonzero:
@@ -82,6 +87,7 @@ GroupTuple = tuple[int, ...]
 GroupSet = tuple[GroupTuple, ...]
 
 ROUTE_MEMO_SIZE = 1024  # route keys; a classify workload meets a few hundred
+ANSWER_MEMO_SIZE = 1024  # (record, only_l) keys; classify-small-q meets under 800
 
 
 def _sorted_groups(groups: Iterable[GroupTuple]) -> GroupSet:
@@ -228,7 +234,23 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     Without ``only_l``, |f(1)| must be below ``polygon.PRIME_TEST_LIMIT``
     (about 3.3e24, where primality is decided), else SizeLimitError.  An
     ``only_l`` that is not a prime below that limit raises NotPrimeError.
+
+    A repeated request is answered from a bounded memo (module docstring).
     """
+    try:
+        hash((weil, only_l))
+    except TypeError:  # no record or prime is unhashable: the cold path raises for it
+        shape, plan, groups, notices = _classified(weil, only_l)
+    else:
+        shape, plan, groups, notices = _answers(weil, only_l)
+    return Classification(weil, shape, plan, dict(groups), notices)
+
+
+def _classified(
+    weil: WeilPolynomial, only_l: int | None
+) -> tuple[FactoredShape, DispatchPlan, dict[int, GroupSet], tuple[str, ...]]:
+    """The shape, plan, groups and notices that ``classify_all`` answers,
+    computed without the answer memo."""
     shape = factor_weil(weil)
     plan = shape_of(shape)
     if plan.kind == "unsupported":
@@ -259,7 +281,10 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
         hulls = tuple(newton_hull(op, l) for op in ops)
         b = valuation(plan.real_eigenvalue, l) if plan.real_eigenvalue else 0
         groups[l] = _route_groups(plan.kind, hulls, b, plan.r, plan.s)
-    return Classification(weil, shape, plan, groups, notices)
+    return shape, plan, groups, notices
+
+
+_answers = lru_cache(maxsize=ANSWER_MEMO_SIZE, typed=True)(_classified)
 
 
 @lru_cache(maxsize=ROUTE_MEMO_SIZE)

@@ -39,11 +39,15 @@ def lr_coefficient(
     reading word is a lattice word; equivalently, for every row r and
     value v >= 2 the number of v's placed through row r never exceeds
     the number of (v-1)'s placed through row r-1.  Returns 0 whenever
-    mu is not contained in lam or the sizes do not match.
+    mu is not contained in lam or the sizes do not match.  Each argument
+    goes through ``as_partition``, and zero parts are dropped.
     """
-    mu = tuple(x for x in as_partition(mu) if x > 0)
-    nu = tuple(x for x in as_partition(nu) if x > 0)
-    lam = tuple(x for x in as_partition(lam) if x > 0)
+    return count_lr_tableaux(*(tuple(x for x in as_partition(part) if x) for part in (mu, nu, lam)))
+
+
+def count_lr_tableaux(mu: tuple[int, ...], nu: tuple[int, ...], lam: tuple[int, ...]) -> int:
+    """The count of :func:`lr_coefficient`, unchecked: each argument must be
+    a partition as a tuple of ints with its zero parts dropped."""
     if sum(mu) + sum(nu) != sum(lam):
         return 0
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
@@ -209,7 +213,7 @@ def _operator_sweep(l: int, precision: int) -> dict[tuple[Fraction, Fraction], f
     Matrices whose determinant vanishes mod l**precision are skipped; the
     map is trustworthy for polygons of total valuation below the precision.
     """
-    from fractions import Fraction  # not at import: reduce_system loads this module for lr_coefficient
+    from fractions import Fraction  # not at import: reduce loads this module for its tableau counts
 
     ln = l ** precision
     out: dict[tuple[Fraction, Fraction], set[tuple[int, ...]]] = {}

@@ -47,7 +47,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
 from .linprog import Cone, is_implied
-from .oracle import lr_coefficient
+from .oracle import count_lr_tableaux
 from .partitions import as_size
 from .smith import SmithInequality, _block_sizes, _restricted
 
@@ -249,9 +249,9 @@ def reduce_system(
 def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]:
     """Each T^n_p row, p < n, with whether it is irredundant in the full system:
     its LR coefficient is 1.  Each index set's partition (zero parts
-    stripped) is built once.  A row whose mu or nu is a single row or a
-    single column has coefficient 1 without a count (module docstring);
-    every other row counts its tableaux once."""
+    stripped) is built once, so the counts take it unchecked.  A row whose
+    mu or nu is a single row or a single column has coefficient 1 without a
+    count (module docstring); every other row counts its tableaux once."""
     tables = [enumerate_T(n, p, table=table) for p in range(1, n)]  # refuses n > DESK_SCALE_N first
     lam = {
         I: tuple(x for x in lambda_of(I) if x)
@@ -263,7 +263,8 @@ def _full_rows(n: int, table: HornTable | None) -> list[tuple[HornTriple, bool]]
     for rows in tables:
         for tri in rows:
             I, J, K = tri
-            out.append((tri, pieri[I] or pieri[J] or lr_coefficient(lam[I], lam[J], lam[K]) == 1))
+            facet = pieri[I] or pieri[J] or count_lr_tableaux(lam[I], lam[J], lam[K]) == 1
+            out.append((tri, facet))
     return out
 
 

@@ -52,6 +52,7 @@ def pytest_runtest_call(item):
 def cold_classify_memos():
     """Start every test with cold classify memos, as a fresh process starts,
     so no test passes only because an earlier one warmed a memo."""
+    weilgroup.classify._answers.cache_clear()
     weilgroup.classify._route_groups.cache_clear()
     weilgroup.smith._cokernels_cached.cache_clear()
 

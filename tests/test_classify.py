@@ -629,3 +629,93 @@ def test_primes_dividing_f1_once_need_no_route(reduce_digest):
                 assert groups[l] == cyclic
                 checked += 1
     assert checked == 3534  # of the 4,799 (class, l) entries of the 2,699 supported classes
+
+
+# ---------------------------------------------------------------------------
+# the answer memo
+
+
+def _counted(monkeypatch, name):
+    """Calls of ``weilgroup.classify.<name>``, recorded from now on."""
+    calls = []
+    original = getattr(weilgroup.classify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(weilgroup.classify, name, counted)
+    return calls
+
+
+def test_repeated_request_is_served_from_the_answer_memo(monkeypatch):
+    """An equal record asked again gets an equal answer, in a fresh groups
+    dict, without factoring f or transforming a plan factor again."""
+    factored = _counted(monkeypatch, "factor_weil")
+    transformed = _counted(monkeypatch, "transform_one_minus_t")
+    first = classify_all(parse_and_validate(P2Q_COEFFS, 2))
+    assert (len(factored), len(transformed)) == (1, 2)  # cold: 4 | f(1) = 20 takes the p2q route
+    second = classify_all(parse_and_validate(P2Q_COEFFS, 2))
+    assert second == first and second.groups is not first.groups
+    assert (len(factored), len(transformed)) == (1, 2)
+
+
+def test_mutating_an_answer_changes_no_later_answer():
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    expected = {2: ((1, 1, 0, 0, 0, 0),), 5: ((1, 0, 0, 0, 0, 0),)}
+    for _ in range(2):  # the answer of a miss, then of a hit
+        result = classify_all(w)
+        assert result.groups == expected
+        result.groups.clear()
+        result.groups[3] = ((1, 0, 0, 0, 0, 0),)
+    assert classify_all(w).groups == expected
+
+
+def test_answer_memo_keeps_each_only_l_apart():
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    full = classify_all(w).groups
+    assert classify_all(w, only_l=5).groups == {5: full[5]}
+    assert classify_all(w, only_l=7).groups == {7: ((0,) * 6,)}
+    with pytest.raises(NotPrimeError):
+        classify_all(w, only_l=4)
+    assert classify_all(w).groups == full
+
+
+def test_answer_memo_keys_are_typed():
+    """``only_l=2.0`` and a plain tuple compare equal to keys answered
+    before, yet each still fails as it does cold."""
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    assert classify_all(w, only_l=2).groups == {2: ((1, 1, 0, 0, 0, 0),)}
+    with pytest.raises(NotPrimeError, match=r"^l=2\.0 is not prime$"):
+        classify_all(w, only_l=2.0)
+    classify_all(w)
+    with pytest.raises(AttributeError):  # a plain tuple is not a record
+        classify_all(tuple(w))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after_only_l_2"])
+def test_unhashable_only_l_is_not_prime(warm):
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    if warm:
+        classify_all(w, only_l=2)
+    with pytest.raises(NotPrimeError, match=r"^l=\[2\] is not prime$"):
+        classify_all(w, only_l=[2])
+
+
+P3_COEFFS = poly_mul(poly_mul((1, 1, 2), (1, 1, 2)), (1, 1, 2))  # (t^2 + t + 2)^3, unsupported
+
+
+@pytest.mark.parametrize("only_l", [4, 2.0, [2]], ids=["composite", "float", "list"])
+def test_unsupported_shape_is_raised_before_only_l_is_checked(only_l):
+    w = parse_and_validate(P3_COEFFS, 2)
+    with pytest.raises(UnsupportedShapeError):
+        classify_all(w, only_l=only_l)
+
+
+def test_unsupported_class_raises_on_every_call():
+    """Errors are not memoised: each call raises, and the memo stays empty."""
+    w = parse_and_validate(P3_COEFFS, 2)
+    for only_l in (None, None, 2, 2):
+        with pytest.raises(UnsupportedShapeError):
+            classify_all(w, only_l=only_l)
+    assert weilgroup.classify._answers.cache_info().currsize == 0

@@ -604,7 +604,7 @@ def _recorded_full_mode(monkeypatch, n):
         calls.append((mu, nu, lam))
         return lr_coefficient(mu, nu, lam)
 
-    monkeypatch.setattr(weilgroup.reduce, "lr_coefficient", recorded)
+    monkeypatch.setattr(weilgroup.reduce, "count_lr_tableaux", recorded)
     redundant_members_full(n, table=HornTable())
     return calls
 

@@ -58,6 +58,7 @@ def test_cold_reductions_reach_the_traced_layers():
 
 
 def test_cold_classify_reaches_the_traced_layers():
+    weilgroup.classify._answers.cache_clear()
     weilgroup.classify._route_groups.cache_clear()
     weilgroup.smith._cokernels_cached.cache_clear()
     # (t^2 + t + 2)^2 (t^2 - t + 2) at q = 2: a P^2 Q class with two plan factors
