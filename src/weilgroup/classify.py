@@ -235,15 +235,16 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     (about 3.3e24, where primality is decided), else SizeLimitError.  An
     ``only_l`` that is not a prime below that limit raises NotPrimeError.
 
-    A repeated request is answered from a bounded memo (module docstring).
+    A repeated request is answered from a bounded memo (module docstring),
+    whose key is the one hash of the request.  An unhashable argument fails
+    that hash with TypeError, and the cold path raises its named error.
     """
     try:
-        hash((weil, only_l))
-    except TypeError:  # no record or prime is unhashable: the cold path raises for it
-        shape, plan, groups, notices = _classified(weil, only_l)
-    else:
         shape, plan, groups, notices = _answers(weil, only_l)
-    return Classification(weil, shape, plan, dict(groups), notices)
+    except TypeError:
+        shape, plan, groups, notices = _classified(weil, only_l)
+    # every field given: skip the NamedTuple's Python-level __new__
+    return tuple.__new__(Classification, (weil, shape, plan, dict(groups), notices))
 
 
 def _classified(

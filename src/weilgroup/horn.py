@@ -72,7 +72,13 @@ def _sizes(n: int, p: int) -> tuple[int, int]:
 
 
 def enumerate_U(n: int, p: int) -> tuple[HornTriple, ...]:
-    """All of U^n_p in lexicographic order on (I, J, K)."""
+    """All of U^n_p in lexicographic order on (I, J, K).
+
+    This is the brute-force reference, kept beside the tables it checks:
+    nothing in the package calls it.  The tests use it to pin the base
+    case T^n_1 = U^n_1 up to n = 7.  It shares the size bound of every
+    builder.
+    """
     n, p = _sizes(n, p)
     subsets = list(combinations(range(1, n + 1), p))
     by_sum: dict[int, list[tuple[int, ...]]] = {}

@@ -5,8 +5,11 @@ sqrt(q).  With the functional symmetry coeff(t^i) = q^(g-i) *
 coeff(t^(2g-i)), f = t^g h(t + q/t) for a monic integer h of degree g,
 and f is a Weil polynomial exactly when h has all its roots real and in
 [-2 sqrt q, 2 sqrt q] (Kedlaya, "Search techniques for root-unitary
-polynomials", 2008).  Validation decides that, and factoring factors h
-and lifts its factors, in integer arithmetic only.  q must be below
+polynomials", 2008).  Validation decides that in one pass over the
+coefficients: the powers of q are computed once for the symmetry check,
+and the coefficients of h go straight into one exact test on a cubic
+(:func:`_cubic_roots_real_within`).  Factoring factors h and lifts its
+factors.  Everything is integer arithmetic.  q must be below
 ``polygon.PRIME_TEST_LIMIT`` (about 3.3e24), where primality is decided.
 """
 
@@ -18,7 +21,7 @@ from operator import index
 from typing import NamedTuple, Sequence
 
 from .partitions import as_integers
-from .polygon import _MR_BASES, PRIME_TEST_LIMIT, is_prime, newton_polygon, valuation
+from .polygon import _MR_BASES, PRIME_TEST_LIMIT, is_prime, newton_polygon
 
 
 class WeilError(ValueError):
@@ -75,7 +78,8 @@ def split_prime_power(q: int) -> tuple[int, int]:
     """q = p^r with p prime, r >= 1; q >= PRIME_TEST_LIMIT raises SizeLimitError.
 
     A q divisible by a prime p <= 41 (``polygon._MR_BASES``) is p^v_p(q) or
-    not a prime power; only q with no such factor search for a prime root.
+    not a prime power: p is divided out while it divides, and q is a power
+    of p iff 1 is left.  Only q with no such factor search for a prime root.
     """
     if q < 2:
         raise QNotPrimePowerError(f"q={q} is not a prime power")
@@ -83,8 +87,10 @@ def split_prime_power(q: int) -> tuple[int, int]:
         raise SizeLimitError(f"q={q} is not below the size limit {PRIME_TEST_LIMIT}")
     for p in _MR_BASES:
         if not q % p:
-            r = valuation(q, p)
-            if p ** r != q:
+            rest, r = q // p, 1
+            while not rest % p:
+                rest, r = rest // p, r + 1
+            if rest != 1:
                 raise QNotPrimePowerError(f"q={q} is not a prime power")
             return p, r
     for r in range(1, q.bit_length()):
@@ -105,7 +111,11 @@ class WeilPolynomial(_WeilFields):
     """Weil polynomial, coefficients highest degree first, validated by every
     construction (``_make``, ``_replace`` and unpickling included) with the
     named WeilError of :func:`parse_and_validate`.  p and r (q = p^r) are
-    derived from q, or must match it when given."""
+    derived from q, or must match it when given.
+
+    The checks run in one pass, in this order: integers, q, monic, degree,
+    symmetry from i = 0 up, roots.  The tuple h is built only for the
+    RootModulusError message."""
 
     __slots__ = ()
 
@@ -116,28 +126,32 @@ class WeilPolynomial(_WeilFields):
         except TypeError:
             raise QNotPrimePowerError(f"q={q!r} is not a prime power") from None
         split = split_prime_power(q)
-        if (p, r) not in ((None, None), split):
+        if (p is not None or r is not None) and (p, r) != split:
             raise QNotPrimePowerError(f"q={q} is {split[0]}^{split[1]}, not p={p!r}, r={r!r}")
         if not coeffs or coeffs[0] != 1:
             raise NotMonicError(f"leading coefficient must be 1, got {coeffs[:1]}")
         degree = len(coeffs) - 1
-        if degree < 2 or degree % 2 or degree > 6:
+        if degree not in (2, 4, 6):
             raise BadDegreeError(f"degree must be 2, 4 or 6, got {degree}")
         g = degree // 2
-        # coeffs[j] multiplies t^(degree - j)
-        for i in range(g + 1):
-            low = coeffs[degree - i]
-            high = coeffs[i]
-            if low != q ** (g - i) * high:
+        q2 = q * q
+        powers = (1, q, q2, q2 * q)
+        # coeffs[j] multiplies t^(degree - j); i = g compares coeffs[g] with itself
+        for i in range(g):
+            if coeffs[degree - i] != powers[g - i] * coeffs[i]:
                 raise SymmetryViolatedError(
-                    f"coeff(t^{i}) = {low} != q^{g - i} * coeff(t^{degree - i}) = "
-                    f"{q ** (g - i) * high}"
+                    f"coeff(t^{i}) = {coeffs[degree - i]} != q^{g - i} * "
+                    f"coeff(t^{degree - i}) = {powers[g - i] * coeffs[i]}"
                 )
-        h = _real_weil_polynomial(coeffs, q)
-        if not _roots_real_within(h, q):
-            raise RootModulusError(f"f = t^{g} h(t + {q}/t) with h = {h}, which has a "
-                                   f"root that is not real or not in [-2 sqrt q, 2 sqrt q]")
-        return tuple.__new__(cls, (coeffs, q, *split))
+        # x^(3-g) h = x^3 + b x^2 + c x + d, with h as in _real_weil_polynomial
+        b = coeffs[1]
+        c = coeffs[2] - g * q if g > 1 else 0
+        d = coeffs[3] - 2 * q * b if g > 2 else 0
+        if not _cubic_roots_real_within(b, c, d, q):
+            raise RootModulusError(f"f = t^{g} h(t + {q}/t) with h = "
+                                   f"{_real_weil_polynomial(coeffs, q)}, which has a root "
+                                   f"that is not real or not in [-2 sqrt q, 2 sqrt q]")
+        return tuple.__new__(cls, (coeffs, q) + split)
 
     @classmethod
     def _make(cls, iterable) -> WeilPolynomial:
@@ -195,16 +209,25 @@ def _real_weil_polynomial(coeffs: Sequence[int], q: int) -> tuple[int, ...]:
 
 
 def _roots_real_within(h: Sequence[int], q: int) -> bool:
-    """Every root x of the monic h is real with x^2 <= 4q.
-
-    H = x^(3-g) h = x^3 + b x^2 + c x + d, with the roots of h plus zeros, is
-    real-rooted iff its discriminant is >= 0.  Then k(z) = -H(x) H(-x) has
-    the roots z = x^2, all <= 4q iff its Taylor coefficients at 4q are >= 0.
-    """
+    """Every root x of the monic h of degree <= 3 is real with x^2 <= 4q:
+    :func:`_cubic_roots_real_within` on H = x^(3-g) h."""
     _, b, c, d = tuple(h) + (0,) * (4 - len(h))
-    disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-    z, k2, k1, k0 = 4 * q, 2 * c - b * b, c * c - 2 * b * d, -d * d
-    return disc >= 0 and min(3 * z + k2, (3 * z + 2 * k2) * z + k1, ((z + k2) * z + k1) * z + k0) >= 0
+    return _cubic_roots_real_within(b, c, d, q)
+
+
+def _cubic_roots_real_within(b: int, c: int, d: int, q: int) -> bool:
+    """Every root x of H = x^3 + b x^2 + c x + d is real with x^2 <= 4q.
+
+    H is real-rooted iff its discriminant is >= 0.  Then k(z) = -H(x) H(-x)
+    = z^3 + k2 z^2 + k1 z - d^2 has the roots z = x^2, all <= 4q iff its
+    Taylor coefficients at 4q are >= 0.  The tests stop at the first that
+    fails.
+    """
+    bb, cc = b * b, c * c
+    disc = 18 * b * c * d - 4 * bb * b * d + bb * cc - 4 * cc * c - 27 * d * d
+    z, k2, k1 = 4 * q, 2 * c - bb, cc - 2 * b * d
+    return (disc >= 0 and 3 * z + k2 >= 0 and (3 * z + 2 * k2) * z + k1 >= 0
+            and ((z + k2) * z + k1) * z >= d * d)
 
 
 def _integer_root(h: Sequence[int], bound: int) -> int | None:

@@ -218,12 +218,19 @@ def _solve(gens, phi):
 
 def _in_cone(phi, gens):
     """Farkas and Caratheodory: phi is implied by gens . x >= 0 iff it is a
-    nonnegative combination of at most dim linearly independent gens."""
+    nonnegative combination of linearly independent gens.  Adding gens
+    with coefficient 0 extends such a combination to a basis of the span
+    of gens, so only those bases are tried, once phi is known to lie in
+    the span.  Each basis has one basic solution, and the search stops at
+    the first that is nonnegative."""
+    gens = list(dict.fromkeys(g for g in gens if any(g)))  # distinct, nonzero
+    rank = _rank(gens)
+    if _rank(gens + [phi]) > rank:
+        return False
     return any(
         mu is not None and min(mu, default=0) >= 0
-        for k in range(len(phi) + 1)
-        for subset in combinations(gens, k)
-        for mu in [_solve(subset, phi)]
+        for basis in combinations(gens, rank)
+        for mu in [_solve(basis, phi)]
     )
 
 
@@ -254,18 +261,18 @@ def test_sequential_verdicts_match_farkas_on_random_cones():
 
 
 def _rank(rows):
-    """Rank over Q, by Gaussian elimination in Fractions."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Rank over Q, by fraction-free Gaussian elimination in integers."""
+    m = [list(r) for r in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / m[rank][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                m[r] = [top[col] * a - m[r][col] * b for a, b in zip(m[r], top)]
         rank += 1
     return rank
 

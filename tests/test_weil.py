@@ -26,6 +26,7 @@ from weilgroup.weil import (
     RootModulusError,
     SizeLimitError,
     SymmetryViolatedError,
+    WeilError,
     WeilPolynomial,
     _integer_root,
     _roots_real_within,
@@ -117,6 +118,41 @@ def test_validate_error_cases():
         parse_and_validate([1, -3, 2], 2)
     with pytest.raises(QNotPrimePowerError):
         parse_and_validate([1, -1, 6], 6)
+
+
+_REJECTIONS = [  # (coeffs, q, (p, r) or None, code, message), one input per path
+    ((1, 0, 0, 0, 0, 0, 0), 3, None, "SymmetryViolated",
+     "coeff(t^0) = 0 != q^3 * coeff(t^6) = 27"),
+    ((1, 1, 0, 0, 0, 0, 27), 3, None, "SymmetryViolated",
+     "coeff(t^1) = 0 != q^2 * coeff(t^5) = 9"),
+    ((1, 1, 1, 0, 0, 9, 27), 3, None, "SymmetryViolated",
+     "coeff(t^2) = 0 != q^1 * coeff(t^4) = 3"),
+    ((1, -3, 2), 2, None, "RootModulus",  # a real root outside: h = x - 3
+     "f = t^1 h(t + 2/t) with h = (1, -3), which has a root that is not real "
+     "or not in [-2 sqrt q, 2 sqrt q]"),
+    ((1, 0, 5, 0, 4), 2, None, "RootModulus",  # complex roots: h = x^2 + 1
+     "f = t^2 h(t + 2/t) with h = (1, 0, 1), which has a root that is not real "
+     "or not in [-2 sqrt q, 2 sqrt q]"),
+    ((1, -3, 6, -12, 12, -12, 8), 2, None, "RootModulus",  # h = x^2 (x - 3)
+     "f = t^3 h(t + 2/t) with h = (1, -3, 0, 0), which has a root that is not real "
+     "or not in [-2 sqrt q, 2 sqrt q]"),
+    ((2, -1, 2), 2, None, "NotMonic", "leading coefficient must be 1, got (2,)"),
+    ((1, 0, 8, 0, 24, 0, 32, 0, 16), 2, None, "BadDegree",  # (t^2 + 2)^4
+     "degree must be 2, 4 or 6, got 8"),
+    ((1, -1, 6), 6, None, "QNotPrimePower", "q=6 is not a prime power"),
+    ((1, 0, 2), 2, (3, 1), "QNotPrimePower", "q=2 is 2^1, not p=3, r=1"),
+    ((1, 0, PRIME_TEST_LIMIT), PRIME_TEST_LIMIT, None, "SizeLimit",
+     f"q={PRIME_TEST_LIMIT} is not below the size limit {PRIME_TEST_LIMIT}"),
+    ((1, 0.5, 2), 2, None, "NotIntegral", "not all integers: (1, 0.5, 2)"),
+]
+
+
+@pytest.mark.parametrize("coeffs, q, split, code, message", _REJECTIONS)
+def test_rejection_codes_and_messages_are_pinned(coeffs, q, split, code, message):
+    """Each rejection path raises its named error with its exact message."""
+    with pytest.raises(WeilError) as info:
+        WeilPolynomial(coeffs, q, *(split or ()))
+    assert (info.value.code, str(info.value)) == (code, message)
 
 
 @pytest.mark.parametrize(
@@ -540,7 +576,8 @@ def test_exhaustive_small_q_agreement():
     """Every monic h with |coeff of x^(g-k)| <= C(g, k) (2 sqrt q)^k, the box
     that holds every real Weil polynomial, lifted to f = t^g h(t + q/t)."""
     valid = 0
-    for q, g in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]:
+    for q, g in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2),
+                 (5, 1), (5, 2), (7, 1), (7, 2), (8, 1), (8, 2), (9, 1), (9, 2)]:
         bounds = [isqrt(comb(g, k) ** 2 * 4**k * q**k) for k in range(1, g + 1)]
         polys = [
             _lift_reference((1,) + tail, q)
@@ -556,7 +593,7 @@ def test_exhaustive_small_q_agreement():
             assert expected, coeffs
             assert dict(factor_weil(weil).factors) == _reference_factors(coeffs, q), coeffs
             valid += 1
-    assert valid == 435
+    assert valid == 1379  # 435 at q <= 4, 944 at q in {5, 7, 8, 9} and g <= 2
 
 
 def _smallest_root_by_scan(h, bound):
