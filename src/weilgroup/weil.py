@@ -8,8 +8,10 @@ and f is a Weil polynomial exactly when h has all its roots real and in
 polynomials", 2008).  Validation decides that in one pass over the
 coefficients: the powers of q are computed once for the symmetry check,
 and the coefficients of h go straight into one exact test on a cubic
-(:func:`_cubic_roots_real_within`).  Factoring factors h and lifts its
-factors.  Everything is integer arithmetic.  q must be below
+(:func:`_cubic_roots_real_within`).  The same test on the integer h
+within root bounds enumerates the q-Weil polynomials
+(:func:`weil_polynomials`).  Factoring factors h and lifts its factors.
+Everything is integer arithmetic.  q must be below
 ``polygon.PRIME_TEST_LIMIT`` (about 3.3e24), where primality is decided.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import isqrt
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import as_integers
 from .polygon import _MR_BASES, PRIME_TEST_LIMIT, is_prime, newton_polygon
@@ -165,9 +167,6 @@ class WeilPolynomial(_WeilFields):
     def g(self) -> int:
         return self.degree // 2
 
-    def __call__(self, x: int) -> int:
-        return poly_eval(self.coeffs, x)
-
 
 def parse_and_validate(coeffs: Sequence[int], q: int) -> WeilPolynomial:
     """Validate integer coefficients (highest degree first) and q.
@@ -191,13 +190,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_eval(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _real_weil_polynomial(coeffs: Sequence[int], q: int) -> tuple[int, ...]:
     """h with f = t^g h(t + q/t) = sum_k h_k (t^2 + q)^k t^(g-k), for q-symmetric f.
 
@@ -206,13 +198,6 @@ def _real_weil_polynomial(coeffs: Sequence[int], q: int) -> tuple[int, ...]:
     """
     g, f = len(coeffs) // 2, tuple(coeffs) + (0, 0)
     return (1, f[1], f[2] - g * q, f[3] - 2 * q * f[1])[: g + 1]
-
-
-def _roots_real_within(h: Sequence[int], q: int) -> bool:
-    """Every root x of the monic h of degree <= 3 is real with x^2 <= 4q:
-    :func:`_cubic_roots_real_within` on H = x^(3-g) h."""
-    _, b, c, d = tuple(h) + (0,) * (4 - len(h))
-    return _cubic_roots_real_within(b, c, d, q)
 
 
 def _cubic_roots_real_within(b: int, c: int, d: int, q: int) -> bool:
@@ -228,6 +213,55 @@ def _cubic_roots_real_within(b: int, c: int, d: int, q: int) -> bool:
     z, k2, k1 = 4 * q, 2 * c - bb, cc - 2 * b * d
     return (disc >= 0 and 3 * z + k2 >= 0 and (3 * z + 2 * k2) * z + k1 >= 0
             and ((z + k2) * z + k1) * z >= d * d)
+
+
+def _ceil_sqrt(n: int) -> int:
+    s = isqrt(n)
+    return s + (s * s < n)
+
+
+def weil_polynomials(q: int) -> Iterator[tuple[int, ...]]:
+    """Every q-Weil polynomial of degree 2, 4 or 6, each once, as its
+    coefficients highest degree first: g = 1, 2, 3 in turn, and each g in
+    lexicographic order of the tail (h_1, ..., h_g) of the h with
+    f = t^g h(t + q/t).  A q that is not a prime power raises the error of
+    :func:`split_prime_power` at the first step.
+
+    The tails are those of monic integer h whose roots might all be real and
+    in [-B, B], B = 2 sqrt q, each coefficient bounded by the earlier ones,
+    exactly in integers: |h_1| <= g B, since the roots sum to -h_1.  A
+    quadratic x^2 + a x + b with both roots there has b <= a^2 / 4 (real
+    roots) and h(+-B) >= 0, that is b >= |a| B - 4q.  For a cubic the same
+    two conditions hold for h' / 3 = x^2 + (2a/3) x + b/3, whose roots lie
+    between those of h, and h(B) >= 0 >= h(-B) gives |c + 4q a| <= (4q + b) B
+    with b >= -4q.  :func:`_cubic_roots_real_within` decides each tail,
+    padded with zeros to (h_1, h_2, h_3), the tail of x^(3-g) h.  f is h
+    lifted: the head (1, h_1, h_2 + g q, h_3 + 2 q h_1), cut to length
+    g + 1, that :func:`_real_weil_polynomial` inverts, then the other half
+    by the q-symmetry coeff(t^i) = q^(g-i) coeff(t^(2g-i)).
+    """
+    split_prime_power(q)
+    four_q = 4 * q
+    for g in (1, 2, 3):
+        a_max = isqrt(g * g * four_q)
+        for a in range(-a_max, a_max + 1):
+            if g == 1:
+                tails = ((a, 0, 0),)
+            elif g == 2:
+                b_min = _ceil_sqrt(four_q * a * a) - four_q
+                tails = ((a, b, 0) for b in range(b_min, a * a // 4 + 1))
+            else:
+                b_min = max(-four_q, _ceil_sqrt(4 * four_q * a * a) - 3 * four_q)
+                tails = (
+                    (a, b, c)
+                    for b in range(b_min, a * a // 3 + 1)
+                    for k in (isqrt(four_q * (four_q + b) ** 2),)
+                    for c in range(-four_q * a - k, -four_q * a + k + 1)
+                )
+            for h1, h2, h3 in tails:
+                if _cubic_roots_real_within(h1, h2, h3, q):
+                    head = (1, h1, h2 + g * q, h3 + 2 * q * h1)[: g + 1]
+                    yield head + tuple(q ** (g - i) * head[i] for i in range(g - 1, -1, -1))
 
 
 def _integer_root(h: Sequence[int], bound: int) -> int | None:
@@ -283,13 +317,6 @@ class FactoredShape(NamedTuple):
     def tag(self) -> str:
         """Display name of the route, e.g. ``P2Q``."""
         return ROUTE_TAGS[shape_of(self).kind]
-
-    def reassembled(self) -> tuple[int, ...]:
-        out: tuple[int, ...] = (1,)
-        for f, mult in self.factors:
-            for _ in range(mult):
-                out = poly_mul(out, f)
-        return out
 
 
 def factor_weil(weil: WeilPolynomial) -> FactoredShape:

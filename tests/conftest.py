@@ -59,8 +59,7 @@ def cold_classify_memos():
 
 @pytest.fixture(scope="session")
 def reduce_digest():
-    """``scripts/reduce_digest.py``, loaded by path: its digest families and
-    its census of real Weil polynomials."""
+    """``scripts/reduce_digest.py``, loaded by path, for its digest families."""
     path = Path(__file__).parents[1] / "scripts" / "reduce_digest.py"
     spec = importlib.util.spec_from_file_location("reduce_digest", path)
     script = importlib.util.module_from_spec(spec)

@@ -38,6 +38,7 @@ from weilgroup.weil import (
     group_order,
     parse_and_validate,
     poly_mul,
+    weil_polynomials,
 )
 
 P2Q_COEFFS = poly_mul(poly_mul((1, -1, 2), (1, -1, 2)), (1, 2, 2))
@@ -215,22 +216,6 @@ def test_criterion_7_paper_list_reproduction():
                  f"misprints ({elapsed:.1f}s)")
 
 
-def _sextic_corpus():
-    quads = {2: [(1, a, 2) for a in range(-2, 3)],
-             3: [(1, a, 3) for a in range(-3, 4)]}
-    candidates = []
-    for q, qs in quads.items():
-        for i, p1 in enumerate(qs):
-            for p2 in qs[i + 1 :]:
-                for p3 in qs[qs.index(p2) + 1 :]:
-                    candidates.append((poly_mul(poly_mul(p1, p2), p3), q))
-        for p1 in qs:
-            for p2 in qs:
-                if p2 != p1:
-                    candidates.append((poly_mul(poly_mul(p1, p1), p2), q))
-    return [parse_and_validate(coeffs, q) for coeffs, q in candidates]
-
-
 def test_criterion_8_end_to_end_class():
     start = time.time()
     w = parse_and_validate(P2Q_COEFFS, 2)
@@ -239,8 +224,8 @@ def test_criterion_8_end_to_end_class():
         2: ((1, 1, 0, 0, 0, 0),),
         5: ((1, 0, 0, 0, 0, 0),),
     }
-    corpus = _sextic_corpus()
-    assert len(corpus) >= 20
+    corpus = [parse_and_validate(f, q) for q in (2, 3) for f in weil_polynomials(q) if len(f) == 7]
+    assert len(corpus) == 892  # every sextic class over q = 2, 3
     classified = checked = 0
     for weil in corpus:
         try:
@@ -258,8 +243,8 @@ def test_criterion_8_end_to_end_class():
                 )
                 checked += 1
         classified += 1
-    assert classified >= 20
-    assert checked > 50
+    assert classified == 880  # the other 12 have an unsupported shape
+    assert checked == 1819
     elapsed = time.time() - start
     assert elapsed < 60, f"{elapsed:.1f}s"
     _announce(8, f"worked sextic classified exactly; {classified} corpus "

@@ -44,6 +44,7 @@ from weilgroup.weil import (
     parse_and_validate,
     poly_mul,
     shape_of,
+    weil_polynomials,
 )
 
 # each child finishes in under 1.5 s: a wrong rule must fail the test, not hang it
@@ -603,14 +604,14 @@ def test_classify_answers_are_pinned(reduce_digest):
     assert digest == "c5704ffc9823e18fb03b78ec646e1d05dc3e1c2fa8aae4642ac3a3efd69c8e1d"
 
 
-def test_primes_dividing_f1_once_need_no_route(reduce_digest):
+def test_primes_dividing_f1_once_need_no_route():
     """For every (class, l) of the q <= 4 census with l dividing f(1)
     exactly once, the route that ``classify_all`` skips for it answers
     Z/l: ``_route_groups`` on the class's key at l is ((1, 0, ..., 0),),
     and so is the classification."""
     checked = 0
     for q in (2, 3, 4):
-        for coeffs in reduce_digest._weil_polynomials(q):
+        for coeffs in weil_polynomials(q):
             weil = parse_and_validate(coeffs, q)
             plan = shape_of(factor_weil(weil))
             if plan.kind == "unsupported":

@@ -28,16 +28,17 @@ from weilgroup.weil import (
     SymmetryViolatedError,
     WeilError,
     WeilPolynomial,
+    _cubic_roots_real_within,
     _integer_root,
-    _roots_real_within,
+    _real_weil_polynomial,
     factor_weil,
     group_order,
     parse_and_validate,
-    poly_eval,
     poly_mul,
     root_valuations,
     shape_of,
     split_prime_power,
+    weil_polynomials,
 )
 
 
@@ -210,7 +211,11 @@ def test_factor_p2q():
     shape = factor_weil(parse_and_validate(P2Q_COEFFS, 2))
     assert shape.tag == "P2Q"
     assert dict(shape.factors) == {(1, -1, 2): 2, (1, 2, 2): 1}
-    assert shape.reassembled() == P2Q_COEFFS
+    product = (1,)
+    for f, mult in shape.factors:
+        for _ in range(mult):
+            product = poly_mul(product, f)
+    assert product == P2Q_COEFFS
 
 
 def test_factor_q2_realsq():
@@ -344,9 +349,9 @@ def test_quadratic_integer_root_matches_scan():
         bound = isqrt(4 * q)
         for b in range(-2 * bound, 2 * bound + 1):
             for c in range(-4 * q, 4 * q + 1):
-                h = (1, b, c)
-                if not _roots_real_within(h, q):
+                if not _cubic_roots_real_within(b, c, 0, q):  # x h has the extra root 0
                     continue
+                h = (1, b, c)
                 scan = next((x for x in range(-bound, bound + 1) if x * x + b * x + c == 0), None)
                 assert _integer_root(h, bound) == scan, (h, q)
                 seen["double"] += b * b == 4 * c
@@ -515,18 +520,19 @@ def _reference_is_weil(coeffs, q):
     return all(abs(abs(root) - target) <= 1e-9 * target for root in roots)
 
 
-def _far_from_circle(polys, q):
-    """Per monic f (all of one degree): some float root of f itself is more
-    than 1% off modulus sqrt(q).  Even a root of multiplicity 4 moves by
-    well under 1% in floats at these sizes, so these f are not Weil, and
-    only the others need the squarefree part."""
+def _circle_distance(polys, q):
+    """Per monic f (all of one degree): how far its float root farthest off
+    modulus sqrt(q) is, relative to sqrt(q).  Over 1%, f is not Weil: even
+    a root of multiplicity 4 moves by well under 1% in floats at these
+    sizes.  Within 1e-9, f is Weil, as :func:`_reference_is_weil` would
+    find.  Only the f in between need the squarefree part."""
     polys = np.array(polys, dtype=float)
     n = polys.shape[1] - 1
     companion = np.zeros((len(polys), n, n))
     companion[:, 1:, :-1] = np.eye(n - 1)
     companion[:, 0, :] = -polys[:, 1:]
     moduli = np.abs(np.linalg.eigvals(companion))
-    return np.abs(moduli - q**0.5).max(axis=1) > 0.01 * q**0.5
+    return np.abs(moduli - q**0.5).max(axis=1) / q**0.5
 
 
 def _divide(num, den):
@@ -540,13 +546,15 @@ def _divide(num, den):
 
 
 def _reference_factors(coeffs, q):
-    """Strip t -+ sqrt(q), then every monic quadratic t^2 + u t + v with
-    |u| <= 2 sqrt(q), |v| <= q; what is left is irreducible."""
+    """Strip t -+ sqrt(q), then every monic quadratic that can divide a Weil
+    polynomial; what is left is irreducible.  Such a quadratic t^2 + u t + v
+    has two roots of modulus sqrt(q), so |v| = q: v = q with
+    |u| <= 2 sqrt(q), or v = -q with the roots +-sqrt(q), that is u = 0."""
     rest, factors = tuple(coeffs), {}
     s = isqrt(q)
     linears = [(1, -s), (1, s)] if s * s == q else []
     u_bound = isqrt(4 * q)
-    quads = [(1, u, v) for u in range(-u_bound, u_bound + 1) for v in range(-q, q + 1)]
+    quads = [(1, u, q) for u in range(-u_bound, u_bound + 1)] + [(1, 0, -q)]
     for cand in linears + quads:
         while len(rest) > len(cand) - 1:
             quot, remainder = _divide(rest, cand)
@@ -559,32 +567,33 @@ def _reference_factors(coeffs, q):
     return factors
 
 
-def _lift_reference(h, q):
-    """t^g h(t + q/t) by Horner in u = t^2 + q: each step multiplies by u
-    and adds h_j t^j."""
-    acc = (h[0],)
-    for j, hj in enumerate(h[1:], start=1):
-        acc = poly_mul(acc, (1, 0, q))
-        term = (hj,) + (0,) * j
-        acc = tuple(
-            x + y for x, y in zip(acc, (0,) * (len(acc) - len(term)) + term)
-        )
-    return acc
+def _lifted_box(bounds, q):
+    """t^g h(t + q/t) for every monic h in the box, h in lexicographic order:
+    each lift is its prefix's lift times u = t^2 + q plus h_j t^j, one
+    Horner step in u."""
+    lifts = [(1,)]
+    for j, bound in enumerate(bounds, start=1):
+        steps = []
+        for acc in lifts:
+            times_u = tuple(x + q * y for x, y in zip(acc + (0, 0), (0, 0) + acc))
+            steps += [times_u[:j] + (times_u[j] + hj,) + times_u[j + 1 :]
+                      for hj in range(-bound, bound + 1)]
+        lifts = steps
+    return lifts
 
 
 def test_exhaustive_small_q_agreement():
     """Every monic h with |coeff of x^(g-k)| <= C(g, k) (2 sqrt q)^k, the box
-    that holds every real Weil polynomial, lifted to f = t^g h(t + q/t)."""
+    that holds every real Weil polynomial, lifted to f = t^g h(t + q/t).
+    The valid f are exactly the degree-2g part of the census, in its order."""
     valid = 0
     for q, g in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2),
                  (5, 1), (5, 2), (7, 1), (7, 2), (8, 1), (8, 2), (9, 1), (9, 2)]:
         bounds = [isqrt(comb(g, k) ** 2 * 4**k * q**k) for k in range(1, g + 1)]
-        polys = [
-            _lift_reference((1,) + tail, q)
-            for tail in itertools.product(*(range(-b, b + 1) for b in bounds))
-        ]
-        for coeffs, far in zip(polys, _far_from_circle(polys, q)):
-            expected = not far and _reference_is_weil(coeffs, q)
+        polys = _lifted_box(bounds, q)
+        found = []
+        for coeffs, off in zip(polys, _circle_distance(polys, q)):
+            expected = off <= 1e-9 or (off <= 0.01 and _reference_is_weil(coeffs, q))
             try:
                 weil = parse_and_validate(coeffs, q)
             except RootModulusError:
@@ -592,24 +601,42 @@ def test_exhaustive_small_q_agreement():
                 continue
             assert expected, coeffs
             assert dict(factor_weil(weil).factors) == _reference_factors(coeffs, q), coeffs
-            valid += 1
+            found.append(weil.coeffs)
+        census = itertools.takewhile(lambda f: len(f) <= 2 * g + 1, weil_polynomials(q))
+        assert found == [f for f in census if len(f) == 2 * g + 1], (q, g)
+        valid += len(found)
     assert valid == 1379  # 435 at q <= 4, 944 at q in {5, 7, 8, 9} and g <= 2
 
 
+def test_weil_polynomials_census():
+    """The census has the 2 isqrt(4q) + 1 Weil quadratics t^2 - a t + q,
+    a^2 <= 4q, first; its q <= 4 part (the classify digest's 2,753 classes)
+    validates and repeats no class; it refuses a q that is not a prime power."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 243, 1024):
+        quadratics = list(itertools.takewhile(lambda f: len(f) == 3, weil_polynomials(q)))
+        assert quadratics == [(1, a, q) for a in range(-isqrt(4 * q), isqrt(4 * q) + 1)], q
+    for q, total in ((2, 255), (3, 747), (4, 1751)):
+        census = list(weil_polynomials(q))
+        assert len(census) == len(set(census)) == total, q
+        assert all(parse_and_validate(f, q).coeffs == f for f in census), q
+    for q in (6, 1):
+        with pytest.raises(QNotPrimePowerError):
+            next(weil_polynomials(q))
+
+
 def _smallest_root_by_scan(h, bound):
-    return next((x for x in range(-bound, bound + 1) if poly_eval(h, x) == 0), None)
+    return next((x for x in range(-bound, bound + 1) if eval_poly(h, x) == 0), None)
 
 
-def test_cubic_integer_root_on_the_census(reduce_digest):
-    """The smallest integer root of every real-rooted cubic h of the q <= 4
-    census (the cubic tails of scripts/reduce_digest.py that pass
-    ``_roots_real_within``), against a scan of [-isqrt(4q), isqrt(4q)]."""
+def test_cubic_integer_root_on_the_census():
+    """The smallest integer root of the cubic h of every sextic of the
+    q <= 4 census, against a scan of [-isqrt(4q), isqrt(4q)]."""
     cubics = 0
     for q in (2, 3, 4):
         bound = isqrt(4 * q)
-        for tail in reduce_digest._real_weil_tails(q):
-            h = (1, *tail)
-            if len(tail) == 3 and _roots_real_within(h, q):
+        for f in weil_polynomials(q):
+            if len(f) == 7:
+                h = _real_weil_polynomial(f, q)
                 assert _integer_root(h, bound) == _smallest_root_by_scan(h, bound), (h, q)
                 cubics += 1
     assert cubics == 2533
