@@ -49,7 +49,7 @@ from .horn import HornTable, HornTriple, enumerate_T, enumerate_T_st, lambda_of
 from .linprog import Cone, is_implied
 from .oracle import count_lr_tableaux
 from .partitions import as_size
-from .smith import SmithInequality, _block_sizes, _restricted
+from .smith import SmithInequality, _block_sizes, _restricted, format_inequality
 
 
 class ReducedSystem(NamedTuple):
@@ -62,7 +62,7 @@ class ReducedSystem(NamedTuple):
 
     def _pretty(self, iq: SmithInequality) -> str:
         """One row as this system prints it: a single b under scalar_b."""
-        return iq.pretty_scalar_b() if self.mode.endswith("+scalar_b") else iq.pretty()
+        return format_inequality(*iq.key(), self.mode.endswith("+scalar_b"))
 
     def pretty_lines(self) -> list[str]:
         lines = [f"minimal system for (s, t) = ({self.s}, {self.t}), mode {self.mode}"]

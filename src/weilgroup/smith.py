@@ -56,12 +56,6 @@ class SmithInequality(NamedTuple):
     def key(self) -> tuple:
         return (self.a_idx, self.b_idx, self.c_idx)
 
-    def pretty(self) -> str:
-        return format_inequality(self.a_idx, self.b_idx, self.c_idx)
-
-    def pretty_scalar_b(self) -> str:
-        return format_inequality(self.a_idx, self.b_idx, self.c_idx, scalar_b=True)
-
 
 def format_inequality(
     a_idx: Sequence[int],
@@ -86,12 +80,6 @@ def format_inequality(
     return f"{'+'.join(lhs) or '0'} {sense} {'+'.join(rhs) or '0'}"
 
 
-class SmithSystem(NamedTuple):
-    s: int
-    t: int
-    inequalities: tuple[SmithInequality, ...]
-
-
 def _restricted(triple: HornTriple, s: int, t: int) -> SmithInequality:
     """The row of ``triple`` on a, b and c: I & M_s and J & M_t, each the
     part of a sorted index set up to one bisection.  The triple is strict
@@ -111,7 +99,7 @@ def _block_sizes(s: int, t: int) -> tuple[int, int]:
     return s, t
 
 
-def inequality_system(s: int, t: int) -> SmithSystem:
+def inequality_system(s: int, t: int) -> tuple[SmithInequality, ...]:
     """Essential inequalities between a, b and c at block sizes (s, t).
 
     One inequality per block-restricted triple with 1 <= p <= s+t-1; the
@@ -121,12 +109,12 @@ def inequality_system(s: int, t: int) -> SmithSystem:
 
 
 @lru_cache(maxsize=None)
-def _inequality_system_cached(s: int, t: int) -> SmithSystem:
+def _inequality_system_cached(s: int, t: int) -> tuple[SmithInequality, ...]:
     ineqs = []
     for p in range(1, s + t):
         for tri in enumerate_T_st(s, t, p, "strict"):
             ineqs.append(_restricted(tri, s, t))
-    return SmithSystem(s=s, t=t, inequalities=tuple(ineqs))
+    return tuple(ineqs)
 
 
 def feasible_triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
@@ -141,8 +129,7 @@ def feasible_triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> boo
     c = as_partition(c, length=s + t)
     if sum(a) + sum(b) != sum(c):
         return False
-    system = inequality_system(s, t)
-    return all(iq.holds(a, b, c) for iq in system.inequalities)
+    return all(iq.holds(a, b, c) for iq in inequality_system(s, t))
 
 
 def enumerate_cokernels(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -173,7 +160,7 @@ def _packed_rows(s: int, t: int, width: int) -> tuple[tuple[tuple[int, ...], ...
     r * width), and the mask of every field's high bit."""
     counts = [[0] * s, [0] * t, [0] * (s + t)]
     high = 0
-    for r, iq in enumerate(_inequality_system_cached(s, t).inequalities):
+    for r, iq in enumerate(_inequality_system_cached(s, t)):
         low = 1 << (r * width)
         high |= low << (width - 1)
         for count, idx in zip(counts, (iq.a_idx, iq.b_idx, iq.c_idx)):
@@ -198,9 +185,10 @@ def _cokernels_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int
     prefix that clears a high bit is dropped with its subtree, and a
     complete c survives iff every row holds.
     """
-    system = inequality_system(len(a), len(b))
+    s, t = len(a), len(b)
+    inequality_system(s, t)  # refuses s + t > DESK_SCALE_TOTAL; perfbench times this span
     total = sum(a) + sum(b)
-    (A, B, C), high = _packed_rows(system.s, system.t, total.bit_length() + 1)
+    (A, B, C), high = _packed_rows(s, t, total.bit_length() + 1)
     start = high + sum(map(mul, a, A)) + sum(map(mul, b, B))
     floor = [max(x, y) for x, y in zip_longest(a, b, fillvalue=0)]
     return tuple(partitions_of(total, len(C), within=(start, C, high), floor=floor))

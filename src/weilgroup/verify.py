@@ -244,7 +244,6 @@ class RowCheck(NamedTuple):
     well_formed: bool
     in_tilde: bool | None
     in_strict: bool | None
-    note: str = ""
 
 
 class MisprintPair(NamedTuple):
@@ -419,7 +418,7 @@ class VerifyReport(NamedTuple):
 
 def _check_row(row: PublishedRow, tilde: set[HornTriple], strict: set[HornTriple]) -> RowCheck:
     if row.I is None or row.J is None or row.K is None:
-        return RowCheck(row, False, None, None, "index sets not printed")
+        return RowCheck(row, False, None, None)
     sets = (row.I, row.J, row.K)
     sizes = {len(s) for s in sets}
     increasing = all(all(a < b for a, b in zip(s, s[1:])) for s in sets)
@@ -428,7 +427,7 @@ def _check_row(row: PublishedRow, tilde: set[HornTriple], strict: set[HornTriple
     trace = sum(row.I) + sum(row.J) == sum(row.K) + p * (p + 1) // 2
     well_formed = len(sizes) == 1 and increasing and in_range and trace
     if not well_formed:
-        return RowCheck(row, False, None, None, "trace or shape violation")
+        return RowCheck(row, False, None, None)
     tri = HornTriple(row.I, row.J, row.K)
     return RowCheck(row, True, tri in tilde, tri in strict)
 

@@ -632,6 +632,36 @@ def test_primes_dividing_f1_once_need_no_route():
     assert checked == 3534  # of the 4,799 (class, l) entries of the 2,699 supported classes
 
 
+def test_every_answer_lies_between_the_diagonal_group_and_the_dominance_set():
+    """The sandwich referee over the q <= 4 census, at every prime l of each
+    answer, l = p included.  Upper: every group dominates the Newton
+    polygon of f(1 - t) at l, the Newton-above-Hodge condition that every
+    class meets.  Lower: the diagonal group occurs.  It is the cokernel of
+    1 - A0 for the semisimple integer matrix A0 with m companion matrices
+    C_h for each factor h^m of f, and coker(1 - C_h) = Z/h(1): so it
+    repeats v_l(h(1)) m times for each h^m, padded with zeros to 2g."""
+    classes = entries = at_p = 0
+    for q in (2, 3, 4):
+        for coeffs in weil_polynomials(q):
+            weil = parse_and_validate(coeffs, q)
+            try:
+                groups = classify_all(weil).groups
+            except UnsupportedShapeError:
+                continue
+            classes += 1
+            op = transform_one_minus_t(weil.coeffs)
+            factors = factor_weil(weil).factors
+            for l, answer in groups.items():
+                dominance = set(admissible_exponents(newton_hull(op, l)))
+                assert dominance.issuperset(answer), (coeffs, q, l)
+                diagonal = [valuation(sum(h), l) for h, m in factors for _ in range(m)]
+                diagonal += [0] * (weil.degree - len(diagonal))
+                assert tuple(sorted(diagonal, reverse=True)) in answer, (coeffs, q, l)
+                entries += 1
+                at_p += l == weil.p
+    assert (classes, entries, at_p) == (2699, 4799, 1296)
+
+
 # ---------------------------------------------------------------------------
 # the answer memo
 

@@ -26,10 +26,9 @@ RECORDS = {  # name -> (record, its fields in order)
     "HornTriple": (HornTriple((1, 3), (2, 3), (3, 4)), ("I", "J", "K")),
     "LatticePolygon": (newton_polygon([1, 0, 3, 2, 6, 0, 8], 2), ("vertices",)),
     "SmithInequality": (
-        inequality_system(2, 1).inequalities[0],
+        inequality_system(2, 1)[0],
         ("a_idx", "b_idx", "c_idx", "triple"),
     ),
-    "SmithSystem": (inequality_system(2, 1), ("s", "t", "inequalities")),
     "ReducedSystem": (
         reduce_system(1, 2),
         ("s", "t", "mode", "kept", "removed_structural", "removed_implied"),
