@@ -43,7 +43,7 @@ def main() -> int:
             continue
         classified += 1
         poly_txt = ",".join(map(str, weil.coeffs))
-        print(f"q={weil.q}  f={poly_txt}  shape={result.shape.tag}  "
+        print(f"q={weil.q}  f={poly_txt}  shape={result.plan.tag}  "
               f"#X={group_order(weil)}")
         transformed = transform_one_minus_t(weil.coeffs)
         order = group_order(weil)

@@ -72,7 +72,6 @@ from .smith import enumerate_cokernels
 from .partitions import merge_sorted
 from .weil import (
     DispatchPlan,
-    FactoredShape,
     NotPrimeError,
     SizeLimitError,
     UnsupportedShapeError,
@@ -151,7 +150,6 @@ class Classification(NamedTuple):
     """Admissible group types per prime, plus advisory notices."""
 
     weil: WeilPolynomial
-    shape: FactoredShape
     plan: DispatchPlan
     groups: dict[int, GroupSet]
     notices: tuple[str, ...] = ()
@@ -240,30 +238,27 @@ def classify_all(weil: WeilPolynomial, *, only_l: int | None = None) -> Classifi
     that hash with TypeError, and the cold path raises its named error.
     """
     try:
-        shape, plan, groups, notices = _answers(weil, only_l)
+        plan, groups, notices = _answers(weil, only_l)
     except TypeError:
-        shape, plan, groups, notices = _classified(weil, only_l)
+        plan, groups, notices = _classified(weil, only_l)
     # every field given: skip the NamedTuple's Python-level __new__
-    return tuple.__new__(Classification, (weil, shape, plan, dict(groups), notices))
+    return tuple.__new__(Classification, (weil, plan, dict(groups), notices))
 
 
 def _classified(
     weil: WeilPolynomial, only_l: int | None
-) -> tuple[FactoredShape, DispatchPlan, dict[int, GroupSet], tuple[str, ...]]:
-    """The shape, plan, groups and notices that ``classify_all`` answers,
-    computed without the answer memo."""
-    shape = factor_weil(weil)
-    plan = shape_of(shape)
+) -> tuple[DispatchPlan, dict[int, GroupSet], tuple[str, ...]]:
+    """The plan, groups and notices that ``classify_all`` answers, computed
+    without the answer memo."""
+    factors = factor_weil(weil)
+    plan = shape_of(weil, factors)
     if plan.kind == "unsupported":
-        raise UnsupportedShapeError(
-            f"factor pattern not in the classified list: "
-            f"{[(f, m) for f, m in shape.factors]}"
-        )
+        raise UnsupportedShapeError(f"factor pattern not in the classified list: {list(factors)}")
     order = group_order(weil)
     if only_l is not None:
         primes = [as_prime(only_l, NotPrimeError)]
     else:
-        primes = _prime_factors(order, shape.factors)
+        primes = _prime_factors(order, factors)
     notices = ()
     if weil.p in primes:
         notices = (
@@ -282,7 +277,7 @@ def _classified(
         hulls = tuple(newton_hull(op, l) for op in ops)
         b = valuation(plan.real_eigenvalue, l) if plan.real_eigenvalue else 0
         groups[l] = _route_groups(plan.kind, hulls, b, plan.r, plan.s)
-    return shape, plan, groups, notices
+    return plan, groups, notices
 
 
 _answers = lru_cache(maxsize=ANSWER_MEMO_SIZE, typed=True)(_classified)

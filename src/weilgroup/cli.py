@@ -224,11 +224,11 @@ def _cmd_classify(args) -> int:
     payload = {
         "q": weil.q,
         "poly": list(weil.coeffs),
-        "shape": result.shape.tag,
+        "shape": result.plan.tag,
         "groups": {str(l): [list(c) for c in cs] for l, cs in result.groups.items()},
         "notices": list(result.notices),
     }
-    lines = [f"shape: {result.shape.tag}"]
+    lines = [f"shape: {result.plan.tag}"]
     for l in sorted(result.groups):
         for c in result.groups[l]:
             lines.append(f"l={l}: {','.join(map(str, c))}")

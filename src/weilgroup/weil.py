@@ -306,21 +306,12 @@ def _integer_root(h: Sequence[int], bound: int) -> int | None:
     return None
 
 
-class FactoredShape(NamedTuple):
-    """Complete factorization into monic integer irreducibles, with
-    multiplicities; ``shape_of`` reads the classification route off it."""
-
-    weil: WeilPolynomial
-    factors: tuple[tuple[tuple[int, ...], int], ...]  # (coeffs, multiplicity)
-
-    @property
-    def tag(self) -> str:
-        """Display name of the route, e.g. ``P2Q``."""
-        return ROUTE_TAGS[shape_of(self).kind]
+Factors = tuple[tuple[tuple[int, ...], int], ...]  # ((coeffs, multiplicity), ...)
 
 
-def factor_weil(weil: WeilPolynomial) -> FactoredShape:
-    """Factor into monic integer irreducibles with multiplicities.
+def factor_weil(weil: WeilPolynomial) -> Factors:
+    """Factor into monic integer irreducibles with multiplicities, sorted by
+    degree, then by coefficients.
 
     h of degree <= 3 factors over Q by stripping its integer roots.  Each
     factor of h lifts to an irreducible factor of f, except x -+ 2 sqrt q
@@ -345,8 +336,7 @@ def factor_weil(weil: WeilPolynomial) -> FactoredShape:
         else:  # h is an irreducible cubic
             lifted, mult = weil.coeffs, 1
         factors[lifted] = factors.get(lifted, 0) + mult
-    ordered = tuple(sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return FactoredShape(weil, ordered)
+    return tuple(sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 def root_valuations(coeffs: Sequence[int], l: int) -> tuple[Fraction, ...]:
@@ -394,10 +384,16 @@ class DispatchPlan(NamedTuple):
     r: int = 0
     s: int = 0
 
+    @property
+    def tag(self) -> str:
+        """Display name of the route, e.g. ``P2Q``."""
+        return ROUTE_TAGS[self.kind]
 
-def shape_of(shape: FactoredShape) -> DispatchPlan:
-    """The classification route of a factored Weil polynomial, decided from
-    its factor pattern, with the route's arguments.
+
+def shape_of(weil: WeilPolynomial, factors: Factors) -> DispatchPlan:
+    """The classification route of ``weil``, decided from the pattern of its
+    ``factors`` as :func:`factor_weil` returns them, with the route's
+    arguments.
 
     The route key at a prime l is the kind, the Newton hulls at l of the
     transformed ``factors``, b = v_l(``real_eigenvalue``) and r and s.
@@ -405,29 +401,28 @@ def shape_of(shape: FactoredShape) -> DispatchPlan:
     the real eigenvalue 1 + c.  Patterns outside the classified list give
     kind ``unsupported``.
     """
-    q = shape.weil.q
+    q = weil.q
     sq = isqrt(q)
-    factors = dict(shape.factors)
-    squarefree = all(m == 1 for m in factors.values())
+    mults = dict(factors)
+    squarefree = all(m == 1 for m in mults.values())
 
-    if sq * sq == q and set(factors) <= {(1, -sq), (1, sq)}:
-        u = factors.get((1, -sq), 0)  # multiplicity of (t - sqrt q)
-        w = factors.get((1, sq), 0)
+    if sq * sq == q and set(mults) <= {(1, -sq), (1, sq)}:
+        u = mults.get((1, -sq), 0)  # multiplicity of (t - sqrt q)
+        w = mults.get((1, sq), 0)
         if u == 0 or w == 0:
             return DispatchPlan(kind="scalar", real_eigenvalue=1 + sq if w else 1 - sq,
                                 sign="plus" if w else "minus", s=u + w)
-        if squarefree:
-            return DispatchPlan(kind="separable", factors=(shape.weil.coeffs,))
+        # no squarefree case: f(0) = (-1)^u q^g = q^g makes u, and so w, even
         # the majority factor (t -+ sqrt q) gives the cyclic parts
         return DispatchPlan(kind="cyclic_index", factors=((1, 0, -q),),
                             real_eigenvalue=1 - sq if u >= w else 1 + sq,
                             r=min(u, w), s=abs(u - w))
     if squarefree:
-        return DispatchPlan(kind="separable", factors=(shape.weil.coeffs,))
+        return DispatchPlan(kind="separable", factors=(weil.coeffs,))
 
-    degree = shape.weil.degree
-    quads = {f: m for f, m in factors.items() if len(f) == 3}
-    linears = {f: m for f, m in factors.items() if len(f) == 2}
+    degree = weil.degree
+    quads = {f: m for f, m in mults.items() if len(f) == 3}
+    linears = {f: m for f, m in mults.items() if len(f) == 2}
     if degree == 4 and not linears and list(quads.values()) == [2]:
         return DispatchPlan(kind="p_square", factors=tuple(quads), r=2)
     if degree == 6 and not linears and sorted(quads.values()) == [1, 2]:
@@ -439,18 +434,15 @@ def shape_of(shape: FactoredShape) -> DispatchPlan:
         # single linear factor here always carries multiplicity 2
         (lf,) = linears
         sign = "plus" if lf[1] > 0 else "minus"
-        rest = {f: m for f, m in factors.items() if f != lf}
-        if all(m == 1 for m in rest.values()) and sum(
-            (len(f) - 1) * m for f, m in rest.items()
-        ) == 4:
+        rest = {f: m for f, m in mults.items() if f != lf}
+        if all(m == 1 for m in rest.values()):
             cofactor: tuple[int, ...] = (1,)
             for f in rest:
                 cofactor = poly_mul(cofactor, f)
             return DispatchPlan(kind="p_realsq", factors=(cofactor,), real_eigenvalue=1 + lf[1],
                                 sign=sign, s=2)
-        if len(rest) == 1:
-            (qf, qm), = rest.items()
-            if len(qf) == 3 and qm == 2:
-                return DispatchPlan(kind="q2_realsq", factors=(qf,), real_eigenvalue=1 + lf[1],
-                                    sign=sign, r=2, s=2)
+        # the rest has degree 4 and no linear factor; not squarefree, it is one quadratic squared
+        (qf,) = rest
+        return DispatchPlan(kind="q2_realsq", factors=(qf,), real_eigenvalue=1 + lf[1],
+                            sign=sign, r=2, s=2)
     return DispatchPlan(kind="unsupported")

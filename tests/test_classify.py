@@ -249,7 +249,7 @@ def test_groups_wrappers_reject_non_prime_l(coeffs, kind, l):
     routes at q = 9 with NotPrimeError, a WeilError of code NotPrime that
     carries the polygon layer's message, before any valuation."""
     w = parse_and_validate(coeffs, 9)
-    assert shape_of(factor_weil(w)).kind == kind
+    assert shape_of(w, factor_weil(w)).kind == kind
     with pytest.raises(NotPrimeError) as route_error:
         classify_all(w, only_l=l)
     assert route_error.value.code == "NotPrime"
@@ -379,7 +379,7 @@ def _reference_groups(result, l):
         return newton_polygon(transform_one_minus_t(f), l).vertices
 
     w, kind = result.weil, result.plan.kind
-    factors = dict(result.shape.factors)
+    factors = dict(factor_weil(w))
     linears = {f: m for f, m in factors.items() if len(f) == 2}
     rest = [f for f in factors if len(f) > 2]
     if kind == "separable":
@@ -613,7 +613,7 @@ def test_primes_dividing_f1_once_need_no_route():
     for q in (2, 3, 4):
         for coeffs in weil_polynomials(q):
             weil = parse_and_validate(coeffs, q)
-            plan = shape_of(factor_weil(weil))
+            plan = shape_of(weil, factor_weil(weil))
             if plan.kind == "unsupported":
                 continue
             order = group_order(weil)
@@ -650,7 +650,7 @@ def test_every_answer_lies_between_the_diagonal_group_and_the_dominance_set():
                 continue
             classes += 1
             op = transform_one_minus_t(weil.coeffs)
-            factors = factor_weil(weil).factors
+            factors = factor_weil(weil)
             for l, answer in groups.items():
                 dominance = set(admissible_exponents(newton_hull(op, l)))
                 assert dominance.issuperset(answer), (coeffs, q, l)

@@ -16,11 +16,10 @@ from weilgroup.weil import DispatchPlan, factor_weil, parse_and_validate, shape_
 _WEIL = parse_and_validate([1, 0, 3, 2, 6, 0, 8], 2)
 
 RECORDS = {  # name -> (record, its fields in order)
-    "Classification": (classify_all(_WEIL), ("weil", "shape", "plan", "groups", "notices")),
+    "Classification": (classify_all(_WEIL), ("weil", "plan", "groups", "notices")),
     "WeilPolynomial": (_WEIL, ("coeffs", "q", "p", "r")),
-    "FactoredShape": (factor_weil(_WEIL), ("weil", "factors")),
     "DispatchPlan": (
-        shape_of(factor_weil(_WEIL)),
+        shape_of(_WEIL, factor_weil(_WEIL)),
         ("kind", "factors", "real_eigenvalue", "sign", "r", "s"),
     ),
     "HornTriple": (HornTriple((1, 3), (2, 3), (3, 4)), ("I", "J", "K")),
@@ -59,5 +58,4 @@ def test_record_contract(name):
 def test_record_defaults():
     assert DispatchPlan("scalar") == DispatchPlan("scalar", (), 0, None, 0, 0)
     assert SmithInequality((1,), (), (1,)).triple is None
-    shape = factor_weil(_WEIL)
-    assert Classification(_WEIL, shape, shape_of(shape), {}).notices == ()
+    assert Classification(_WEIL, shape_of(_WEIL, factor_weil(_WEIL)), {}).notices == ()

@@ -696,9 +696,15 @@ def test_dropping_a_free_row_restricts_the_equalities_again():
 
 
 def test_scalar_b_small():
-    result = reduce_system(2, 1, "smith", scalar_b=True)
+    """At (4, 2) rows can hold b1, b2 or both; with scalar_b each prints its
+    b terms as one b (32 of the 36 kept rows name b1 or b2 when printed per
+    b), and the rows holding both print 2b."""
+    result = reduce_system(4, 2, "smith", scalar_b=True)
     assert result.mode == "smith+scalar_b"
-    assert all("b2" not in result._pretty(iq) for iq in result.kept)
+    rows = [result._pretty(iq) for iq in result.kept]
+    assert len(rows) == 36
+    assert not any("b1" in row or "b2" in row for row in rows)
+    assert sum("2b" in row for row in rows) == 4
 
 
 @pytest.mark.parametrize(

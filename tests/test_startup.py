@@ -49,7 +49,6 @@ DROPPED = {
     "enumerate_cokernels": "smith",
     "feasible_triple": "smith",
     "inequality_system": "smith",
-    "FactoredShape": "weil",
     "factor_weil": "weil",
     "group_order": "weil",
     "root_valuations": "weil",
@@ -120,7 +119,7 @@ def test_dropped_names_resolve_in_their_modules():
     )
     out = _fresh("-S", "-c", script)
     assert out.returncode == 0, out.stderr
-    assert len(DROPPED) == 24
+    assert len(DROPPED) == 23
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 

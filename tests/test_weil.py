@@ -208,52 +208,75 @@ def test_hand_built_records_are_validated():
 
 
 def test_factor_p2q():
-    shape = factor_weil(parse_and_validate(P2Q_COEFFS, 2))
-    assert shape.tag == "P2Q"
-    assert dict(shape.factors) == {(1, -1, 2): 2, (1, 2, 2): 1}
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    factors = factor_weil(w)
+    assert shape_of(w, factors).tag == "P2Q"
+    assert dict(factors) == {(1, -1, 2): 2, (1, 2, 2): 1}
     product = (1,)
-    for f, mult in shape.factors:
+    for f, mult in factors:
         for _ in range(mult):
             product = poly_mul(product, f)
     assert product == P2Q_COEFFS
 
 
 def test_factor_q2_realsq():
-    shape = factor_weil(parse_and_validate(Q9_COEFFS, 9))
-    assert shape.tag == "Q2_RealSq"
-    assert dict(shape.factors) == {(1, 3): 2, (1, 3, 9): 2}
+    w = parse_and_validate(Q9_COEFFS, 9)
+    factors = factor_weil(w)
+    assert shape_of(w, factors).tag == "Q2_RealSq"
+    assert dict(factors) == {(1, 3): 2, (1, 3, 9): 2}
 
 
 def test_factor_scalar_power():
-    shape = factor_weil(parse_and_validate(scalar_power(2, 6), 4))
-    assert shape.tag == "ScalarPower"
+    w = parse_and_validate(scalar_power(2, 6), 4)
+    assert shape_of(w, factor_weil(w)).tag == "ScalarPower"
 
 
 def test_factor_cyclic_index():
     coeffs = poly_mul(scalar_power(3, 4), scalar_power(-3, 2))
-    shape = factor_weil(parse_and_validate(coeffs, 9))
-    assert shape.tag == "CyclicIndexPRQS"
-    plan = shape_of(shape)
+    w = parse_and_validate(coeffs, 9)
+    plan = shape_of(w, factor_weil(w))
+    assert plan.tag == "CyclicIndexPRQS"
     assert (plan.kind, plan.r, plan.s) == ("cyclic_index", 2, 2)
     assert plan.factors == ((1, 0, -9),)  # t^2 - q
     assert transform_one_minus_t(plan.factors[0]) == (1, -2, -8)  # roots 1 -+ 3
     assert plan.real_eigenvalue == -2  # the majority factor (t - 3): 1 - 3
 
 
+@pytest.mark.parametrize("q", [4, 9, 16, 25])
+def test_real_root_powers_take_a_power_route(q):
+    """(t - sqrt q)^u (t + sqrt q)^w has f(0) = (-1)^u q^g, so it is a Weil
+    polynomial exactly when u and w are both even: 9 of the 15 pairs with
+    u + w in {2, 4, 6}.  Each routes as a scalar or cyclic-index power, never
+    as separable (u = w = 1 is refused)."""
+    sq = isqrt(q)
+    accepted = []
+    for u, w in ((u, n - u) for n in (2, 4, 6) for u in range(n + 1)):
+        coeffs = poly_mul(scalar_power(sq, u), scalar_power(-sq, w))
+        if u % 2 or w % 2:
+            with pytest.raises(SymmetryViolatedError):
+                parse_and_validate(coeffs, q)
+            continue
+        weil = parse_and_validate(coeffs, q)
+        kind = shape_of(weil, factor_weil(weil)).kind
+        assert kind == ("scalar" if u == 0 or w == 0 else "cyclic_index"), (u, w)
+        accepted.append((u, w))
+    assert len(accepted) == 9
+
+
 def test_factor_separable_and_p_square():
-    sep = factor_weil(parse_and_validate(poly_mul((1, -1, 2), (1, 1, 2)), 2))
-    assert sep.tag == "Separable"
-    psq = factor_weil(parse_and_validate(poly_mul((1, -1, 3), (1, -1, 3)), 3))
-    assert psq.tag == "PSquare_g2"
+    sep = parse_and_validate(poly_mul((1, -1, 2), (1, 1, 2)), 2)
+    assert shape_of(sep, factor_weil(sep)).tag == "Separable"
+    psq = parse_and_validate(poly_mul((1, -1, 3), (1, -1, 3)), 3)
+    assert shape_of(psq, factor_weil(psq)).tag == "PSquare_g2"
 
 
 def test_factor_p_realsq():
     quartic = poly_mul((1, 3, 9), (1, -3, 9))  # separable Weil quartic over q=9
     parse_and_validate(quartic, 9)
     coeffs = poly_mul(quartic, poly_mul((1, -3), (1, -3)))
-    shape = factor_weil(parse_and_validate(coeffs, 9))
-    assert shape.tag == "P_RealSq"
-    plan = shape_of(shape)
+    w = parse_and_validate(coeffs, 9)
+    plan = shape_of(w, factor_weil(w))
+    assert plan.tag == "P_RealSq"
     assert plan.kind == "p_realsq"
     assert plan.sign == "minus"
     assert plan.factors == (quartic,)
@@ -262,14 +285,13 @@ def test_factor_p_realsq():
 
 def test_unsupported_cube():
     coeffs = poly_mul(poly_mul((1, 1, 2), (1, 1, 2)), (1, 1, 2))
-    shape = factor_weil(parse_and_validate(coeffs, 2))
-    assert shape.tag == "Unsupported"
+    w = parse_and_validate(coeffs, 2)
+    assert shape_of(w, factor_weil(w)).tag == "Unsupported"
 
 
 def test_every_factor_is_weil_valid():
     for coeffs, q in ((P2Q_COEFFS, 2), (Q9_COEFFS, 9)):
-        shape = factor_weil(parse_and_validate(coeffs, q))
-        for f, _mult in shape.factors:
+        for f, _mult in factor_weil(parse_and_validate(coeffs, q)):
             if len(f) > 2:
                 parse_and_validate(f, q)
 
@@ -377,23 +399,26 @@ def eval_poly(coeffs, x):
 
 def test_group_order_valuation_additivity():
     w = parse_and_validate(P2Q_COEFFS, 2)
-    shape = factor_weil(w)
+    factors = factor_weil(w)
     for l in (2, 5):
         total = sum(
-            mult * valuation(eval_poly(f, 1), l) for f, mult in shape.factors
+            mult * valuation(eval_poly(f, 1), l) for f, mult in factors
         )
         assert total == valuation(group_order(w), l)
 
 
 def test_shape_of_examples():
-    plan = shape_of(factor_weil(parse_and_validate(P2Q_COEFFS, 2)))
+    w = parse_and_validate(P2Q_COEFFS, 2)
+    plan = shape_of(w, factor_weil(w))
     assert plan.kind == "p2q"
     assert plan.factors == ((1, -1, 2), (1, 2, 2))  # P, then Q
     assert (plan.real_eigenvalue, plan.r, plan.s) == (0, 2, 0)
-    plan = shape_of(factor_weil(parse_and_validate(Q9_COEFFS, 9)))
+    w = parse_and_validate(Q9_COEFFS, 9)
+    plan = shape_of(w, factor_weil(w))
     assert (plan.kind, plan.sign, plan.r, plan.s) == ("q2_realsq", "plus", 2, 2)
     assert (plan.factors, plan.real_eigenvalue) == (((1, 3, 9),), 4)  # (t + 3)^2: 1 + 3
-    plan = shape_of(factor_weil(parse_and_validate(scalar_power(-3, 6), 9)))
+    w = parse_and_validate(scalar_power(-3, 6), 9)
+    plan = shape_of(w, factor_weil(w))
     assert (plan.kind, plan.sign, plan.s) == ("scalar", "plus", 6)
     assert (plan.factors, plan.real_eigenvalue) == ((), 4)
 
@@ -421,10 +446,11 @@ def test_large_q_real_square_validates_and_factors(e):
     q, coeffs = traces_at_the_edge(e)
     s = 2 ** (e // 2)
     start = time.perf_counter()
-    shape = factor_weil(parse_and_validate(coeffs, q))
+    w = parse_and_validate(coeffs, q)
+    factors = factor_weil(w)
     assert time.perf_counter() - start < 1.0
-    assert shape.tag == "P_RealSq"
-    assert dict(shape.factors) == {
+    assert shape_of(w, factors).tag == "P_RealSq"
+    assert dict(factors) == {
         (1, -s): 2,
         weil_quadratic(2 * s - 1, q): 1,
         weil_quadratic(2 * s - 2, q): 1,
@@ -435,9 +461,10 @@ def test_large_q_real_square_validates_and_factors(e):
 def test_boundary_traces_at_square_q(q):
     s = isqrt(q)
     for a in (2 * s, -2 * s):
-        shape = factor_weil(parse_and_validate(weil_quadratic(a, q), q))
-        assert dict(shape.factors) == {(1, -a // 2): 2}
-        assert shape.tag == "ScalarPower"
+        w = parse_and_validate(weil_quadratic(a, q), q)
+        factors = factor_weil(w)
+        assert dict(factors) == {(1, -a // 2): 2}
+        assert shape_of(w, factors).tag == "ScalarPower"
         with pytest.raises(RootModulusError):
             parse_and_validate(weil_quadratic(a + (1 if a > 0 else -1), q), q)
 
@@ -447,13 +474,15 @@ def test_boundary_traces_at_nonsquare_q(q):
     # h = x^2 - 4q has the roots +-2 sqrt q exactly on the boundary
     coeffs = (1, 0, -2 * q, 0, q * q)
     start = time.perf_counter()
-    shape = factor_weil(parse_and_validate(coeffs, q))
+    w = parse_and_validate(coeffs, q)
+    factors = factor_weil(w)
     assert time.perf_counter() - start < 1.0
-    assert dict(shape.factors) == {(1, 0, -q): 2}
-    assert shape.tag == "PSquare_g2"
+    assert dict(factors) == {(1, 0, -q): 2}
+    assert shape_of(w, factors).tag == "PSquare_g2"
     top = isqrt(4 * q)  # the largest integer trace, strictly inside
     for a in (top, -top):
-        assert factor_weil(parse_and_validate(weil_quadratic(a, q), q)).tag == "Separable"
+        w = parse_and_validate(weil_quadratic(a, q), q)
+        assert shape_of(w, factor_weil(w)).tag == "Separable"
         with pytest.raises(RootModulusError):
             parse_and_validate(weil_quadratic(a + (1 if a > 0 else -1), q), q)
     with pytest.raises(RootModulusError):
@@ -466,10 +495,11 @@ def test_real_square_of_nonsquare_q_times_quadratic(q):
         quad = weil_quadratic(a, q)
         coeffs = poly_mul(poly_mul((1, 0, -q), (1, 0, -q)), quad)
         start = time.perf_counter()
-        shape = factor_weil(parse_and_validate(coeffs, q))
+        w = parse_and_validate(coeffs, q)
+        factors = factor_weil(w)
         assert time.perf_counter() - start < 1.0
-        assert dict(shape.factors) == {(1, 0, -q): 2, quad: 1}
-        assert shape.tag == "P2Q"
+        assert dict(factors) == {(1, 0, -q): 2, quad: 1}
+        assert shape_of(w, factors).tag == "P2Q"
 
 
 def test_classify_size_limit():
@@ -600,7 +630,7 @@ def test_exhaustive_small_q_agreement():
                 assert not expected, coeffs
                 continue
             assert expected, coeffs
-            assert dict(factor_weil(weil).factors) == _reference_factors(coeffs, q), coeffs
+            assert dict(factor_weil(weil)) == _reference_factors(coeffs, q), coeffs
             found.append(weil.coeffs)
         census = itertools.takewhile(lambda f: len(f) <= 2 * g + 1, weil_polynomials(q))
         assert found == [f for f in census if len(f) == 2 * g + 1], (q, g)
